@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test selfcheck bench-smoke bench-json examples serve-smoke check cluster-smoke approx-smoke obs-smoke
+.PHONY: test selfcheck bench-smoke bench-json examples serve-smoke check cluster-smoke approx-smoke obs-smoke perf-smoke
 
 # Docs-facing smoke: every example must run end to end (CI mirrors
 # this on both batch backends with a hard per-script timeout).
@@ -66,6 +66,14 @@ cluster-smoke:
 	PYTHONPATH=src timeout 180 python -m repro.bench run --n 3000 \
 		--rate 30 --queries 10 --cycles 5 --shards tcp:2 \
 		--algorithms tma,sma
+
+# The benchmark's own gate (perf/README.md): all four workloads at
+# smoke scale through the public API, each answer checked bitwise
+# against the reference top-k. Exits non-zero when the correctness gate
+# fails, so a shard frame-format break shows as a failed tcp_sharded
+# run, not only as a unit-test failure.
+perf-smoke:
+	timeout 300 python3 -m perf.run --seed 1 --smoke
 
 # The approximate-tier gate: the contract property tests and the
 # sharded (pipe + TCP) sketch-parity suite, then an --approx bench leg

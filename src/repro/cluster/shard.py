@@ -25,7 +25,7 @@ Options:
     Exit when no coordinator connects for this long (default: wait
     forever).
 
-A session failure (malformed handshake, unknown algorithm) is
+A session failure (malformed handshake or frame, unknown algorithm) is
 reported to the coordinator as an error reply where possible and ends
 only that session, never the host.
 """
@@ -49,11 +49,7 @@ def serve_session(sock: socket.socket) -> None:
     """Serve one coordinator session on an accepted socket."""
     channel = TcpServerChannel(sock)
     try:
-        try:
-            command, payload = channel.receive()
-        except ProtocolError as exc:
-            channel.reply_error(f"ProtocolError: {exc}")
-            return
+        command, payload = channel.receive()
         if command != "configure":
             channel.reply_error(
                 f"ProtocolError: expected a configure handshake, "
@@ -83,6 +79,14 @@ def serve_session(sock: socket.socket) -> None:
         from repro.parallel.worker import serve_shard
 
         serve_shard(channel, algo)
+    except ProtocolError as exc:
+        # A malformed frame, handshake included: tell the coordinator
+        # why and end the session (the stream may no longer be
+        # frame-aligned).
+        try:
+            channel.reply_error(f"ProtocolError: {exc}")
+        except ChannelClosed:
+            pass
     except ChannelClosed:
         pass
     finally:

@@ -7,8 +7,9 @@ pieces:
 - :class:`~repro.parallel.sharding.ShardPlanner` — query→shard
   assignment (similarity-bucket-sticky for linear top-k queries,
   round-robin otherwise);
-- :mod:`~repro.parallel.snapshot` — the columnar per-cycle broadcast
-  (shared memory under the NumPy backend, pickled columns otherwise);
+- :mod:`repro.transport.snapshot` — the pipe transport's columnar
+  per-cycle broadcast (shared memory under the NumPy backend, pickled
+  columns otherwise);
 - :mod:`~repro.parallel.worker` — the shard worker process loop;
 - :class:`~repro.parallel.sharded.ShardedMonitorAlgorithm` — the
   coordinator, a drop-in

@@ -26,7 +26,7 @@ channels (:class:`~repro.transport.pipe.PipeChannel`, the
 shared-memory snapshot fast path intact); ``shards=["host:port",
 ...]`` dials that many remote shard hosts
 (:mod:`repro.cluster.shard`) over TCP channels carrying the same
-messages as length-delimited JSON with columnar cycle deltas. The
+messages as length-delimited binary columnar frames. The
 coordinator sees only the channel API — no pipes, sockets, or
 shared-memory names — and one pool may mix transports. Per-cycle
 bytes on the wire (and bytes placed in shared memory) are recorded
@@ -34,7 +34,7 @@ and surfaced via :meth:`transport_stats`.
 
 **Exactness.** A query's maintenance depends only on the stream (same
 records, rebuilt bit-for-bit from the columnar snapshot — shared
-memory and JSON wire floats are both lossless float64 round trips)
+memory and raw wire blocks both carry the float64 bytes themselves)
 and on its own state — never on other queries. Sharding therefore
 yields *bitwise-identical* results and influence lists to a
 single-process run regardless of transport; the parity suites
@@ -535,7 +535,7 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         """Encode one cycle's broadcast without sending it.
 
         Pure coordinator-side CPU (per-transport snapshot encode:
-        NumPy pack + shared-memory fill for pipes, JSON columnar
+        NumPy pack + shared-memory fill for pipes, binary columnar
         deltas for TCP) — the portion of a cycle that pipelining hides
         under the shards' in-flight work. The returned token is
         consumed by exactly one :meth:`begin_cycle`. Approximate pools
@@ -620,13 +620,9 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
             prepared.close()
         self._record_cycle(prepared, baseline)
         changes: Dict[int, ResultChange] = {}
-        for shard, reply in enumerate(replies):
-            # Cycle replies grew a third element (the worker's
-            # per-cycle metrics delta) in protocol revision 3; accept
-            # bare 2-tuples so a newer coordinator can still merge a
-            # revision-2 host's replies.
-            shard_changes, counters = reply[0], reply[1]
-            metrics_delta = reply[2] if len(reply) > 2 else None
+        for shard, (shard_changes, counters, metrics_delta) in enumerate(
+            replies
+        ):
             self._merge_counters(shard, counters)
             if metrics_delta and self.metrics is not None:
                 # Worker registries hold phase histograms and gauges

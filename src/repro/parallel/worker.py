@@ -198,7 +198,3 @@ def dispatch_command(algo, command: str, payload):
     if command == "ping":
         return "pong"
     raise ValueError(f"unknown shard command {command!r}")
-
-
-#: backwards-compatible alias (pre-channel name).
-_dispatch = dispatch_command

@@ -70,12 +70,13 @@ class ProtocolError(ReproError):
 def encode_body(message: Dict[str, Any]) -> bytes:
     """One message → compact UTF-8 JSON bytes, repr-faithful floats.
 
-    The un-framed encoder both framings build on: :func:`encode_line`
-    appends the newline delimiter of the serving protocol, and the
-    shard transport (:mod:`repro.transport.codec`) prefixes a binary
-    length header instead. Floats pass through Python's ``repr``-based
-    JSON encoder, so every IEEE-754 double survives the round trip
-    bit-for-bit; NaN/Inf are rejected (they have no JSON spelling).
+    :func:`encode_line` appends the newline delimiter of the serving
+    protocol; the shard transport (:mod:`repro.transport.codec`) uses
+    this only for its small frame headers — record and entry columns
+    cross that channel as raw binary blocks. Floats pass through
+    Python's ``repr``-based JSON encoder, so every IEEE-754 double
+    survives the round trip bit-for-bit; NaN/Inf are rejected (they
+    have no JSON spelling).
     """
     return json.dumps(
         message, separators=(",", ":"), allow_nan=False

@@ -520,7 +520,7 @@ class MonitorServer:
             # subscribe would).
             await self._engine(self.monitor.handle, qid)
         sub_id = next(self._sub_ids)
-        sender, box = self._make_sender(conn, sub_id)
+        sender, box = self._make_sender(conn, sub_id, qid)
         delivery = self.hub.deliver(
             sender,
             qid=qid,
@@ -655,7 +655,9 @@ class MonitorServer:
     # Delta push (delivery consumer threads)
     # ------------------------------------------------------------------
 
-    def _make_sender(self, conn: _Connection, sub_id: int):
+    def _make_sender(
+        self, conn: _Connection, sub_id: int, qid: Optional[int]
+    ):
         # The Delivery is created *from* this sender, so the sender
         # reaches it through a late-bound box (filled right after
         # hub.deliver returns in _op_subscribe).
@@ -671,9 +673,10 @@ class MonitorServer:
                 }
             )
             delivered = self._offer(conn, line, delivery=box[0])
-            if change.cause == "cancel" and delivered:
-                # The query is gone; retire the subscription and tell
-                # the client its stream is over.
+            if change.cause == "cancel" and delivered and qid is not None:
+                # The subscription's one query is gone; retire it and
+                # tell the client its stream is over. A monitor-wide
+                # subscription (qid None) outlives any one query.
                 delivery = conn.deliveries.pop(sub_id, None)
                 self._offer(
                     conn,

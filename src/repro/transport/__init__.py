@@ -11,14 +11,14 @@ Layering (see ``docs/ARCHITECTURE.md``)::
 - :mod:`~repro.transport.pipe` — worker processes on multiprocessing
   pipes (the shared-memory snapshot fast path preserved bit-for-bit);
 - :mod:`~repro.transport.tcp` — remote shard hosts on length-delimited
-  JSON frames (:mod:`~repro.transport.codec`), columnar cycle deltas
-  on the wire;
+  binary columnar frames (:mod:`~repro.transport.codec`: a small JSON
+  header plus raw float64/int64 blocks), cycle deltas on the wire;
 - :mod:`~repro.transport.snapshot` — the columnar cycle snapshot
   codec the pipe transport broadcasts.
 
-This package depends only on :mod:`repro.core` and the wire codec of
-:mod:`repro.service.protocol`; it never imports the parallel, serving
-or cluster tiers above it.
+This package depends only on :mod:`repro.core` and, for frame headers
+and query specs, the JSON helpers of :mod:`repro.service.protocol`; it
+never imports the parallel, serving or cluster tiers above it.
 """
 
 from repro.transport.base import (

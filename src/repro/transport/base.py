@@ -14,7 +14,8 @@ Two implementations exist:
   preserved bit-for-bit;
 - :class:`~repro.transport.tcp.TcpChannel` — a remote shard host
   (:mod:`repro.cluster.shard`) on a TCP socket, speaking the
-  length-delimited JSON framing of :mod:`repro.transport.codec`.
+  length-delimited binary columnar frames of
+  :mod:`repro.transport.codec`.
 
 Both expose the same five-verb surface — :meth:`ShardChannel.request`
 (send, don't wait), :meth:`ShardChannel.response` (wait for one
@@ -120,11 +121,6 @@ class ShardChannel(abc.ABC):
         """Object accepted by :func:`multiprocessing.connection.wait`
         that becomes ready when a reply can be read."""
 
-    def has_buffered(self) -> bool:
-        """True when reply bytes are already buffered locally (the
-        waitable would not signal them)."""
-        return False
-
     @abc.abstractmethod
     def is_alive(self) -> bool:
         """Best-effort liveness of the peer."""
@@ -171,14 +167,7 @@ def wait_ready(
     channels: Sequence[ShardChannel], timeout: float
 ) -> List[ShardChannel]:
     """The subset of ``channels`` with a readable reply, waiting up to
-    ``timeout`` seconds; empty on timeout.
-
-    Channels holding locally buffered reply bytes are returned
-    immediately — their waitable would stay silent.
-    """
-    buffered = [channel for channel in channels if channel.has_buffered()]
-    if buffered:
-        return buffered
+    ``timeout`` seconds; empty on timeout."""
     by_waitable = {channel.waitable(): channel for channel in channels}
     ready = mp_connection.wait(list(by_waitable), timeout=timeout)
     return [by_waitable[waitable] for waitable in ready]

@@ -1,23 +1,38 @@
-"""Length-delimited JSON wire format of the TCP shard channel.
+"""Binary columnar wire format of the TCP shard channel (revision 4).
 
-Every message is one frame: a 4-byte big-endian unsigned length
-followed by that many bytes of compact UTF-8 JSON. The JSON body is
-produced by :func:`repro.service.protocol.encode_body` — the same
-repr-faithful float encoder the serving protocol uses — so IEEE-754
-doubles cross the wire bit-for-bit and a remote shard rebuilds records
-and entries identical to the coordinator's (the precondition for
-bitwise parity between remote-sharded and single-process runs).
+Every message, in both directions, is one frame::
+
+    u32be body_len | u32le header_len | header | block 0 | block 1 ...
+
+``header`` is ``header_len`` bytes of compact UTF-8 JSON (one object).
+Its optional ``"blocks"`` key declares the column blocks that follow as
+``[[dtype, count], ...]`` — ``"d"`` for float64, ``"q"`` for int64,
+eight raw little-endian bytes per value — so a decoder checks
+``body_len == 4 + header_len + 8 * sum(count)`` before it allocates
+anything. Control messages are header-only frames of the same format.
+
+Record and entry columns (ids, timestamps, attribute rows, scores)
+travel **only** as blocks: IEEE-754 doubles cross the wire as their own
+eight bytes, so a remote shard rebuilds records and entries identical
+to the coordinator's by construction (the precondition for bitwise
+parity between remote-sharded and single-process runs). Non-finite
+floats are refused on both ends. The header carries what is small and
+irregular: the op, query specs, per-change rows, counters, the metrics
+delta. ``docs/ARCHITECTURE.md`` ("Shard wire format") lists each op's
+header keys and block order.
+
+Built on :mod:`array`, :mod:`struct` and :class:`memoryview` alone, so
+both batch backends run the same path.
 
 One frame per request, one per reply, matched by order (at most one
 request is outstanding per channel). Requests carry ``{"op": ...}``;
 replies carry ``{"ok": true, ...}`` or ``{"ok": false, "error": txt}``
 where ``txt`` is the remote traceback. Reply payload shapes depend on
-the request's op, so decoding takes the pending command.
+the request's op, so decoding takes the pending command. In this module
+a *message* is the decoded pair ``(header, blocks)``.
 
 **Cycle deltas.** The ``cycle`` request ships only the cycle's *new*
-and *expired* records as columns (ids / timestamps / attribute rows) —
-never the full window — mirroring the columnar pipe snapshot
-(:mod:`repro.transport.snapshot`) in JSON instead of shared memory.
+and *expired* records — never the full window.
 
 Only wire-serialisable queries cross this codec: plain linear top-k
 and threshold specs, exactly the kinds
@@ -29,42 +44,54 @@ bytes move.
 
 from __future__ import annotations
 
+import json
 import struct
-from typing import Any, Dict, List, Sequence, Tuple
+import sys
+from array import array
+from itertools import chain
+from math import isfinite
+from operator import eq
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import ResultChange, ResultEntry
 from repro.core.scoring import LinearFunction
 from repro.core.tuples import StreamRecord
 from repro.service.protocol import (
     ProtocolError,
-    change_from_wire,
-    change_to_wire,
-    decode_line,
     encode_body,
-    entries_from_wire,
-    entries_to_wire,
     query_from_wire,
     query_to_wire,
 )
+from repro.transport.snapshot import record_columns
 
 #: shard wire-protocol revision, exchanged in the ``configure``
 #: handshake; a host refuses a coordinator with a different revision.
-#: Revision 2 added the optional columnar sketch delta on ``cycle``
-#: requests and the ``sketch`` introspection op (approximate tier).
-#: Revision 3 added the optional ``metrics`` key on ``cycle`` replies
-#: (the worker registry's per-cycle delta) and the reserved ``_obs``
-#: entry in configure options (observability tier).
-SHARD_PROTOCOL_VERSION = 3
+#: Revision 2 added the optional sketch delta on ``cycle`` requests and
+#: the ``sketch`` introspection op (approximate tier). Revision 3 added
+#: the ``metrics`` key on ``cycle`` replies and the reserved ``_obs``
+#: entry in configure options (observability tier). Revision 4 replaced
+#: the JSON body with the binary columnar frame described above.
+SHARD_PROTOCOL_VERSION = 4
 
 #: hard per-frame ceiling — a length header beyond this is treated as
 #: stream corruption, not an allocation request.
 MAX_FRAME_BYTES = 512 * 1024 * 1024
 
-_HEADER = struct.Struct(">I")
-HEADER_BYTES = _HEADER.size
+_FRAME_LEN = struct.Struct(">I")
+_HEADER_LEN = struct.Struct("<I")
+HEADER_BYTES = _FRAME_LEN.size
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 #: requests that carry no payload at all.
 _BARE_OPS = ("stats", "space", "ping", "stop", "sketch")
+
+#: block layout of one record batch / of the entry table.
+_RECORD_BLOCKS = "qdd"  # rids, times, attrs
+_ENTRY_BLOCKS = "dqdd"  # scores, rids, times, attrs
+_SKETCH_BLOCKS = "qqqq"  # add_cells, add_counts, drop_cells, drop_counts
+
+Message = Tuple[Dict[str, Any], List[array]]
 
 
 # ----------------------------------------------------------------------
@@ -72,24 +99,74 @@ _BARE_OPS = ("stats", "space", "ping", "stop", "sketch")
 # ----------------------------------------------------------------------
 
 
-def frame_body(body: bytes) -> bytes:
-    """JSON body → one length-prefixed frame."""
-    if len(body) > MAX_FRAME_BYTES:
+def _require_finite(block: array, what: str) -> None:
+    # A finite sum proves every term finite; overflow can make a clean
+    # block trip it, so only then pay for the exact scan.
+    if not isfinite(sum(block)) and not all(map(isfinite, block)):
+        raise ProtocolError(f"non-finite float in {what}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # "1e999" is valid JSON and parses to inf
+    if not isfinite(value):
+        raise ProtocolError(f"non-finite float {text!r} in frame header")
+    return value
+
+
+def _refuse_constant(name: str) -> float:
+    raise ProtocolError(f"non-finite float {name!r} in frame header")
+
+
+_HEADER_DECODER = json.JSONDecoder(
+    parse_float=_finite_float, parse_constant=_refuse_constant
+)
+
+
+def _decode_header(raw: bytes) -> Dict[str, Any]:
+    """Header bytes → dict; no float in it (``bound``, weights, the
+    metrics delta) can come back non-finite."""
+    try:
+        header = _HEADER_DECODER.decode(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 / JSON,
+        # an integer past the str→int digit limit, nesting too deep
+        raise ProtocolError(f"undecodable frame header: {exc}") from None
+    if not isinstance(header, dict):
         raise ProtocolError(
-            f"frame body of {len(body)} bytes exceeds the "
+            f"frame header is not an object: {type(header).__name__}"
+        )
+    return header
+
+
+def frame_message(message: Message) -> bytes:
+    """One ``(header, blocks)`` message → one length-prefixed frame."""
+    header, blocks = message
+    if blocks:
+        header = dict(header)
+        header["blocks"] = [[block.typecode, len(block)] for block in blocks]
+    try:
+        head = encode_body(header)
+    except (TypeError, ValueError) as exc:  # NaN/inf or a non-JSON value
+        raise ProtocolError(f"unencodable frame header: {exc}") from None
+    length = _HEADER_LEN.size + len(head) + 8 * sum(map(len, blocks))
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame body of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame ceiling"
         )
-    return _HEADER.pack(len(body)) + body
-
-
-def frame_message(message: Dict[str, Any]) -> bytes:
-    """One message dict → one length-prefixed frame."""
-    return frame_body(encode_body(message))
+    parts = [_FRAME_LEN.pack(length), _HEADER_LEN.pack(len(head)), head]
+    for index, block in enumerate(blocks):
+        if block.typecode == "d":
+            _require_finite(block, f"block {index}")
+        if _BIG_ENDIAN:  # pragma: no cover - little-endian CI hosts
+            block = array(block.typecode, block)
+            block.byteswap()
+        parts.append(block.tobytes())
+    return b"".join(parts)
 
 
 def body_length(header: bytes) -> int:
     """Decode a 4-byte frame header into the body length."""
-    (length,) = _HEADER.unpack(header)
+    (length,) = _FRAME_LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame header announces {length} bytes (> "
@@ -98,44 +175,161 @@ def body_length(header: bytes) -> int:
     return length
 
 
-def decode_body(body: bytes) -> Dict[str, Any]:
-    """One frame body → message dict (shares the serving protocol's
-    JSON decoding and error taxonomy)."""
-    return decode_line(body)
+def decode_body(body) -> Message:
+    """One frame body (any bytes-like) → ``(header, blocks)``.
+
+    Every length is checked against the body before a block is
+    allocated, and every float — header or block — is checked finite.
+    """
+    view = memoryview(body)
+    if len(view) < _HEADER_LEN.size:
+        raise ProtocolError(f"frame body of {len(view)} bytes is truncated")
+    (header_len,) = _HEADER_LEN.unpack_from(view)
+    offset = _HEADER_LEN.size
+    if header_len > len(view) - offset:
+        raise ProtocolError(
+            f"frame header of {header_len} bytes overruns a "
+            f"{len(view)}-byte body"
+        )
+    header = _decode_header(bytes(view[offset : offset + header_len]))
+    offset += header_len
+    declared = header.pop("blocks", [])
+    if not isinstance(declared, list):
+        raise ProtocolError("frame block table is not a list")
+    total = 0
+    for spec in declared:
+        if (
+            not isinstance(spec, list)
+            or len(spec) != 2
+            or spec[0] not in ("d", "q")
+            or type(spec[1]) is not int
+            or spec[1] < 0
+        ):
+            raise ProtocolError(f"malformed frame block spec {spec!r}")
+        total += spec[1]
+    if offset + 8 * total != len(view):
+        raise ProtocolError(
+            f"frame declares {total} block values after a {header_len}-byte "
+            f"header but its body is {len(view)} bytes"
+        )
+    blocks = []
+    for index, (typecode, count) in enumerate(declared):
+        block = array(typecode)
+        block.frombytes(view[offset : offset + 8 * count])
+        offset += 8 * count
+        if _BIG_ENDIAN:  # pragma: no cover - little-endian CI hosts
+            block.byteswap()
+        if typecode == "d":
+            _require_finite(block, f"block {index}")
+        blocks.append(block)
+    return header, blocks
 
 
-# ----------------------------------------------------------------------
-# Columnar record batches (cycle deltas)
-# ----------------------------------------------------------------------
+def _take(blocks: Sequence[array], layout: str, what: str) -> Sequence[array]:
+    """``blocks`` once their dtypes are known to spell ``layout``."""
+    found = "".join(block.typecode for block in blocks)
+    if found != layout:
+        raise ProtocolError(
+            f"{what} carries blocks {found!r}, expected {layout!r}"
+        )
+    return blocks
 
 
-def _records_to_wire(
-    records: Sequence[StreamRecord],
-) -> Dict[str, List[Any]]:
-    return {
-        "rids": [record.rid for record in records],
-        "times": [record.time for record in records],
-        "rows": [list(record.attrs) for record in records],
-    }
+def _wire_int(value: Any, what: str) -> int:
+    if type(value) is not int:
+        raise ProtocolError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
-def _columns_from_wire(
-    payload: Dict[str, Any],
-) -> Tuple[List[int], List[float], List[List[float]]]:
+def _int_block(values: Sequence[int], what: str) -> array:
     try:
-        rids = [int(rid) for rid in payload["rids"]]
-        times = [float(stamp) for stamp in payload["times"]]
-        rows = [
-            [float(value) for value in row] for row in payload["rows"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed record columns: {exc}") from None
+        return array("q", values)
+    except (TypeError, OverflowError) as exc:
+        raise ProtocolError(f"{what} do not fit int64: {exc}") from None
+
+
+def _float_block(values, what: str) -> array:
+    try:
+        return array("d", values)
+    except TypeError as exc:
+        raise ProtocolError(f"{what} are not floats: {exc}") from None
+
+
+def _uniform_width(rows: Sequence[Sequence[float]]) -> int:
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ProtocolError(
+            f"ragged attribute rows: widths {sorted(widths)}"
+        )
+    return widths.pop() if widths else 0
+
+
+def _rows_of(attrs: array, count: int, dims: int) -> List[Tuple[float, ...]]:
+    """Cut a flat attribute block back into ``count`` rows."""
+    if type(dims) is not int or dims < 0 or (count and not dims):
+        raise ProtocolError(f"malformed attribute width {dims!r}")
+    if len(attrs) != count * dims:
+        raise ProtocolError(
+            f"attribute block holds {len(attrs)} values, expected "
+            f"{count} rows x {dims}"
+        )
+    return list(zip(*[iter(attrs)] * dims)) if count else []
+
+
+# ----------------------------------------------------------------------
+# Record batches (cycle deltas) and the sketch delta
+# ----------------------------------------------------------------------
+
+
+def _records_to_blocks(columns) -> Tuple[int, List[array]]:
+    rids, times, rows = columns
     if not (len(rids) == len(times) == len(rows)):
         raise ProtocolError(
             f"ragged record columns: {len(rids)} rids, "
             f"{len(times)} times, {len(rows)} rows"
         )
-    return rids, times, rows
+    dims = _uniform_width(rows)
+    return dims, [
+        _int_block(rids, "record ids"),
+        _float_block(times, "record times"),
+        _float_block(chain.from_iterable(rows), "record attributes"),
+    ]
+
+
+def _records_from_blocks(blocks: Sequence[array], dims: int):
+    rids, times, attrs = blocks
+    if len(rids) != len(times):
+        raise ProtocolError(
+            f"ragged record columns: {len(rids)} rids, {len(times)} times"
+        )
+    return rids.tolist(), times.tolist(), _rows_of(attrs, len(rids), dims)
+
+
+def _sketch_to_blocks(delta) -> Tuple[int, List[array]]:
+    try:
+        tick = int(delta["tick"])
+        columns = [
+            delta[key]
+            for key in ("add_cells", "add_counts", "drop_cells", "drop_counts")
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed sketch delta: {exc}") from None
+    return tick, [_int_block(column, "sketch columns") for column in columns]
+
+
+def _sketch_from_blocks(tick: Any, blocks: Sequence[array]) -> Dict[str, Any]:
+    add_cells, add_counts, drop_cells, drop_counts = blocks
+    if len(add_cells) != len(add_counts) or len(drop_cells) != len(
+        drop_counts
+    ):
+        raise ProtocolError("ragged sketch delta columns")
+    return {
+        "tick": _wire_int(tick, "sketch tick"),
+        "add_cells": add_cells.tolist(),
+        "add_counts": add_counts.tolist(),
+        "drop_cells": drop_cells.tolist(),
+        "drop_counts": drop_counts.tolist(),
+    }
 
 
 def encode_cycle_request(
@@ -148,45 +342,51 @@ def encode_cycle_request(
     Encoded once per cycle regardless of how many TCP channels will
     broadcast it (the TCP transport's :meth:`encode_cycle`).
     ``sketch_delta`` — the approximate tier's columnar cell-population
-    delta — rides as an optional ``"sketch"`` key; exact pools omit it
-    and keep the revision-1 frame shape.
+    delta — rides as four extra int64 blocks; exact pools omit it.
     """
-    message = {
-        "op": "cycle",
-        "ins": _records_to_wire(arrivals),
-        "del": _records_to_wire(expirations),
-    }
-    if sketch_delta is not None:
-        message["sketch"] = _sketch_to_wire(sketch_delta)
-    return frame_message(message)
+    payload = (
+        "cols",
+        record_columns(arrivals),
+        record_columns(expirations),
+        sketch_delta,
+    )
+    return frame_message(encode_request("cycle", payload))
 
 
-def _sketch_to_wire(delta) -> Dict[str, Any]:
-    return {
-        "tick": int(delta["tick"]),
-        "add_cells": list(delta["add_cells"]),
-        "add_counts": list(delta["add_counts"]),
-        "drop_cells": list(delta["drop_cells"]),
-        "drop_counts": list(delta["drop_counts"]),
-    }
+def _encode_cycle(payload) -> Message:
+    kind = payload[0]
+    if kind != "cols":  # shm payloads never cross a socket
+        raise ProtocolError(
+            f"cycle payload kind {kind!r} is not wire-serialisable"
+        )
+    dims_in, blocks = _records_to_blocks(payload[1])
+    dims_out, expired = _records_to_blocks(payload[2])
+    if dims_in and dims_out and dims_in != dims_out:
+        raise ProtocolError(
+            f"arrivals have {dims_in} attributes, expirations {dims_out}"
+        )
+    header = {"op": "cycle", "dims": dims_in or dims_out}
+    blocks += expired
+    if len(payload) > 3 and payload[3] is not None:
+        header["sketch"], sketch = _sketch_to_blocks(payload[3])
+        blocks += sketch
+    return header, blocks
 
 
-def _sketch_from_wire(payload: Dict[str, Any]) -> Dict[str, Any]:
-    try:
-        delta = {
-            "tick": int(payload["tick"]),
-            "add_cells": [int(cell) for cell in payload["add_cells"]],
-            "add_counts": [int(n) for n in payload["add_counts"]],
-            "drop_cells": [int(cell) for cell in payload["drop_cells"]],
-            "drop_counts": [int(n) for n in payload["drop_counts"]],
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed sketch delta: {exc}") from None
-    if len(delta["add_cells"]) != len(delta["add_counts"]) or len(
-        delta["drop_cells"]
-    ) != len(delta["drop_counts"]):
-        raise ProtocolError("ragged sketch delta columns")
-    return delta
+def _decode_cycle(header: Dict[str, Any], blocks: Sequence[array]):
+    layout = _RECORD_BLOCKS * 2
+    if "sketch" in header:
+        layout += _SKETCH_BLOCKS
+    _take(blocks, layout, "cycle request")
+    dims = header["dims"]
+    payload = (
+        "cols",
+        _records_from_blocks(blocks[0:3], dims),
+        _records_from_blocks(blocks[3:6], dims),
+    )
+    if "sketch" in header:
+        payload += (_sketch_from_blocks(header["sketch"], blocks[6:]),)
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +402,7 @@ def shard_query_to_wire(query: object) -> Dict[str, Any]:
 
 def shard_query_from_wire(payload: Dict[str, Any]) -> object:
     query = query_from_wire(payload)
-    try:
-        query.qid = int(payload.get("qid", -1))
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed wire qid: {exc}") from None
+    query.qid = _wire_int(payload.get("qid", -1), "wire qid")
     return query
 
 
@@ -223,118 +420,82 @@ def _weights_of(function: object) -> List[float]:
 # ----------------------------------------------------------------------
 
 
-def encode_request(command: str, payload: Any) -> Dict[str, Any]:
-    """One coordinator request → message dict.
+def encode_request(command: str, payload: Any) -> Message:
+    """One coordinator request → ``(header, blocks)`` message.
 
     ``payload`` is the exact object the in-process worker protocol
     carries for ``command`` (see :mod:`repro.parallel.worker`); for
     ``cycle`` it is the ``("cols", ...)`` snapshot triple.
     """
     if command == "cycle":
-        kind = payload[0]
-        if kind != "cols":  # shm payloads never cross a socket
-            raise ProtocolError(
-                f"cycle payload kind {kind!r} is not wire-serialisable"
-            )
-        _, arrivals_cols, expirations_cols = payload[:3]
-        rids_a, times_a, rows_a = arrivals_cols
-        rids_e, times_e, rows_e = expirations_cols
-        message = {
-            "op": "cycle",
-            "ins": {
-                "rids": list(rids_a),
-                "times": list(times_a),
-                "rows": [list(row) for row in rows_a],
-            },
-            "del": {
-                "rids": list(rids_e),
-                "times": list(times_e),
-                "rows": [list(row) for row in rows_e],
-            },
-        }
-        if len(payload) > 3 and payload[3] is not None:
-            message["sketch"] = _sketch_to_wire(payload[3])
-        return message
+        return _encode_cycle(payload)
     if command == "register_many":
-        return {
+        header = {
             "op": "register_many",
             "queries": [shard_query_to_wire(query) for query in payload],
         }
-    if command == "unregister":
-        return {"op": "unregister", "qid": int(payload)}
-    if command == "update":
+    elif command == "unregister":
+        header = {"op": "unregister", "qid": _wire_int(payload, "qid")}
+    elif command == "update":
         qid, k, function = payload
-        return {
+        header = {
             "op": "update",
-            "qid": int(qid),
-            "k": None if k is None else int(k),
+            "qid": _wire_int(qid, "qid"),
+            "k": None if k is None else _wire_int(k, "k"),
             "weights": None if function is None else _weights_of(function),
         }
-    if command == "configure":
-        return {"op": "configure", **payload}
-    if command in _BARE_OPS:
-        return {"op": command}
-    raise ProtocolError(f"unknown shard command {command!r}")
+    elif command == "configure":
+        header = {"op": "configure", **payload}
+    elif command in _BARE_OPS:
+        header = {"op": command}
+    else:
+        raise ProtocolError(f"unknown shard command {command!r}")
+    return header, []
 
 
-def decode_request(message: Dict[str, Any]) -> Tuple[str, Any]:
-    """Message dict → ``(command, payload)`` in the worker protocol's
+def decode_request(message: Message) -> Tuple[str, Any]:
+    """Message → ``(command, payload)`` in the worker protocol's
     internal shapes (cycle payloads come back as ``("cols", ...)``
     triples, ready for :func:`repro.transport.snapshot.decode_cycle`)."""
-    op = message.get("op")
+    header, blocks = message
+    op = header.get("op")
     try:
         if op == "cycle":
-            payload = (
-                "cols",
-                _columns_from_wire(message["ins"]),
-                _columns_from_wire(message["del"]),
-            )
-            if "sketch" in message:
-                payload = payload + (
-                    _sketch_from_wire(message["sketch"]),
-                )
-            return "cycle", payload
+            return "cycle", _decode_cycle(header, blocks)
+        _take(blocks, "", f"{op!r} request")
         if op == "register_many":
             return "register_many", [
-                shard_query_from_wire(spec) for spec in message["queries"]
+                shard_query_from_wire(spec) for spec in header["queries"]
             ]
         if op == "unregister":
-            return "unregister", int(message["qid"])
+            return "unregister", _wire_int(header["qid"], "qid")
         if op == "update":
-            weights = message.get("weights")
+            weights = header.get("weights")
             function = (
                 None
                 if weights is None
                 else LinearFunction([float(w) for w in weights])
             )
-            k = message.get("k")
+            k = header.get("k")
             return "update", (
-                int(message["qid"]),
-                None if k is None else int(k),
+                _wire_int(header["qid"], "qid"),
+                None if k is None else _wire_int(k, "k"),
                 function,
             )
         if op == "configure":
             return "configure", {
-                key: value
-                for key, value in message.items()
-                if key != "op"
+                key: value for key, value in header.items() if key != "op"
             }
         if op in _BARE_OPS:
             return str(op), None
     except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"malformed {op!r} request: {exc}"
-        ) from None
+        raise ProtocolError(f"malformed {op!r} request: {exc}") from None
     raise ProtocolError(f"unknown shard op {op!r}")
 
 
 # ----------------------------------------------------------------------
 # Replies (shape keyed by the request's op)
 # ----------------------------------------------------------------------
-
-
-def _counters_to_wire(counters: Dict[str, int]) -> Dict[str, int]:
-    return dict(counters)
 
 
 def _counters_from_wire(payload: Any) -> Dict[str, int]:
@@ -344,128 +505,202 @@ def _counters_from_wire(payload: Any) -> Dict[str, int]:
         raise ProtocolError(f"malformed wire counters: {exc}") from None
 
 
-def encode_reply(command: str, payload: Any) -> Dict[str, Any]:
-    """One successful worker reply → message dict.
+def _entries_to_blocks(entries: List[ResultEntry]) -> Tuple[int, List[array]]:
+    """One entry table: scores, rids, times, flat attribute rows."""
+    records = [entry[1] for entry in entries]
+    rows = [record.attrs for record in records]
+    return _uniform_width(rows), [
+        _float_block([entry[0] for entry in entries], "entry scores"),
+        _int_block([record.rid for record in records], "entry ids"),
+        _float_block([record.time for record in records], "entry times"),
+        _float_block(chain.from_iterable(rows), "entry attributes"),
+    ]
+
+
+def _entries_from_blocks(
+    blocks: Sequence[array], dims: Any
+) -> List[ResultEntry]:
+    scores, rids, times, attrs = _take(blocks, _ENTRY_BLOCKS, "entry table")
+    if not (len(scores) == len(rids) == len(times)):
+        raise ProtocolError(
+            f"ragged entry table: {len(scores)} scores, "
+            f"{len(rids)} rids, {len(times)} times"
+        )
+    rows = _rows_of(attrs, len(rids), dims)
+    # A record in many results is built once: top lists overlap heavily
+    # (and every added entry is also in its top), so distinct records
+    # are a small fraction of the rows. A repeated rid must repeat its
+    # row and time too, or one of them would be silently rewritten.
+    distinct = dict(zip(rids, zip(rows, times)))
+    if not all(map(eq, map(distinct.__getitem__, rids), zip(rows, times))):
+        raise ProtocolError(
+            "entry table repeats a record id with a different row or time"
+        )
+    records = {
+        rid: StreamRecord(rid, row, time)
+        for rid, (row, time) in distinct.items()
+    }
+    return list(map(ResultEntry, scores, map(records.__getitem__, rids)))
+
+
+def _changes_to_wire(changes_by_qid: Dict[int, ResultChange]):
+    rows = []
+    entries: List[ResultEntry] = []
+    for qid in sorted(changes_by_qid):
+        change = changes_by_qid[qid]
+        rows.append(
+            [
+                _wire_int(change.qid, "qid"),
+                change.cause,
+                len(change.added),
+                len(change.removed),
+                len(change.top),
+                change.bound,
+            ]
+        )
+        entries += change.added
+        entries += change.removed
+        entries += change.top
+    return rows, entries
+
+
+def _cut(entries: List[ResultEntry], counts: Any) -> List[List[ResultEntry]]:
+    """Consecutive slices of ``entries``, one per count; the counts
+    must account for every row of the table."""
+    pieces = []
+    start = 0
+    for count in counts:
+        if _wire_int(count, "entry count") < 0:
+            raise ProtocolError(f"negative entry count {count}")
+        pieces.append(entries[start : start + count])
+        start += count
+    if start != len(entries):
+        raise ProtocolError(
+            f"header rows claim {start} entries, the entry table "
+            f"holds {len(entries)}"
+        )
+    return pieces
+
+
+def _changes_from_wire(
+    rows: Any, entries: List[ResultEntry]
+) -> Dict[int, ResultChange]:
+    pieces = iter(_cut(entries, [n for row in rows for n in row[2:5]]))
+    changes: Dict[int, ResultChange] = {}
+    for qid, cause, _, _, _, bound in rows:
+        changes[qid] = ResultChange(
+            qid=_wire_int(qid, "qid"),
+            added=next(pieces),
+            removed=next(pieces),
+            top=next(pieces),
+            cause=str(cause),
+            bound=None if bound is None else float(bound),
+        )
+    return changes
+
+
+def encode_reply(command: str, payload: Any) -> Message:
+    """One successful worker reply → ``(header, blocks)`` message.
 
     ``payload`` is exactly what
     :func:`repro.parallel.worker.dispatch_command` returned for
     ``command``.
     """
+    header: Dict[str, Any] = {"ok": True}
+    entries: Optional[List[ResultEntry]] = None
     if command == "cycle":
-        changes_by_qid, counters = payload[0], payload[1]
-        metrics_delta = payload[2] if len(payload) > 2 else None
-        message = {
-            "ok": True,
-            "changes": [
-                change_to_wire(change)
-                for _, change in sorted(changes_by_qid.items())
-            ],
-            "counters": _counters_to_wire(counters),
-        }
+        changes_by_qid, counters, metrics_delta = payload
+        header["changes"], entries = _changes_to_wire(changes_by_qid)
+        header["counters"] = counters
         if metrics_delta is not None:
             # Snapshot-shaped dicts (MetricsRegistry.delta) are plain
             # JSON already: counters/gauges are flat name→number maps,
             # histograms carry bounds + tallies.
-            message["metrics"] = metrics_delta
-        return message
-    if command == "register_many":
+            header["metrics"] = metrics_delta
+    elif command == "register_many":
         per_qid, counters = payload
-        return {
-            "ok": True,
-            "results": [
-                {"qid": qid, "entries": entries_to_wire(per_qid[qid])}
-                for qid in sorted(per_qid)
-            ],
-            "counters": _counters_to_wire(counters),
-        }
-    if command == "unregister":
-        _, counters = payload
-        return {"ok": True, "counters": _counters_to_wire(counters)}
-    if command == "update":
-        wire_entries, counters = payload
-        return {
-            "ok": True,
-            "entries": entries_to_wire(wire_entries),
-            "counters": _counters_to_wire(counters),
-        }
-    if command == "stats":
+        entries = []
+        header["results"] = []
+        for qid in sorted(per_qid):
+            header["results"].append(
+                [_wire_int(qid, "qid"), len(per_qid[qid])]
+            )
+            entries += per_qid[qid]
+        header["counters"] = counters
+    elif command == "unregister":
+        header["counters"] = payload[1]
+    elif command == "update":
+        entries, header["counters"] = payload
+    elif command == "stats":
         (sizes, il_entries), counters = payload
-        return {
-            "ok": True,
-            "sizes": [[qid, sizes[qid]] for qid in sorted(sizes)],
-            "il_entries": int(il_entries),
-            "counters": _counters_to_wire(counters),
-        }
-    if command == "space":
-        return {"ok": True, "space": _space_to_wire(payload)}
-    if command == "sketch":
+        header["sizes"] = [[qid, sizes[qid]] for qid in sorted(sizes)]
+        header["il_entries"] = int(il_entries)
+        header["counters"] = counters
+    elif command == "space":
+        header["space"] = _space_to_wire(payload)
+    elif command == "sketch":
         # The sketch snapshot is already canonical JSON-able state
         # (ints, lists, strings) — see CellSketch.state().
-        return {"ok": True, "sketch": payload}
-    if command == "ping":
-        return {"ok": True}
-    if command == "stop":
-        return {"ok": True}
-    if command == "configure":
-        return {"ok": True, **payload}
-    raise ProtocolError(f"unknown shard command {command!r}")
+        header["sketch"] = payload
+    elif command == "configure":
+        header.update(payload)
+    elif command not in ("ping", "stop"):
+        raise ProtocolError(f"unknown shard command {command!r}")
+    if entries is None:
+        return header, []
+    header["dims"], blocks = _entries_to_blocks(entries)
+    return header, blocks
 
 
-def encode_error_reply(traceback_text: str) -> Dict[str, Any]:
-    return {"ok": False, "error": str(traceback_text)}
+def encode_error_reply(traceback_text: str) -> Message:
+    return {"ok": False, "error": str(traceback_text)}, []
 
 
-def decode_reply(
-    command: str, message: Dict[str, Any]
-) -> Tuple[str, Any]:
-    """Message dict → ``(status, payload)`` in the worker protocol's
+def decode_reply(command: str, message: Message) -> Tuple[str, Any]:
+    """Message → ``(status, payload)`` in the worker protocol's
     internal shapes, matched to the pending ``command``."""
-    if not message.get("ok", False):
-        return "error", str(message.get("error", "unknown shard error"))
+    header, blocks = message
+    if not header.get("ok", False):
+        return "error", str(header.get("error", "unknown shard error"))
     try:
-        if command == "cycle":
-            changes: Dict[int, ResultChange] = {}
-            for spec in message["changes"]:
-                change = change_from_wire(spec)
-                changes[change.qid] = change
-            return "ok", (
-                changes,
-                _counters_from_wire(message["counters"]),
-                message.get("metrics"),
-            )
-        if command == "register_many":
-            per_qid: Dict[int, List[ResultEntry]] = {}
-            for item in message["results"]:
-                per_qid[int(item["qid"])] = entries_from_wire(
-                    item["entries"]
+        if command in ("cycle", "register_many", "update"):
+            entries = _entries_from_blocks(blocks, header["dims"])
+            counters = _counters_from_wire(header["counters"])
+            if command == "cycle":
+                return "ok", (
+                    _changes_from_wire(header["changes"], entries),
+                    counters,
+                    header.get("metrics"),
                 )
-            return "ok", (per_qid, _counters_from_wire(message["counters"]))
+            if command == "update":
+                return "ok", (entries, counters)
+            rows = header["results"]
+            pieces = _cut(entries, [count for _, count in rows])
+            per_qid = {
+                _wire_int(qid, "qid"): piece
+                for (qid, _), piece in zip(rows, pieces)
+            }
+            return "ok", (per_qid, counters)
+        _take(blocks, "", f"{command!r} reply")
         if command == "unregister":
-            return "ok", (None, _counters_from_wire(message["counters"]))
-        if command == "update":
-            return "ok", (
-                entries_from_wire(message["entries"]),
-                _counters_from_wire(message["counters"]),
-            )
+            return "ok", (None, _counters_from_wire(header["counters"]))
         if command == "stats":
-            sizes = {int(qid): int(size) for qid, size in message["sizes"]}
+            sizes = {int(qid): int(size) for qid, size in header["sizes"]}
             return "ok", (
-                (sizes, int(message["il_entries"])),
-                _counters_from_wire(message["counters"]),
+                (sizes, int(header["il_entries"])),
+                _counters_from_wire(header["counters"]),
             )
         if command == "space":
-            return "ok", _space_from_wire(message["space"])
+            return "ok", _space_from_wire(header["space"])
         if command == "sketch":
-            return "ok", message.get("sketch")
+            return "ok", header.get("sketch")
         if command == "ping":
             return "ok", "pong"
         if command == "stop":
             return "ok", None
         if command == "configure":
             return "ok", {
-                key: value
-                for key, value in message.items()
-                if key != "ok"
+                key: value for key, value in header.items() if key != "ok"
             }
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(

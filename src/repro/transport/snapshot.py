@@ -1,9 +1,10 @@
 """Columnar cycle snapshots broadcast from coordinator to shards.
 
 This is the *pipe transport's* cycle encoding (the TCP transport
-sends the same columns as JSON deltas — see
+sends the same columns as binary blocks — see
 :mod:`repro.transport.codec`). Each processing cycle the coordinator
-must hand every worker the same ``P_ins`` / ``P_del`` batches. Records are decomposed into columns —
+must hand every worker the same ``P_ins`` / ``P_del`` batches. Records
+are decomposed into columns —
 ids, timestamps, and one attribute block packed the same way the batch
 kernels pack theirs (:func:`repro.core.batch.as_matrix`):
 
@@ -70,7 +71,9 @@ class _SharedBlockHandle:
             self._shm = None
 
 
-def _columns(records: Sequence[StreamRecord]):
+def record_columns(records: Sequence[StreamRecord]):
+    """``(rids, times, attribute rows)`` of a batch — the ``"cols"``
+    payload's column triple."""
     rids = [record.rid for record in records]
     times = [record.time for record in records]
     rows = [record.attrs for record in records]
@@ -90,8 +93,8 @@ def encode_cycle(
     of the approximate tier) rides as an optional trailing element;
     without one the payload shapes are exactly the pre-sketch ones.
     """
-    rids_a, times_a, rows_a = _columns(arrivals)
-    rids_e, times_e, rows_e = _columns(expirations)
+    rids_a, times_a, rows_a = record_columns(arrivals)
+    rids_e, times_e, rows_e = record_columns(expirations)
     rows = rows_a + rows_e
     if (
         batch.np is not None

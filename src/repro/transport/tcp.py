@@ -2,12 +2,13 @@
 
 :class:`TcpChannel` is the coordinator-side channel to one
 :mod:`repro.cluster.shard` host. It speaks the framing and message
-shapes of :mod:`repro.transport.codec` — 4-byte length header plus
-repr-faithful JSON — and opens every session with a ``configure``
-handshake that tells the host which per-shard algorithm to build
-(protocol revision, algorithm name, dims, grid granularity, factory
-options). ``TCP_NODELAY`` is set on both ends: shard RPCs are strict
-request/reply, so Nagle batching would only add latency.
+shapes of :mod:`repro.transport.codec` — 4-byte length header, small
+JSON header, raw float64/int64 column blocks — and opens every session
+with a ``configure`` handshake that tells the host which per-shard
+algorithm to build (protocol revision, algorithm name, dims, grid
+granularity, factory options). ``TCP_NODELAY`` is set on both ends:
+shard RPCs are strict request/reply, so Nagle batching would only add
+latency.
 
 Cycle broadcasts are columnar *deltas* — the cycle's new and expired
 records only, never the full window — encoded once per cycle
@@ -18,9 +19,10 @@ surfaces them per cycle through ``stats()``.
 The raw socket doubles as the channel's waitable
 (:func:`multiprocessing.connection.wait` accepts sockets, and mixes
 them with pipe ``Connection`` objects in one call), so completion-
-order reply collection works across transports. Reads are buffered;
-``has_buffered()`` keeps a partially read frame from stalling the
-wait loop.
+order reply collection works across transports. A frame is read
+straight into a buffer of its own size and decoded from a view of it;
+nothing is read past a frame's end, so between replies the socket is
+the only place bytes can wait.
 
 :class:`TcpServerChannel` is the host-side half: it decodes request
 frames into the worker protocol's ``(command, payload)`` shapes and
@@ -62,6 +64,69 @@ def _set_nodelay(sock: socket.socket) -> None:
         pass
 
 
+class _FrameReader:
+    """Reads one frame at a time off a socket, into a frame-sized
+    buffer. A read interrupted by :class:`ChannelTimeout` resumes where
+    it stopped, so a late reply is still parsed from its first byte."""
+
+    __slots__ = ("_peer", "_buffer", "_filled", "_in_body", "bytes_read")
+
+    def __init__(self, peer: str) -> None:
+        self._peer = peer
+        self._buffer = bytearray(codec.HEADER_BYTES)
+        self._filled = 0
+        self._in_body = False
+        self.bytes_read = 0
+
+    def read(
+        self, sock: socket.socket, deadline: Optional[float] = None
+    ) -> bytearray:
+        """The next frame's body; waits until ``deadline`` (monotonic
+        seconds; forever when None)."""
+        try:
+            if not self._in_body:
+                self._fill(sock, deadline)
+                self._start(codec.body_length(self._buffer), in_body=True)
+            self._fill(sock, deadline)
+        finally:
+            if deadline is not None:
+                try:
+                    sock.settimeout(None)
+                except OSError:  # closed under us by terminate()
+                    pass
+        body = self._buffer
+        self._start(codec.HEADER_BYTES, in_body=False)
+        return body
+
+    def _start(self, size: int, in_body: bool) -> None:
+        self._buffer = bytearray(size)
+        self._filled = 0
+        self._in_body = in_body
+
+    def _fill(self, sock: socket.socket, deadline: Optional[float]) -> None:
+        view = memoryview(self._buffer)
+        while self._filled < len(view):
+            try:
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise socket.timeout
+                    sock.settimeout(remaining)
+                count = sock.recv_into(view[self._filled :])
+            except socket.timeout:
+                raise ChannelTimeout(
+                    f"no reply from {self._peer} in time"
+                ) from None
+            except OSError as exc:
+                raise ChannelClosed(
+                    f"connection to {self._peer} broke ({exc})"
+                ) from None
+            if not count:
+                raise ChannelClosed(f"{self._peer} closed the connection")
+            self._filled += count
+            self.bytes_read += count
+
+
 class TcpChannel(ShardChannel):
     """Coordinator-side channel to one remote shard host."""
 
@@ -70,10 +135,9 @@ class TcpChannel(ShardChannel):
     def __init__(self, sock: socket.socket, address: str) -> None:
         self._sock: Optional[socket.socket] = sock
         self._address = address
-        self._buffer = bytearray()
+        self._reader = _FrameReader(f"shard host {address}")
         self._pending_commands: List[str] = []
         self._bytes_sent = 0
-        self._bytes_received = 0
         self._frames_sent = 0
         self._frames_received = 0
 
@@ -165,9 +229,11 @@ class TcpChannel(ShardChannel):
             raise ChannelError(
                 f"no outstanding request on channel to {self._address}"
             )
-        deadline = time.monotonic() + timeout
-        header = self._read_exact(codec.HEADER_BYTES, deadline)
-        body = self._read_exact(codec.body_length(header), deadline)
+        if self._sock is None:
+            raise ChannelClosed(
+                f"channel to {self._address} is already closed"
+            )
+        body = self._reader.read(self._sock, time.monotonic() + timeout)
         command = self._pending_commands.pop(0)
         self._frames_received += 1
         status, payload = codec.decode_reply(
@@ -177,49 +243,10 @@ class TcpChannel(ShardChannel):
             raise WorkerFailure(payload)
         return payload
 
-    def _read_exact(self, count: int, deadline: float) -> bytes:
-        if self._sock is None:
-            raise ChannelClosed(
-                f"channel to {self._address} is already closed"
-            )
-        while len(self._buffer) < count:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ChannelTimeout(
-                    f"no reply from shard host {self._address} in time"
-                )
-            self._sock.settimeout(remaining)
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                raise ChannelTimeout(
-                    f"no reply from shard host {self._address} in time"
-                ) from None
-            except OSError as exc:
-                raise ChannelClosed(
-                    f"connection to shard host {self._address} broke "
-                    f"({exc})"
-                ) from None
-            finally:
-                if self._sock is not None:
-                    self._sock.settimeout(None)
-            if not chunk:
-                raise ChannelClosed(
-                    f"shard host {self._address} closed the connection"
-                )
-            self._buffer.extend(chunk)
-            self._bytes_received += len(chunk)
-        data = bytes(self._buffer[:count])
-        del self._buffer[:count]
-        return data
-
     # -- readiness ----------------------------------------------------
 
     def waitable(self) -> Any:
         return self._sock
-
-    def has_buffered(self) -> bool:
-        return bool(self._buffer)
 
     def is_alive(self) -> bool:
         return self._sock is not None
@@ -247,7 +274,6 @@ class TcpChannel(ShardChannel):
                 sock.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-        self._buffer.clear()
         self._pending_commands.clear()
 
     def describe(self) -> str:
@@ -259,7 +285,7 @@ class TcpChannel(ShardChannel):
 
     @property
     def bytes_received(self) -> int:
-        return self._bytes_received
+        return self._reader.bytes_read
 
     @property
     def frames_sent(self) -> int:
@@ -275,13 +301,14 @@ class TcpServerChannel:
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock: Optional[socket.socket] = sock
-        self._buffer = bytearray()
+        self._reader = _FrameReader("coordinator")
         self._last_command: Optional[str] = None
         _set_nodelay(sock)
 
     def receive(self) -> Tuple[str, Any]:
-        header = self._read_exact(codec.HEADER_BYTES)
-        body = self._read_exact(codec.body_length(header))
+        if self._sock is None:
+            raise ChannelClosed("server channel is closed")
+        body = self._reader.read(self._sock)
         command, payload = codec.decode_request(codec.decode_body(body))
         self._last_command = command
         return command, payload
@@ -299,23 +326,6 @@ class TcpServerChannel:
         self._send_frame(
             codec.frame_message(codec.encode_error_reply(traceback_text))
         )
-
-    def _read_exact(self, count: int) -> bytes:
-        if self._sock is None:
-            raise ChannelClosed("server channel is closed")
-        while len(self._buffer) < count:
-            try:
-                chunk = self._sock.recv(65536)
-            except OSError as exc:
-                raise ChannelClosed(
-                    f"coordinator connection broke ({exc})"
-                ) from None
-            if not chunk:
-                raise ChannelClosed("coordinator closed the connection")
-            self._buffer.extend(chunk)
-        data = bytes(self._buffer[:count])
-        del self._buffer[:count]
-        return data
 
     def _send_frame(self, frame: bytes) -> None:
         if self._sock is None:

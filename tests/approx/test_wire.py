@@ -61,38 +61,47 @@ def sample_delta():
     }
 
 
-class TestShardCodec:
-    def test_protocol_revision(self):
-        # Revision 2 added the sketch delta + sketch introspection op;
-        # revision 3 the optional per-cycle "metrics" reply key.
-        assert codec.SHARD_PROTOCOL_VERSION == 3
+def roundtrip_request(command, payload):
+    frame = codec.frame_message(codec.encode_request(command, payload))
+    return codec.decode_request(codec.decode_body(frame[codec.HEADER_BYTES:]))
 
+
+class TestShardCodec:
     def test_cycle_with_sketch_round_trip(self):
         arrivals_cols = ([1], [0.0], [[0.5, 0.5]])
         expirations_cols = ([], [], [])
         payload = ("cols", arrivals_cols, expirations_cols, sample_delta())
-        command, decoded = codec.decode_request(
-            codec.encode_request("cycle", payload)
-        )
+        command, decoded = roundtrip_request("cycle", payload)
         assert command == "cycle"
         assert decoded[0] == "cols"
         assert decoded[3] == sample_delta()
 
-    def test_cycle_without_sketch_keeps_v1_shape(self):
+    def test_cycle_without_sketch_carries_no_sketch_blocks(self):
         payload = ("cols", ([], [], []), ([], [], []))
-        message = codec.encode_request("cycle", payload)
-        assert "sketch" not in message
-        command, decoded = codec.decode_request(message)
+        header, blocks = codec.encode_request("cycle", payload)
+        assert "sketch" not in header
+        assert len(blocks) == 6
+        command, decoded = roundtrip_request("cycle", payload)
         assert command == "cycle"
         assert len(decoded) == 3
+
+    def test_sketch_columns_are_int64_blocks(self):
+        header, blocks = codec.encode_request(
+            "cycle", ("cols", ([], [], []), ([], [], []), sample_delta())
+        )
+        assert header["sketch"] == 5  # the tick; the columns are blocks
+        assert [block.typecode for block in blocks[6:]] == list("qqqq")
+        assert [list(block) for block in blocks[6:]] == [
+            [0, 3, 7], [2, 1, 2], [1], [3]
+        ]
 
     def test_encode_cycle_request_frame(self):
         factory = RecordFactory()
         arrivals = [factory.make((0.1, 0.9))]
         frame = codec.encode_cycle_request(arrivals, [], sample_delta())
-        body = frame[4:]
-        message = codec.decode_body(body)
-        command, decoded = codec.decode_request(message)
+        command, decoded = codec.decode_request(
+            codec.decode_body(frame[codec.HEADER_BYTES:])
+        )
         assert command == "cycle"
         assert decoded[3] == sample_delta()
 
@@ -104,21 +113,20 @@ class TestShardCodec:
             lambda d: d.__setitem__("add_counts", [1]),
             lambda d: d.__setitem__("drop_counts", []),
             lambda d: d.__setitem__("tick", "soon"),
+            lambda d: d.__setitem__("add_cells", [0.5, 3, 7]),
+            lambda d: d.__setitem__("drop_cells", [2**63]),
         ],
     )
     def test_malformed_sketch_delta_rejected(self, corrupt):
-        message = codec.encode_request(
-            "cycle", ("cols", ([], [], []), ([], [], []), sample_delta())
-        )
-        corrupt(message["sketch"])
+        delta = sample_delta()
+        corrupt(delta)
+        payload = ("cols", ([], [], []), ([], [], []), delta)
         with pytest.raises(codec.ProtocolError):
-            codec.decode_request(message)
+            roundtrip_request("cycle", payload)
 
     def test_sketch_op_is_bare(self):
         assert "sketch" in codec._BARE_OPS
-        assert codec.decode_request(
-            codec.encode_request("sketch", None)
-        ) == ("sketch", None)
+        assert roundtrip_request("sketch", None) == ("sketch", None)
 
     def test_sketch_reply_round_trip(self):
         state = {
@@ -133,8 +141,8 @@ class TestShardCodec:
         assert decoded == state
 
     def test_configure_round_trip(self):
-        command, decoded = codec.decode_request(
-            codec.encode_request("configure", {"window_capacity": 96})
+        command, decoded = roundtrip_request(
+            "configure", {"window_capacity": 96}
         )
         assert command == "configure"
         assert decoded == {"window_capacity": 96}

@@ -7,16 +7,6 @@ from repro.core.tuples import StreamRecord
 from repro.transport import snapshot
 
 
-def test_parallel_shim_reexports_transport_codec():
-    """Pre-channel imports keep working: repro.parallel.snapshot is a
-    thin re-export of the moved repro.transport.snapshot module."""
-    from repro.parallel import snapshot as shim
-
-    assert shim.encode_cycle is snapshot.encode_cycle
-    assert shim.decode_cycle is snapshot.decode_cycle
-    assert shim.SHM_MIN_BYTES == snapshot.SHM_MIN_BYTES
-
-
 def make_records(values, start_rid=0, start_time=0.0):
     return [
         StreamRecord(start_rid + index, tuple(row), start_time + index)

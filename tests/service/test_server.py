@@ -216,6 +216,32 @@ class TestSubscriptions:
         assert causes[-1] == "cancel"
         assert stream.closed
 
+    def test_cancel_of_one_query_keeps_a_monitor_wide_subscription(
+        self, served
+    ):
+        """Regression: the first cause="cancel" delta used to retire a
+        subscribe-to-everything stream along with the cancelled query."""
+        rng = random.Random(10)
+        monitor, server, connect = served
+        client = connect()
+        fanin = client.subscribe()
+        doomed = client.add_query(weights=[1.0, 0.2], k=2)
+        kept = client.add_query(weights=[0.2, 1.0], k=2)
+        client.process(rows(rng, 10), now=0.0)
+        doomed.cancel()
+        client.process(rows(rng, 10), now=1.0)
+        after_cancel = []
+        cancelled = False
+        while True:
+            change = fanin.get(timeout=5.0)
+            assert change is not None, "stream ended with the cancelled query"
+            if cancelled:
+                after_cancel.append((change.qid, change.cause))
+                break
+            cancelled = (change.qid, change.cause) == (doomed.qid, "cancel")
+        assert after_cancel == [(kept.qid, "cycle")]
+        assert not fanin.closed
+
     def test_monitor_wide_subscription(self, served):
         rng = random.Random(9)
         monitor, server, connect = served

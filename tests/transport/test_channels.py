@@ -227,6 +227,66 @@ class TestTcpChannelFailures:
                 channel.terminate()
 
 
+class TestHostRefusesBadPeers:
+    """A real ``serve_session`` against a peer that is not a rev-4
+    coordinator: the refusal is a typed error reply, within the call."""
+
+    def test_older_revision_refused_at_configure(self):
+        with fake_host(real_shard) as address:
+            sock = socket.create_connection(parse_address(address), timeout=10)
+            channel = TcpChannel(sock, address)
+            try:
+                channel.request(
+                    "configure",
+                    {
+                        "protocol": SHARD_PROTOCOL_VERSION - 1,
+                        "algorithm": "tma",
+                        "dims": 2,
+                        "cells_per_axis": 4,
+                        "options": {},
+                    },
+                )
+                with pytest.raises(
+                    WorkerFailure, match="speaks shard protocol 3"
+                ):
+                    channel.response(timeout=10.0)
+            finally:
+                channel.terminate()
+
+    def test_rev3_json_frame_refused(self):
+        """What a rev-3 coordinator writes first: a length-prefixed JSON
+        body with no header-length word."""
+        body = b'{"op":"configure","protocol":3,"algorithm":"tma","dims":2}'
+        with fake_host(real_shard) as address:
+            sock = socket.create_connection(parse_address(address), timeout=10)
+            channel = TcpChannel(sock, address)
+            try:
+                channel._send_frame(len(body).to_bytes(4, "big") + body)
+                channel._pending_commands.append("configure")
+                with pytest.raises(WorkerFailure, match="ProtocolError"):
+                    channel.response(timeout=10.0)
+                channel._pending_commands.append("ping")
+                with pytest.raises(ChannelClosed):  # the session is over
+                    channel.response(timeout=10.0)
+            finally:
+                channel.terminate()
+
+    def test_malformed_frame_mid_session_is_an_error_reply(self):
+        """A block table that promises 8 TB: refused from the header,
+        reported to the coordinator, and the host survives."""
+        head = b'{"op":"cycle","dims":2,"blocks":[["d",1000000000000]]}'
+        body = len(head).to_bytes(4, "little") + head
+        with fake_host(real_shard) as address:
+            channel = connect(address)
+            try:
+                channel._send_frame(len(body).to_bytes(4, "big") + body)
+                channel._pending_commands.append("cycle")
+                with pytest.raises(WorkerFailure, match="ProtocolError"):
+                    channel.response(timeout=10.0)
+            finally:
+                channel.terminate()
+
+
 class TestCoordinatorFailureModes:
     """Satellite: remote failures surface as descriptive StreamErrors,
     promptly, and teardown stays idempotent."""

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test selfcheck bench-smoke bench-json examples serve-smoke check cluster-smoke approx-smoke obs-smoke perf-smoke
+.PHONY: test selfcheck bench-smoke bench-json examples serve-smoke check cluster-smoke approx-smoke obs-smoke perf-smoke perf-pairs
 
 # Docs-facing smoke: every example must run end to end (CI mirrors
 # this on both batch backends with a hard per-script timeout).
@@ -74,6 +74,14 @@ cluster-smoke:
 # run, not only as a unit-test failure.
 perf-smoke:
 	timeout 300 python3 -m perf.run --seed 1 --smoke
+
+# What a performance claim is made of (docs/PERFORMANCE.md):
+# `make perf-pairs BASE=<rev> [WORKLOAD=<name>] [PAIRS=10]` runs the
+# benchmark alternately on a worktree of BASE and on this tree and
+# prints the `perf.compare` table of the two sets.
+perf-pairs:
+	python3 tools/perf_pairs.py --base $(BASE) --pairs $(or $(PAIRS),10) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # The approximate-tier gate: the contract property tests and the
 # sharded (pipe + TCP) sketch-parity suite, then an --approx bench leg

@@ -18,7 +18,7 @@ ALGOS = ("tsl", "tma", "sma")
 
 def sweep(distribution: str):
     series = {name: [] for name in ALGOS}
-    cells = {name: [] for name in ALGOS}
+    scratch = {name: [] for name in ALGOS}
     for n in CARDINALITIES:
         spec = scaled_defaults(
             n=n,
@@ -30,13 +30,13 @@ def sweep(distribution: str):
         runs = compare_algorithms(spec, ALGOS)
         for name in ALGOS:
             series[name].append(runs[name].total_seconds)
-            cells[name].append(runs[name].counters.cells_processed)
-    return series, cells
+            scratch[name].append(runs[name].scratch_work)
+    return series, scratch
 
 
 @pytest.mark.parametrize("distribution", ["ind", "ant"])
 def test_fig16_cpu_vs_cardinality(benchmark, distribution):
-    series, _ = benchmark.pedantic(
+    series, scratch = benchmark.pedantic(
         lambda: sweep(distribution), rounds=1, iterations=1
     )
     label = "a" if distribution == "ind" else "b"
@@ -57,9 +57,11 @@ def test_fig16_cpu_vs_cardinality(benchmark, distribution):
         assert sum(series["sma"]) < sum(series["tsl"])
     else:
         # ANT at sub-paper scale: assert the scale-robust ordering
-        # (SMA <= TMA; the TSL time gap needs paper-scale N·Q, see
-        # test_scaling_crossover.py and EXPERIMENTS.md).
-        assert sum(series["sma"]) <= sum(series["tma"]) * 1.05
+        # (SMA <= TMA; the TSL gap needs paper-scale N·Q, see
+        # test_scaling_crossover.py and EXPERIMENTS.md) as work: SMA
+        # recomputes no more often, over no more cells and points.
+        for n, sma, tma in zip(CARDINALITIES, scratch["sma"], scratch["tma"]):
+            assert all(s <= t for s, t in zip(sma, tma)), f"N={n}"
 
 
 def test_fig16_ant_costs_more_cells_than_ind(benchmark):

@@ -70,12 +70,8 @@ def test_fig19_cpu_vs_k(benchmark, distribution):
         # Grid methods stay ahead of TSL on IND (sweep aggregate).
         assert sum(series["sma"]) < sum(series["tsl"])
 
-    # The TMA-over-SMA cost ratio widens as k grows (compare the
-    # small-k and large-k halves to be robust to per-point noise).
-    ratios = [
-        tma / max(sma, 1e-9)
-        for tma, sma in zip(series["tma"], series["sma"])
-    ]
-    first_half = sum(ratios[:2]) / 2
-    second_half = sum(ratios[-2:]) / 2
-    assert second_half > first_half * 0.9
+    # The TMA-over-SMA gap widens as k grows — stated on its cause,
+    # the recomputations SMA's skyband saves per query per cycle
+    # (small-k half against large-k half).
+    saved = [tma - sma for tma, sma in zip(prrec["tma"], prrec["sma"])]
+    assert sum(saved[-2:]) > sum(saved[:2])

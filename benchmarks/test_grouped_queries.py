@@ -5,8 +5,9 @@ base preference vector (``WorkloadSpec.query_similarity``), so TMA's
 from-scratch recomputations cluster into large groups and the grouped
 sweep amortises one cell scan over the whole cluster. The sweep grows
 Q at fixed similarity and compares plain vs grouped TMA/SMA; the win
-should widen with Q (more queries per shared sweep), while results
-stay identical — ``compare_algorithms`` cross-checks every run.
+— cells visited, counted, not seconds — should widen with Q (more
+queries per shared sweep), while results stay identical —
+``compare_algorithms`` cross-checks every run.
 """
 
 import pytest
@@ -22,6 +23,7 @@ SIMILARITY = 0.9
 
 def sweep():
     series = {name: [] for name in ALGOS}
+    cells = {name: [] for name in ALGOS}
     grouped_served = []
     for q in QUERY_COUNTS:
         spec = scaled_defaults(
@@ -34,14 +36,15 @@ def sweep():
         runs = compare_algorithms(spec, ALGOS)
         for name in ALGOS:
             series[name].append(runs[name].total_seconds)
+            cells[name].append(runs[name].counters.cells_processed)
         grouped_served.append(
             runs["tma-grouped"].counters.grouped_queries_served
         )
-    return series, grouped_served
+    return series, cells, grouped_served
 
 
 def test_grouped_sweep_query_cardinality(benchmark):
-    series, grouped_served = benchmark.pedantic(
+    series, cells, grouped_served = benchmark.pedantic(
         sweep, rounds=1, iterations=1
     )
     print_series(
@@ -54,9 +57,14 @@ def test_grouped_sweep_query_cardinality(benchmark):
     # sweeps, increasingly so as Q grows.
     assert grouped_served[0] > 0
     assert grouped_served[-1] > grouped_served[0]
-    # Recomputation cost dominates TMA on this workload; at the top of
-    # the sweep the shared sweeps must not cost more than per-query
-    # recomputation (we assert a modest bound here — the committed
-    # BENCH_PR2.json capture documents the headline speedup at Q>=100,
-    # where per-run noise is far smaller than the gap).
-    assert series["tma-grouped"][-1] < series["tma"][-1] * 1.10
+    # What a shared sweep saves is cell visits — one scan of a cell
+    # serves the whole cluster — and the saving widens with Q. (What
+    # it costs is scoring every swept record for every member; which
+    # side wins on the clock is ``perf/``'s question, see
+    # docs/PERFORMANCE.md.)
+    saving = [
+        solo / grouped
+        for solo, grouped in zip(cells["tma"], cells["tma-grouped"])
+    ]
+    assert saving[0] > 1.0
+    assert saving[-1] > saving[0]

@@ -35,7 +35,16 @@ the grid).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.batch import ArrivalScorer
 from repro.core.errors import QueryError
@@ -44,6 +53,72 @@ from repro.core.results import ResultChange, ResultEntry, diff_results
 from repro.core.stats import OpCounters
 from repro.core.tuples import StreamRecord
 from repro.obs.trace import NULL_TRACER
+
+
+def influence_hits(
+    cells: Sequence, states: Dict, counters: OpCounters
+) -> Dict[int, List[List[int]]]:
+    """Which records of a batch each query must look at, query-major.
+
+    ``cells[i]`` is the grid cell record ``i`` of the batch lies in
+    (None where the grid never materialised it). The batch is grouped
+    by cell once; a query listed in a cell's influence list gets that
+    cell's batch positions as one run. Returns ``qid -> runs`` for the
+    queries of ``states``, and counts ``influence_checks`` as the
+    record-by-record scan would: records in the cell × its listed
+    queries. An empty query table costs nothing.
+    """
+    if not states:
+        return {}
+    by_cell: Dict = {}
+    for position, cell in enumerate(cells):
+        if cell is not None and cell.influence:
+            run = by_cell.get(cell)
+            if run is None:
+                by_cell[cell] = [position]
+            else:
+                run.append(position)
+    hits: Dict[int, List[List[int]]] = {}
+    checks = 0
+    for cell, run in by_cell.items():
+        for qid in cell.influence:
+            if qid in states:
+                checks += len(run)
+                runs = hits.get(qid)
+                if runs is None:
+                    hits[qid] = [run]
+                else:
+                    runs.append(run)
+    counters.influence_checks += checks
+    return hits
+
+
+def gated_arrivals(
+    arrivals: Sequence[StreamRecord],
+    cells: Sequence,
+    states: Dict,
+    counters: OpCounters,
+    gate_score: Callable,
+) -> Iterator[Tuple[object, StreamRecord, float]]:
+    """The arrivals that can enter a query's result, query by query.
+
+    Per query of ``states``, the arrivals lying in its influence cells
+    (:func:`influence_hits`) are scored as one block and compared
+    against ``gate_score(state)``, read once before the block; yields
+    ``(state, record, score)`` for those scoring at least that, in
+    arrival order. A gate only rises while arrivals are applied, so
+    the caller's exact check on each yielded triple decides what the
+    record-by-record scan decided.
+    """
+    scorer = ArrivalScorer(arrivals)
+    for qid, runs in influence_hits(cells, states, counters).items():
+        state = states[qid]
+        indices = [position for run in runs for position in run]
+        survivors, values = scorer.take_survivors_among(
+            state.query.function, indices, gate_score(state)
+        )
+        for index, score in sorted(zip(survivors, values)):
+            yield state, arrivals[index], score
 
 
 class _ThresholdState:
@@ -302,25 +377,22 @@ class MonitorAlgorithm(abc.ABC):
         states = self._threshold_states
         grid = getattr(self, "grid", None)
         if arrivals and grid is not None:
-            scorer = ArrivalScorer(arrivals)
-            coords = grid.coords_of_many(
-                [record.attrs for record in arrivals]
-            )
-            for index, record in enumerate(arrivals):
-                cell = grid.peek_cell(coords[index])
-                if cell is None or not cell.influence:
-                    continue
-                for qid in cell.influence:
-                    state = states.get(qid)
-                    if state is None:
-                        continue  # a top-k query's entry
-                    self.counters.influence_checks += 1
-                    score = scorer.score_of(state.query.function, index)
-                    if score > state.query.threshold:
-                        self._touch(qid)
-                        state.members[record.rid] = ResultEntry(
-                            score, record
-                        )
+            cells = [
+                grid.peek_cell(coords)
+                for coords in grid.coords_of_many(
+                    [record.attrs for record in arrivals]
+                )
+            ]
+            for state, record, score in gated_arrivals(
+                arrivals,
+                cells,
+                states,
+                self.counters,
+                lambda state: state.query.threshold,
+            ):
+                if score > state.query.threshold:
+                    self._touch(state.query.qid)
+                    state.members[record.rid] = ResultEntry(score, record)
         elif arrivals:
             scorer = ArrivalScorer(arrivals)
             for state in states.values():

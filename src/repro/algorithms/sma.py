@@ -28,7 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.algorithms.base import MonitorAlgorithm
+from repro.algorithms.base import (
+    MonitorAlgorithm,
+    gated_arrivals,
+    influence_hits,
+)
 from repro.core.errors import QueryError
 from repro.algorithms.topk_computation import (
     compute_and_install,
@@ -37,18 +41,18 @@ from repro.algorithms.topk_computation import (
     query_region,
     remove_query_everywhere,
 )
-from repro.core.batch import ArrivalScorer
 from repro.core.queries import QueryGroupRegistry, TopKQuery
 from repro.core.results import ResultEntry
 from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
 from repro.grid.grid import Grid
+from repro.grid.traversal import SweepOrder, TraversalOutcome
 from repro.skyband.skyband import ScoreTimeSkyband
 
 
 class _SmaQueryState:
     """Per-query state: spec, skyband, and the frozen admission gate."""
 
-    __slots__ = ("query", "region", "skyband", "gate", "needs_recompute")
+    __slots__ = ("query", "region", "skyband", "gate", "order")
 
     def __init__(self, query: TopKQuery) -> None:
         self.query = query
@@ -57,15 +61,19 @@ class _SmaQueryState:
         #: kth key at the last from-scratch computation — NOT updated
         #: incrementally (Figure 11, line 7 comment).
         self.gate: RankKey = MIN_RANK_KEY
-        self.needs_recompute = False
+        #: the query's sweep order, once a solo computation walked one.
+        self.order: Optional[SweepOrder] = None
 
-    def rebuild_from(self, entries: List[ResultEntry], counters) -> None:
+    def rebuild_from(self, outcome: TraversalOutcome, counters) -> None:
+        entries = outcome.entries
         self.skyband.rebuild(entries, counters)
         if len(entries) >= self.query.k:
             worst = entries[-1]
             self.gate = (worst.score, worst.record.rid)
         else:
             self.gate = MIN_RANK_KEY
+        if outcome.order is not None:
+            self.order = outcome.order
 
     def result_entries(self) -> List[ResultEntry]:
         return self.skyband.top()
@@ -96,8 +104,10 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         if not isinstance(query, TopKQuery):
             return self._register_threshold(query)
         state = _SmaQueryState(query)
-        outcome = compute_and_install(self.grid, query, self.counters)
-        state.rebuild_from(outcome.entries, self.counters)
+        state.rebuild_from(
+            compute_and_install(self.grid, query, self.counters),
+            self.counters,
+        )
         self._states[query.qid] = state
         if self.groups is not None:
             self.groups.add(query)
@@ -120,7 +130,7 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
             self.grid, self.groups, topk, self.counters
         ):
             state = _SmaQueryState(query)
-            state.rebuild_from(outcome.entries, self.counters)
+            state.rebuild_from(outcome, self.counters)
             self._states[query.qid] = state
             results[query.qid] = state.result_entries()
         return results
@@ -134,7 +144,9 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
             raise self._unknown_query(qid)
         if self.groups is not None:
             self.groups.discard(qid)
-        remove_query_everywhere(self.grid, state.query, self.counters)
+        remove_query_everywhere(
+            self.grid, state.query, self.counters, state.order
+        )
 
     def current_result(self, qid: int) -> List[ResultEntry]:
         state = self._states.get(qid)
@@ -174,12 +186,14 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         query.k = k
         self.counters.recomputations += 1
         try:
-            outcome = compute_and_install(self.grid, query, self.counters)
+            outcome = compute_and_install(
+                self.grid, query, self.counters, order=state.order
+            )
         except BaseException:
             query.k = old_k  # old skyband untouched: query still runs
             raise
         state.skyband = ScoreTimeSkyband(k)
-        state.rebuild_from(outcome.entries, self.counters)
+        state.rebuild_from(outcome, self.counters)
         return state.result_entries()
 
     # ------------------------------------------------------------------
@@ -192,62 +206,60 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         expirations: List[StreamRecord],
     ) -> None:
         states = self._states
-        changed: List[_SmaQueryState] = []
+        counters = self.counters
 
-        # Batched grid insertion + lazily batch-scored arrivals, as in
-        # TMA (see there): the kernel evaluates a query's whole arrival
-        # batch on its first influence hit.
-        scorer = ArrivalScorer(arrivals)
+        # Batched grid insertion, then per query one scored block of
+        # the arrivals inside its influence cells, as in TMA (see
+        # there); the gate is frozen, so the block test is the test.
         cells = self.grid.insert_many(arrivals)
-        for index, record in enumerate(arrivals):
-            cell = cells[index]
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
-                self.counters.influence_checks += 1
-                if state.region is not None and not state.region.contains(
-                    record.attrs
-                ):
-                    continue
-                score = scorer.score_of(state.query.function, index)
-                if (score, record.rid) > state.gate:
-                    self._touch(qid)
-                    state.skyband.insert(score, record, self.counters)
+        for state, record, score in gated_arrivals(
+            arrivals, cells, states, counters, lambda s: s.gate[0]
+        ):
+            if state.region is not None and not state.region.contains(
+                record.attrs
+            ):
+                continue
+            if (score, record.rid) > state.gate:
+                self._touch(state.query.qid)
+                state.skyband.insert(score, record, counters)
 
-        for record, cell in zip(expirations, self.grid.delete_many(expirations)):
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
-                self.counters.influence_checks += 1
-                if record.rid in state.skyband:
-                    self._touch(qid)  # before mutating, for the diff
-                    state.skyband.remove_by_rid(record.rid)
-                    if (
-                        len(state.skyband) < state.query.k
-                        and not state.needs_recompute
-                    ):
-                        state.needs_recompute = True
-                        changed.append(state)
-
+        cells = self.grid.delete_many(expirations)
+        expired = {record.rid for record in expirations}
         refills: List[_SmaQueryState] = []
-        for state in changed:
-            state.needs_recompute = False
-            if len(state.skyband) >= state.query.k:
-                continue  # defensive: cannot refill mid-batch, but cheap
-            refills.append(state)
+        for qid in influence_hits(cells, states, counters):
+            state = states[qid]
+            gone = state.skyband.rids() & expired
+            if gone:
+                self._touch(qid)  # before mutating, for the diff
+                for rid in gone:
+                    state.skyband.remove_by_rid(rid)
+                if len(state.skyband) < state.query.k:
+                    refills.append(state)
 
         with self.tracer.span("skyband"):
             if self.groups is not None and len(refills) > 1:
                 self._refill_grouped(refills)
             else:
                 for state in refills:
-                    self.counters.recomputations += 1
-                    outcome = compute_and_install(
-                        self.grid, state.query, self.counters
-                    )
-                    state.rebuild_from(outcome.entries, self.counters)
+                    self._refill(state)
+
+    def _refill(self, state: _SmaQueryState) -> None:
+        """Rebuild one underflowed skyband from the grid (lines 20–22).
+
+        Fewer than k valid records beat the frozen gate — a skyband
+        holding any evicted-but-valid record holds its k dominators
+        too — so the gate's score bounds the kth score from above.
+        """
+        self.counters.recomputations += 1
+        gate = state.gate
+        outcome = compute_and_install(
+            self.grid,
+            state.query,
+            self.counters,
+            order=state.order,
+            at_most=gate[0] if gate != MIN_RANK_KEY else None,
+        )
+        state.rebuild_from(outcome, self.counters)
 
     def _refill_grouped(self, refills: List[_SmaQueryState]) -> None:
         """Skyband refills batched by similarity group (see TMA)."""
@@ -255,20 +267,15 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         for group in self.groups.partition(
             [state.query for state in refills]
         ):
-            self.counters.recomputations += len(group)
             if len(group) == 1:
-                outcome = compute_and_install(
-                    self.grid, group[0], self.counters
-                )
-                states[group[0].qid].rebuild_from(
-                    outcome.entries, self.counters
-                )
+                self._refill(states[group[0].qid])
                 continue
+            self.counters.recomputations += len(group)
             outcomes = compute_and_install_group(
                 self.grid, group, self.counters
             )
             for query, outcome in zip(group, outcomes):
-                states[query.qid].rebuild_from(outcome.entries, self.counters)
+                states[query.qid].rebuild_from(outcome, self.counters)
 
     # ------------------------------------------------------------------
     # Introspection

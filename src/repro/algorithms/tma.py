@@ -29,7 +29,11 @@ from __future__ import annotations
 from bisect import insort
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.algorithms.base import MonitorAlgorithm
+from repro.algorithms.base import (
+    MonitorAlgorithm,
+    gated_arrivals,
+    influence_hits,
+)
 from repro.algorithms.topk_computation import (
     compute_and_install,
     compute_and_install_burst,
@@ -38,11 +42,11 @@ from repro.algorithms.topk_computation import (
     query_region,
     remove_query_everywhere,
 )
-from repro.core.batch import ArrivalScorer
 from repro.core.queries import QueryGroupRegistry, TopKQuery
 from repro.core.results import ResultEntry
 from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
 from repro.grid.grid import Grid
+from repro.grid.traversal import SweepOrder, TraversalOutcome
 
 
 class _TmaQueryState:
@@ -53,8 +57,8 @@ class _TmaQueryState:
         "region",
         "top",
         "member_ids",
-        "affected",
-        "eager_pending",
+        "order",
+        "_entries",
     )
 
     def __init__(self, query: TopKQuery) -> None:
@@ -63,8 +67,10 @@ class _TmaQueryState:
         #: ascending (key, record): element 0 is the kth (worst) result.
         self.top: List[Tuple[RankKey, StreamRecord]] = []
         self.member_ids: Set[int] = set()
-        self.affected = False
-        self.eager_pending = False
+        #: the query's sweep order, once a solo computation walked one.
+        self.order: Optional[SweepOrder] = None
+        #: memoised best-first result; None after any change to ``top``.
+        self._entries: Optional[List[ResultEntry]] = None
 
     def gate_key(self) -> RankKey:
         """Key an arrival must beat to enter the result."""
@@ -72,26 +78,42 @@ class _TmaQueryState:
             return MIN_RANK_KEY
         return self.top[0][0]
 
-    def set_result(self, entries: List[ResultEntry]) -> None:
-        """Replace the result with a freshly computed best-first list."""
+    def set_result(self, outcome: TraversalOutcome) -> None:
+        """Replace the result with a freshly computed one."""
         self.top = [
             ((entry.score, entry.record.rid), entry.record)
-            for entry in reversed(entries)
+            for entry in reversed(outcome.entries)
         ]
         self.member_ids = {record.rid for _, record in self.top}
+        self._entries = outcome.entries
+        if outcome.order is not None:
+            self.order = outcome.order
 
     def admit(self, key: RankKey, record: StreamRecord) -> None:
         """Insert a better arrival, displacing the kth entry if full."""
         insort(self.top, (key, record))
         self.member_ids.add(record.rid)
+        self._entries = None
         if len(self.top) > self.query.k:
             _, evicted = self.top.pop(0)
             self.member_ids.discard(evicted.rid)
 
+    def trim(self, k: int) -> None:
+        """Keep only the best ``k`` entries."""
+        excess = len(self.top) - k
+        if excess > 0:
+            for _, record in self.top[:excess]:
+                self.member_ids.discard(record.rid)
+            self.top = self.top[excess:]
+            self._entries = None
+
     def result_entries(self) -> List[ResultEntry]:
-        return [
-            ResultEntry(key[0], record) for key, record in reversed(self.top)
-        ]
+        if self._entries is None:
+            self._entries = [
+                ResultEntry(key[0], record)
+                for key, record in reversed(self.top)
+            ]
+        return list(self._entries)
 
 
 class TopKMonitoringAlgorithm(MonitorAlgorithm):
@@ -134,8 +156,9 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         if query.dims != self.dims:
             raise self._unknown_dimensionality(query)
         state = _TmaQueryState(query)
-        outcome = compute_and_install(self.grid, query, self.counters)
-        state.set_result(outcome.entries)
+        state.set_result(
+            compute_and_install(self.grid, query, self.counters)
+        )
         self._states[query.qid] = state
         if self.groups is not None:
             self.groups.add(query)
@@ -166,7 +189,7 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
             self.grid, self.groups, topk, self.counters
         ):
             state = _TmaQueryState(query)
-            state.set_result(outcome.entries)
+            state.set_result(outcome)
             self._states[query.qid] = state
             results[query.qid] = state.result_entries()
         return results
@@ -180,7 +203,9 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
             raise self._unknown_query(qid)
         if self.groups is not None:
             self.groups.discard(qid)
-        remove_query_everywhere(self.grid, state.query, self.counters)
+        remove_query_everywhere(
+            self.grid, state.query, self.counters, state.order
+        )
 
     def current_result(self, qid: int) -> List[ResultEntry]:
         state = self._states.get(qid)
@@ -218,11 +243,7 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         if function is None and k is not None and 1 <= k <= query.k:
             if k != query.k:
                 query.k = k
-                excess = len(state.top) - k
-                if excess > 0:
-                    for _, record in state.top[:excess]:
-                        state.member_ids.discard(record.rid)
-                    state.top = state.top[excess:]
+                state.trim(k)
             return state.result_entries()
         return super().update_query(qid, k=k, function=function)
 
@@ -236,82 +257,74 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         expirations: List[StreamRecord],
     ) -> None:
         states = self._states
-        affected: List[_TmaQueryState] = []
+        counters = self.counters
         gate_rose: List[_TmaQueryState] = []
 
-        # One batched grid pass maps all arrivals to their cells, and
-        # arrival scores come from the per-query batch kernel (computed
-        # lazily on a query's first influence hit, cached for the rest
-        # of the batch) instead of one interpreted score() per hit.
-        scorer = ArrivalScorer(arrivals)
+        # One batched grid pass maps all arrivals to their cells; each
+        # query then meets the arrivals inside its influence cells as
+        # one scored block, and only those reaching its gate come back.
         cells = self.grid.insert_many(arrivals)
-        for index, record in enumerate(arrivals):
-            cell = cells[index]
-            if not cell.influence:
+        for state, record, score in gated_arrivals(
+            arrivals, cells, states, counters, lambda s: s.gate_key()[0]
+        ):
+            if state.region is not None and not state.region.contains(
+                record.attrs
+            ):
                 continue
-            admitted = []
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
-                self.counters.influence_checks += 1
-                if state.region is not None and not state.region.contains(
-                    record.attrs
-                ):
-                    continue
-                key: RankKey = (
-                    scorer.score_of(state.query.function, index),
-                    record.rid,
-                )
-                if key > state.gate_key():
-                    self._touch(qid)
-                    admitted.append((state, key))
-                    self.counters.top_list_updates += 1
-            # Influence lists are hash sets; admitting inside the scan
-            # could trim the set being iterated under eager cleanup.
-            for state, key in admitted:
-                full_before = len(state.top) == state.query.k
-                state.admit(key, record)
+            key: RankKey = (score, record.rid)
+            if key > state.gate_key():
+                self._touch(state.query.qid)
+                counters.top_list_updates += 1
                 if (
                     self.eager_cleanup
-                    and full_before
-                    and not state.eager_pending
+                    and len(state.top) == state.query.k
+                    and (not gate_rose or gate_rose[-1] is not state)
                 ):
-                    state.eager_pending = True
                     gate_rose.append(state)
+                state.admit(key, record)
 
         for state in gate_rose:
-            state.eager_pending = False
             eager_trim_influence(
                 self.grid,
                 state.query,
                 state.gate_key()[0],
-                self.counters,
+                counters,
             )
 
-        for record, cell in zip(expirations, self.grid.delete_many(expirations)):
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
-                self.counters.influence_checks += 1
-                if record.rid in state.member_ids and not state.affected:
-                    state.affected = True
-                    affected.append(state)
+        cells = self.grid.delete_many(expirations)
+        expired = {record.rid for record in expirations}
+        affected = [
+            states[qid]
+            for qid in influence_hits(cells, states, counters)
+            if states[qid].member_ids & expired
+        ]
 
         with self.tracer.span("traversal"):
             if self.groups is not None and len(affected) > 1:
                 self._recompute_grouped(affected)
             else:
                 for state in affected:
-                    state.affected = False
-                    qid = state.query.qid
-                    self._touch(qid)
-                    self.counters.recomputations += 1
-                    outcome = compute_and_install(
-                        self.grid, state.query, self.counters
-                    )
-                    state.set_result(outcome.entries)
+                    self._recompute(state)
+
+    def _recompute(self, state: _TmaQueryState) -> None:
+        """From-scratch recomputation of one query (Figure 9, line 13).
+
+        The top list still holds the exact result from before this
+        cycle's expirations, and losing records cannot raise the kth
+        score — an upper bound the sweep starts from.
+        """
+        self._touch(state.query.qid)
+        self.counters.recomputations += 1
+        full = len(state.top) >= state.query.k
+        state.set_result(
+            compute_and_install(
+                self.grid,
+                state.query,
+                self.counters,
+                order=state.order,
+                at_most=state.top[0][0][0] if full else None,
+            )
+        )
 
     def _recompute_grouped(self, affected: List[_TmaQueryState]) -> None:
         """From-scratch recomputation batched by similarity group.
@@ -322,25 +335,20 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         unchanged. Either way each query's result and influence-list
         state end up identical to a qid-by-qid recomputation loop."""
         states = {state.query.qid: state for state in affected}
-        for state in affected:
-            state.affected = False
         for group in self.groups.partition(
             [state.query for state in affected]
         ):
+            if len(group) == 1:
+                self._recompute(states[group[0].qid])
+                continue
             for query in group:
                 self._touch(query.qid)
                 self.counters.recomputations += 1
-            if len(group) == 1:
-                outcome = compute_and_install(
-                    self.grid, group[0], self.counters
-                )
-                states[group[0].qid].set_result(outcome.entries)
-                continue
             outcomes = compute_and_install_group(
                 self.grid, group, self.counters
             )
             for query, outcome in zip(group, outcomes):
-                states[query.qid].set_result(outcome.entries)
+                states[query.qid].set_result(outcome)
 
     def _unknown_dimensionality(self, query: TopKQuery):
         from repro.core.errors import DimensionalityError

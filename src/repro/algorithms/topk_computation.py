@@ -1,22 +1,33 @@
 """Shared from-scratch computation + influence-list bookkeeping.
 
 TMA and SMA both delegate from-scratch result computation to the
-traversal of Figure 6 (:func:`repro.grid.traversal.compute_top_k`) and
-then perform the same two pieces of influence-list (IL) bookkeeping:
+traversal of Figure 6 (:func:`repro.grid.traversal.compute_top_k`, or
+:func:`~repro.grid.traversal.compute_top_k_group` for a similarity
+group) and then perform the same two pieces of influence-list (IL)
+bookkeeping:
 
 1. every *processed* cell receives an entry for the query (Figure 6,
    line 13);
 2. cells that referenced the query under an older, larger influence
-   region are cleaned lazily by flooding outward from the cells left
-   in the traversal heap (Figure 9, lines 14–21).
+   region lose it (Figure 9, lines 14–21) — lazily, only now.
 
-Why the flood is complete and safe — the argument the paper leaves
-implicit, spelled out because the tests assert it:
+The set of cells holding the query in their IL is always a *threshold
+set* ``{c : maxscore(c) >= s}`` for the threshold ``s`` in effect at
+the last from-scratch computation, whichever path installed it. A
+:class:`~repro.grid.traversal.SweepOrder` lists cells in descending
+maxscore, so a threshold set is a *prefix* of the query's order, and
+for a solo computation that is all of step 2
+(:func:`drop_stale_influence`): the stale cells are those that follow
+the processed prefix for as long as they still list the query.
+:func:`remove_query_everywhere` is the same walk from position 0.
 
-- The set of cells holding the query in their IL is always a
-  *threshold set* ``{c : maxscore(c) >= s}`` for the threshold ``s`` in
-  effect at the last from-scratch computation. Such sets are closed
-  "upward" along the preference order.
+A group sweep follows the *group key's* order, not any member's, and
+its members carry no order of their own; step 2 there is the paper's
+flood (:func:`cleanup_influence`) from the cells left in the traversal
+heap. Why that flood is complete and safe — the argument the paper
+leaves implicit, spelled out because the tests assert it:
+
+- Threshold sets are closed "upward" along the preference order.
 - At termination the heap contains exactly the one-step-worse
   neighbours of processed cells that were not processed — every
   boundary cell of the new region, each with ``maxscore`` below the
@@ -41,6 +52,7 @@ from repro.core.scoring import PreferenceFunction
 from repro.core.stats import OpCounters
 from repro.grid.grid import Coords, Grid
 from repro.grid.traversal import (
+    SweepOrder,
     TraversalOutcome,
     compute_top_k,
     compute_top_k_group,
@@ -55,17 +67,52 @@ def query_region(query: TopKQuery) -> Optional[Rectangle]:
     return None
 
 
+def _install(
+    grid: Grid,
+    query: TopKQuery,
+    outcome: TraversalOutcome,
+    counters: Optional[OpCounters],
+) -> None:
+    """Make the influence lists say what ``outcome`` found for ``query``.
+
+    Adds the query to the IL of every processed cell (materialising
+    cells as needed so later arrivals into currently-empty cells still
+    find the query), then removes its stale entries: past the
+    processed prefix of the outcome's order or, after a group sweep,
+    by the flood from the heap leftovers.
+    """
+    qid = query.qid
+    added = 0
+    for coords in outcome.processed:
+        influence = grid.get_cell(coords).influence
+        if qid not in influence:
+            influence.add(qid)
+            added += 1
+    if counters is not None:
+        counters.influence_list_updates += added
+    if outcome.order is not None:
+        drop_stale_influence(
+            grid, qid, outcome.order, len(outcome.processed), counters
+        )
+    else:
+        cleanup_influence(
+            grid, qid, query.function, outcome.remaining, counters
+        )
+
+
 def compute_and_install(
     grid: Grid,
     query: TopKQuery,
     counters: Optional[OpCounters] = None,
+    order: Optional[SweepOrder] = None,
+    at_most: Optional[float] = None,
 ) -> TraversalOutcome:
     """Run the top-k computation module and register influence entries.
 
-    Adds the query to the IL of every processed cell (materialising
-    cells as needed so later arrivals into currently-empty cells still
-    find the query), then floods away stale IL entries starting from
-    the cells the traversal left in its heap.
+    ``order`` is the query's sweep order from an earlier call (the
+    outcome's ``order`` is the one to keep for the next) and
+    ``at_most`` an upper bound on the kth score about to be found;
+    both only make :func:`~repro.grid.traversal.compute_top_k` cheaper.
     """
     outcome = compute_top_k(
         grid,
@@ -73,20 +120,10 @@ def compute_and_install(
         query.k,
         counters=counters,
         region=query_region(query),
+        order=order,
+        at_most=at_most,
     )
-    for coords in outcome.processed:
-        cell = grid.get_cell(coords)
-        if query.qid not in cell.influence:
-            cell.influence.add(query.qid)
-            if counters is not None:
-                counters.influence_list_updates += 1
-    cleanup_influence(
-        grid,
-        query.qid,
-        query.function,
-        outcome.remaining,
-        counters=counters,
-    )
+    _install(grid, query, outcome, counters)
     return outcome
 
 
@@ -98,12 +135,12 @@ def compute_and_install_group(
     """Grouped :func:`compute_and_install`: one sweep, many queries.
 
     Runs :func:`repro.grid.traversal.compute_top_k_group` over the
-    whole group, then performs per query exactly the influence-list
-    bookkeeping the solo path performs — the grouped outcome's
-    ``processed`` is the same cell set a solo traversal would install,
-    and its ``remaining`` seeds the same cleanup flood (plus swept
-    cells outside the query's region, which the flood's "delete only
-    where found" rule skips over harmlessly).
+    whole group, then performs per query the influence-list
+    bookkeeping of the solo path — the grouped outcome's ``processed``
+    is the same cell set a solo traversal would install, and its
+    ``remaining`` seeds the cleanup flood (plus swept cells outside
+    the query's region, which the flood's "delete only where found"
+    rule skips over harmlessly).
 
     Callers must pass plain unconstrained linear queries (what
     :meth:`repro.core.queries.QueryGroupRegistry.partition` groups).
@@ -116,19 +153,7 @@ def compute_and_install_group(
         counters=counters,
     )
     for query, outcome in zip(queries, outcomes):
-        for coords in outcome.processed:
-            cell = grid.get_cell(coords)
-            if query.qid not in cell.influence:
-                cell.influence.add(query.qid)
-                if counters is not None:
-                    counters.influence_list_updates += 1
-        cleanup_influence(
-            grid,
-            query.qid,
-            query.function,
-            outcome.remaining,
-            counters=counters,
-        )
+        _install(grid, query, outcome, counters)
     return outcomes
 
 
@@ -160,6 +185,31 @@ def compute_and_install_burst(
             if counters is not None:
                 counters.grouped_registrations += len(group)
         yield from zip(group, outcomes)
+
+
+def drop_stale_influence(
+    grid: Grid,
+    qid: int,
+    order: SweepOrder,
+    start: int,
+    counters: Optional[OpCounters] = None,
+) -> int:
+    """Remove ``qid`` from the cells of ``order`` from ``start`` on.
+
+    The cells listing a query are a prefix of its order (module
+    docstring), so the walk ends at the first cell that does not list
+    it. Returns the number of entries removed.
+    """
+    position = start
+    while order.reaches(position):
+        cell = grid.peek_cell(order.coords[position])
+        if cell is None or qid not in cell.influence:
+            break
+        cell.influence.discard(qid)
+        position += 1
+    if counters is not None:
+        counters.influence_list_updates += position - start
+    return position - start
 
 
 def cleanup_influence(
@@ -248,14 +298,18 @@ def remove_query_everywhere(
     grid: Grid,
     query: TopKQuery,
     counters: Optional[OpCounters] = None,
+    order: Optional[SweepOrder] = None,
 ) -> int:
     """Drop a terminated query from all influence lists.
 
-    The paper initialises the cleanup list with "the corner cell with
-    the maximum maxscore" — the flood then covers the whole (staircase)
-    region the query ever influenced. For a constrained query the seed
-    is the constraint region's optimal corner cell instead.
+    Its cells lead its ``order``. A query only ever installed by group
+    sweeps has none, and the paper's flood does it: the cleanup list
+    starts as "the corner cell with the maximum maxscore" (of the
+    constraint region, for a constrained query) and covers the whole
+    staircase the query influenced.
     """
+    if order is not None:
+        return drop_stale_influence(grid, query.qid, order, 0, counters)
     return cleanup_influence(
         grid,
         query.qid,

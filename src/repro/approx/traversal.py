@@ -2,10 +2,11 @@
 
 :func:`compute_top_k_relaxed` is the approximate tier's analogue of
 :func:`repro.grid.traversal.compute_top_k` (the paper's Figure-6
-module). It runs the same best-first cell traversal — same heap, same
-keys, same batched per-cell scoring — but with a *relaxed termination
-gate*: once k candidates exist with kth score ``s_k > 0``, the sweep
-stops as soon as the best remaining heap key drops below
+module). It walks the same best-first cell order
+(:class:`~repro.grid.traversal.SweepOrder`) with the same batched
+per-cell scoring, but with a *relaxed termination gate*: once k
+candidates exist with kth score ``s_k > 0``, the sweep stops as soon
+as the best remaining key drops below
 ``g = s_k * (1 + ANCHOR_SHARE * epsilon)`` instead of below ``s_k``.
 Cells inside the slack band are skipped, and — more importantly — the
 certificate anchored at ``g`` keeps certifying reports across many
@@ -52,14 +53,10 @@ from typing import List, Optional, Tuple
 
 from repro.core import batch
 from repro.core.results import ResultEntry
-from repro.core.scoring import LinearFunction, PreferenceFunction
+from repro.core.scoring import PreferenceFunction
 from repro.core.stats import NULL_COUNTERS, OpCounters
 from repro.grid.grid import Grid
-from repro.grid.traversal import (
-    _has_constant_maxscore_decrements,
-    _linear_maxscore_fn,
-    start_coords,
-)
+from repro.grid.traversal import SweepOrder
 
 #: buffer entries are canonical (score, rid, record) triples.
 BufferEntry = Tuple[float, int, object]
@@ -139,9 +136,9 @@ def compute_top_k_relaxed(
 ) -> ApproxOutcome:
     """One relaxed best-first sweep (unconstrained queries only).
 
-    Mirrors :func:`repro.grid.traversal.compute_top_k`'s plain-scan
-    path — same start cell, same heap keys, same batched cell scoring
-    — with two changes: the termination gate is ``g`` instead of the
+    Walks the same order as :func:`repro.grid.traversal.compute_top_k`'s
+    plain-scan path, cell by cell with the same batched cell scoring,
+    with two changes: the termination gate is ``g`` instead of the
     kth score, and every examined record down to the running admission
     floor is retained in the returned buffer.
 
@@ -168,42 +165,21 @@ def compute_top_k_relaxed(
     if expected_points is not None and expected_points > 0:
         pool = [(0.0, -1, None)] * int(expected_points)
 
-    if type(function) is LinearFunction and _has_constant_maxscore_decrements(
-        grid, function
-    ):
-        cell_maxscore = _linear_maxscore_fn(grid, function)
-    else:
-        cell_maxscore = lambda coords: grid.maxscore(coords, function)  # noqa: E731
-
-    heap: List[Tuple[float, int, Tuple[int, ...]]] = []
-    seq = 0
-    enheaped = set()
-
-    def push(coords: Tuple[int, ...]) -> None:
-        nonlocal seq
-        if coords in enheaped:
-            return
-        enheaped.add(coords)
-        seq += 1
-        heapq.heappush(heap, (-cell_maxscore(coords), seq, coords))
-        counters.cells_enheaped += 1
-
-    push(start_coords(grid, function, None))
-
-    while heap:
-        best_key = -heap[0][0]
+    order = SweepOrder(grid, function)
+    position = 0
+    while order.reaches(position):
         if len(candidates) >= k:
             stop_gate, pool_gate = certificate(candidates[0][0], epsilon)
             # Relaxed termination: cells inside the (s_k, g] band are
             # skipped — the certificate pays for them.
-            if best_key < stop_gate:
+            if order.keys[position] < stop_gate:
                 break
         else:
             pool_gate = float("-inf")
-        _, _, coords = heapq.heappop(heap)
+        cell = grid.peek_cell(order.coords[position])
+        position += 1
         counters.cells_processed += 1
 
-        cell = grid.peek_cell(coords)
         if cell is not None and cell.points:
             records, scores = cell.scored_columns(function)
             counters.points_scored += len(records)
@@ -228,9 +204,7 @@ def compute_top_k_relaxed(
                 elif entry[:2] > candidates[0][:2]:
                     heapq.heapreplace(candidates, entry)
 
-        for neighbour in grid.steps_toward_worse(coords, function):
-            push(neighbour)
-
+    counters.cells_enheaped += order.enheaped_by(position)
     del pool[pool_used:]  # drop unfilled pre-sized slots
 
     if len(candidates) >= k:

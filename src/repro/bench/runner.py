@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms import GRID_ALGORITHMS
 from repro.analysis.memory import SpaceBreakdown, estimate_space
@@ -115,6 +115,22 @@ class RunResult:
         cycles = max(1, len(self.cycle_seconds))
         queries = max(1, self.spec.num_queries)
         return self.counters.recomputations / (cycles * queries)
+
+    @property
+    def scratch_work(self) -> Tuple[int, int, int]:
+        """``(recomputations, cells processed, points scored)``.
+
+        How often the run fell back to the top-k computation module
+        and what those computations visited — the work behind the
+        paper's TMA-vs-SMA cost orderings, as counts that depend on
+        the seeded workload alone.
+        """
+        counters = self.counters
+        return (
+            counters.recomputations,
+            counters.cells_processed,
+            counters.points_scored,
+        )
 
 
 class _ChurnDriver:

@@ -33,6 +33,7 @@ backend. Helpers here preserve that: matrix construction and
 
 from __future__ import annotations
 
+import heapq
 import os
 from typing import List, Optional, Sequence
 
@@ -110,6 +111,30 @@ def take_at_least(vector, threshold: float):
     return indices, values
 
 
+def concat(blocks: Sequence):
+    """One block holding the rows of ``blocks`` (non-empty), in order."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if is_matrix(blocks[0]):
+        return np.concatenate(blocks)
+    return [row for block in blocks for row in block]
+
+
+def take_rows(block, indices: Sequence[int]):
+    """The rows of ``block`` at ``indices``, as a block."""
+    if is_matrix(block):
+        return block[indices]
+    return [block[index] for index in indices]
+
+
+def kth_largest(vector, k: int) -> float:
+    """The kth largest value of ``vector`` (``1 <= k <= len(vector)``)."""
+    if is_matrix(vector):
+        cut = len(vector) - k
+        return float(np.partition(vector, cut)[cut])
+    return heapq.nlargest(k, vector)[-1]
+
+
 class ArrivalScorer:
     """Lazy per-function batch scores over one cycle's arrival batch.
 
@@ -120,11 +145,10 @@ class ArrivalScorer:
     first request and cached (keyed by function identity, which is
     stable for the cycle because query objects outlive it).
 
-    Under the pure-Python backend, :meth:`score_of` degrades to a
-    scalar ``score`` call per request instead of materialising a full
-    batch — a query touched by a single arrival then pays exactly what
-    the pre-batching code paid, keeping the fallback no slower than
-    the scalar implementation it replaces.
+    :meth:`take_survivors_among` scores a subset instead — the
+    arrivals inside one query's influence cells — and caches nothing:
+    under the pure-Python backend that is one scalar ``score`` per
+    (arrival, query) hit, never a whole batch per query.
     """
 
     __slots__ = ("_records", "_matrix", "_vectors", "_lists")
@@ -161,16 +185,6 @@ class ArrivalScorer:
             self._lists[key] = values
         return values
 
-    def score_of(self, function, index: int) -> float:
-        """Score of arrival ``index`` under ``function``.
-
-        NumPy backend: amortised over the cached batch vector.
-        Fallback: a direct scalar call (no batch materialisation).
-        """
-        if np is None:
-            return function.score(self._records[index].attrs)
-        return self.scores(function)[index]
-
     def survivors(self, function, min_score: float) -> List[int]:
         """Arrival indices whose score is ``>= min_score``."""
         return indices_at_least(self.vector(function), min_score)
@@ -182,3 +196,12 @@ class ArrivalScorer:
         so a high gate avoids materialising the full batch as floats.
         """
         return take_at_least(self.vector(function), min_score)
+
+    def take_survivors_among(
+        self, function, indices: Sequence[int], min_score: float
+    ):
+        """``(indices, values)`` of the arrivals at ``indices`` scoring
+        ``>= min_score``, in the order ``indices`` lists them."""
+        block = take_rows(self._ensure_matrix(), indices)
+        picked, values = take_at_least(function.score_batch(block), min_score)
+        return [indices[position] for position in picked], values

@@ -11,6 +11,7 @@ intersect a query's influence region.
 from repro.grid.cell import Cell
 from repro.grid.grid import Grid
 from repro.grid.traversal import (
+    SweepOrder,
     TraversalOutcome,
     collect_cells_above_threshold,
     compute_top_k,
@@ -19,6 +20,7 @@ from repro.grid.traversal import (
 __all__ = [
     "Cell",
     "Grid",
+    "SweepOrder",
     "TraversalOutcome",
     "collect_cells_above_threshold",
     "compute_top_k",

@@ -10,6 +10,13 @@ longer beat the current kth result, so only cells intersecting the
 query's influence region are processed (the paper's minimality
 property).
 
+That visiting order is a function of the grid and the preference
+function alone — no record takes part in it — so the heap lives in a
+:class:`SweepOrder` that a caller may keep and hand back:
+:func:`compute_top_k` walks the order's list of cells and extends it
+only where no earlier call has been. :func:`compute_top_k_group` keeps
+its own heap; its order follows a key shared by the whole group.
+
 Two deliberate deviations from the paper's pseudo-code, both documented
 here because tests rely on them:
 
@@ -23,20 +30,23 @@ here because tests rely on them:
    on tied scores. With continuous-valued data (all benchmarks) the
    extra processed cells are measure-zero.
 2. **Neighbours are en-heaped unconditionally** (as the paper's code
-   also does — see its lines 9–12 and the remark below Figure 6): the
-   entries left in the heap at termination are returned so TMA can
-   seed its lazy influence-list cleanup from them (Figure 9 line 14).
+   also does — see its lines 9–12 and the remark below Figure 6). What
+   lies beyond the processed cells is how stale influence entries are
+   found (Figure 9 line 14): the next cells of the order for a solo
+   sweep, the heap leftovers (``remaining``) for a group sweep — see
+   :mod:`repro.algorithms.topk_computation`.
 
 The optional ``region`` argument implements constrained top-k
 computation (Section 7, Figure 12): the traversal is restricted to
 cells intersecting the constraint rectangle, keys become the maxscore
 of the *clipped* cell, and points outside the region are skipped.
 
-Performance: the unconstrained scan consumes each cell's columnar
-block in one ``score_batch`` kernel call (see :mod:`repro.core.batch`),
-heap keys for linear functions come from precomputed per-dimension
-corner tables (:func:`_linear_maxscore_fn`), and counters go through a
-null object when the caller passes none — the inner loop carries no
+Performance: the unconstrained scan scores the cells it is certain to
+need in one ``score_batch`` kernel call and any further cell's
+columnar block in one call each (see :mod:`repro.core.batch`), heap
+keys for linear functions come from precomputed per-dimension corner
+tables (:func:`_linear_maxscore_fn`), and counters go through a null
+object when the caller passes none — the inner loop carries no
 ``if counters`` branches. All three are exact: batched scores and
 table lookups are bitwise identical to their scalar counterparts.
 """
@@ -63,13 +73,18 @@ class TraversalOutcome:
         entries: up to k results, best-first in canonical order.
         processed: coords of de-heaped (scanned) cells — exactly the
             cells whose influence list must reference the query.
-        remaining: coords left in the heap at termination — the seeds
-            for TMA's influence-list cleanup flood.
+        remaining: group sweeps only — coords left in the heap at
+            termination, the seeds for the influence-list cleanup
+            flood.
+        order: solo sweeps only — the :class:`SweepOrder` walked;
+            ``processed`` is its prefix, and stale influence entries
+            are the cells that follow it.
     """
 
     entries: List[ResultEntry] = field(default_factory=list)
     processed: List[Coords] = field(default_factory=list)
     remaining: List[Coords] = field(default_factory=list)
+    order: Optional["SweepOrder"] = None
 
     @property
     def kth_key(self) -> Tuple[float, int]:
@@ -150,10 +165,8 @@ def _linear_maxscore_fn(
     """Precomputed cell-maxscore evaluator for linear functions.
 
     A linear function loses a *constant* ``|a_i| * delta`` of maxscore
-    per one-cell step down the preference order along dimension ``i``
-    — the property :func:`_has_constant_maxscore_decrements` probes
-    via :meth:`~repro.core.scoring.PreferenceFunction.maxscore_delta`
-    — so cell maxscores need no per-push ``bounds_of`` + ``score``
+    per one-cell step down the preference order along dimension ``i``,
+    so cell maxscores need no per-push ``bounds_of`` + ``score``
     round trip. Rather than subtracting the decrement incrementally —
     which would drift from ``grid.maxscore`` by accumulated rounding —
     each dimension gets a table of best-corner contributions
@@ -171,22 +184,101 @@ def _linear_maxscore_fn(
     return maxscore_of
 
 
-def _has_constant_maxscore_decrements(
+def _maxscore_fn(
     grid: Grid, function: PreferenceFunction
-) -> bool:
-    """Whether every dimension's per-step maxscore drop is constant.
+) -> Callable[[Coords], float]:
+    """Cell-maxscore evaluator: the corner tables for a plain linear
+    function, ``grid.maxscore`` otherwise (a subclass overriding
+    ``score`` included, to keep keys bitwise exact)."""
+    if type(function) is LinearFunction:
+        return _linear_maxscore_fn(grid, function)
+    return lambda coords: grid.maxscore(coords, function)
 
-    True exactly when the precomputed-table evaluator applies. The
-    table construction additionally needs the linear coefficients, so
-    callers gate on ``type(function) is LinearFunction`` too —
-    subclasses with overridden ``score`` must take the generic path
-    to keep keys bitwise exact.
+
+class SweepOrder:
+    """The Figure-6 visiting order of one (grid, function, region).
+
+    The traversal's heap, ``enheaped`` set and sequence counter, kept
+    between calls. Position ``i`` of three parallel lists describes
+    the ``i``-th cell a sweep visits: ``keys[i]`` its maxscore (clipped
+    to ``region`` if given), ``coords[i]`` its coordinates, and
+    ``pushed[i]`` the cells en-heaped once its neighbours went in — so
+    a sweep over the first ``n`` cells en-heaped ``pushed[n - 1]``,
+    however far the order has been extended since. The lists grow
+    lazily (:meth:`reaches`), by the pops and pushes a from-the-corner
+    sweep performs. Valid while the query keeps its function and
+    region; owners hold it on the per-query state, so it dies with it.
     """
-    delta = grid.delta
-    return all(
-        function.maxscore_delta(dim, delta) is not None
-        for dim in range(function.dims)
+
+    __slots__ = (
+        "keys",
+        "coords",
+        "pushed",
+        "_grid",
+        "_function",
+        "_price",
+        "_heap",
+        "_enheaped",
     )
+
+    def __init__(
+        self,
+        grid: Grid,
+        function: PreferenceFunction,
+        region: Optional[Rectangle] = None,
+    ) -> None:
+        self.keys: List[float] = []
+        self.coords: List[Coords] = []
+        self.pushed: List[int] = []
+        self._grid = grid
+        self._function = function
+        if region is None:
+            self._price = _maxscore_fn(grid, function)
+        else:  # None for cells disjoint from the constraint region
+            self._price = lambda coords: grid.maxscore_in_region(  # noqa: E731
+                coords, function, region
+            )
+        self._heap: List[Tuple[float, int, Coords]] = []  # (-key, seq, coords)
+        self._enheaped: Set[Coords] = set()
+        self._push(start_coords(grid, function, region))
+
+    def _push(self, coords: Coords) -> None:
+        if coords in self._enheaped:
+            return
+        key = self._price(coords)
+        if key is None:
+            return
+        self._enheaped.add(coords)
+        heapq.heappush(self._heap, (-key, len(self._enheaped), coords))
+
+    def reaches(self, position: int) -> bool:
+        """Extend the order up to ``position``; False if it ends first."""
+        while len(self.keys) <= position:
+            if not self._heap:
+                return False
+            negated, _, coords = heapq.heappop(self._heap)
+            self.keys.append(-negated)
+            self.coords.append(coords)
+            for neighbour in self._grid.steps_toward_worse(
+                coords, self._function
+            ):
+                self._push(neighbour)
+            self.pushed.append(len(self._enheaped))
+        return True
+
+    def enheaped_by(self, position: int) -> int:
+        """Cells a sweep over the first ``position`` cells en-heaped."""
+        return self.pushed[position - 1] if position else 0
+
+
+def _admit(
+    candidates: List[Tuple[float, int, object]], k: int, entry
+) -> None:
+    """Offer ``entry`` to a min-heap of the k best canonical keys."""
+    if len(candidates) < k:
+        heapq.heappush(candidates, entry)
+    elif entry[:2] > candidates[0][:2]:
+        heapq.heapreplace(candidates, entry)
 
 
 def compute_top_k(
@@ -196,14 +288,22 @@ def compute_top_k(
     counters: Optional[OpCounters] = None,
     region: Optional[Rectangle] = None,
     point_filter: Optional[Callable] = None,
+    order: Optional[SweepOrder] = None,
+    at_most: Optional[float] = None,
 ) -> TraversalOutcome:
     """Run the top-k computation module of Figure 6.
 
-    The unconstrained, unfiltered path (every from-scratch TMA/SMA
-    computation) is batched: each processed cell is scored with one
-    :meth:`~repro.core.scoring.PreferenceFunction.score_batch` call
-    over its columnar block, and candidates below the current kth key
-    are dropped by a vector prefilter before any per-record work.
+    The sweep walks a :class:`SweepOrder` — the caller's, replayed, or
+    a fresh one. On the unconstrained, unfiltered path (every
+    from-scratch TMA/SMA computation) cells are taken a *wave* at a
+    time: the next cell together with every following one that a
+    cell-by-cell sweep is certain to process as well — while fewer
+    than k points have been gathered, and while the cell's maxscore
+    reaches ``at_most`` — scored by one
+    :meth:`~repro.core.scoring.PreferenceFunction.score_batch` call and
+    cut against the current kth key by a vector prefilter. Being
+    certain, a wave changes no decision: processed cells, counters and
+    entries are those of the cell-by-cell sweep.
 
     Args:
         grid: the index over the valid records.
@@ -212,6 +312,11 @@ def compute_top_k(
         counters: operation counters to update (optional).
         region: constraint rectangle for constrained queries.
         point_filter: extra record predicate (record -> bool).
+        order: the visiting order of (grid, function, region) kept
+            from an earlier call, if the caller has one.
+        at_most: an upper bound on the kth score this call will find,
+            if the caller holds one. A bound that is too low costs
+            extra processed cells, never a wrong entry.
 
     Returns:
         A :class:`TraversalOutcome`; ``entries`` holds fewer than k
@@ -220,101 +325,69 @@ def compute_top_k(
     if counters is None:
         counters = NULL_COUNTERS
     counters.topk_computations += 1
+    if order is None:
+        order = SweepOrder(grid, function, region)
+    keys = order.keys
+    plain_scan = region is None and point_filter is None
 
     # Candidate top-k as a min-heap of canonical keys, so the current
     # kth key is O(1) to read and O(log k) to improve.
     candidates: List[Tuple[float, int, object]] = []
-
-    if (
-        region is None
-        and type(function) is LinearFunction
-        and _has_constant_maxscore_decrements(grid, function)
-    ):
-        cell_maxscore = _linear_maxscore_fn(grid, function)
-    else:
-        cell_maxscore = None
-    plain_scan = region is None and point_filter is None
-
-    heap: List[Tuple[float, int, Coords]] = []  # (-maxscore, seq, coords)
-    seq = 0
-    enheaped: Set[Coords] = set()
-    processed: List[Coords] = []
-
-    def push(coords: Coords) -> None:
-        nonlocal seq
-        if coords in enheaped:
-            return
-        if cell_maxscore is not None:
-            key = cell_maxscore(coords)
-        elif region is None:
-            key = grid.maxscore(coords, function)
-        else:
-            clipped = grid.maxscore_in_region(coords, function, region)
-            if clipped is None:
-                return  # cell disjoint from the constraint region
-            key = clipped
-        enheaped.add(coords)
-        seq += 1
-        heapq.heappush(heap, (-key, seq, coords))
-        counters.cells_enheaped += 1
-
-    push(start_coords(grid, function, region))
-
-    while heap:
-        best_key = -heap[0][0]
+    position = 0
+    while order.reaches(position):
         # Tie-aware termination: strictly worse cells cannot contribute
         # (see module docstring, deviation 1).
-        if len(candidates) >= k and best_key < candidates[0][0]:
+        if len(candidates) >= k and keys[position] < candidates[0][0]:
             break
-        _, _, coords = heapq.heappop(heap)
-        processed.append(coords)
-        counters.cells_processed += 1
-
-        cell = grid.peek_cell(coords)
-        if cell is not None and cell.points:
-            if plain_scan:
-                # Batched fast path: one kernel call per cell (memoised
-                # while the cell stays unmutated), then a vector
-                # prefilter against the current kth score (ties
-                # included — equal scores can still win on rid).
-                records, scores = cell.scored_columns(function)
-                counters.points_scored += len(records)
+        start = position
+        if plain_scan:
+            records: List = []
+            blocks = []
+            while True:
+                cell = grid.peek_cell(order.coords[position])
+                position += 1
+                if cell is not None and cell.points:
+                    cell_records, matrix = cell.columns()
+                    records += cell_records
+                    blocks.append(matrix)
+                if not order.reaches(position) or not (
+                    len(candidates) + len(records) < k
+                    or (at_most is not None and keys[position] >= at_most)
+                ):
+                    break
+            counters.points_scored += len(records)
+            if records:
+                scores = function.score_batch(batch.concat(blocks))
+                # Ties with the gate survive the prefilter: equal
+                # scores can still win on rid.
                 if len(candidates) >= k:
-                    survivors, values = batch.take_at_least(
-                        scores, candidates[0][0]
-                    )
+                    gate = candidates[0][0]
+                elif len(records) > k:
+                    gate = batch.kth_largest(scores, k)
                 else:
-                    survivors = range(len(records))
-                    values = batch.to_list(scores)
-                for index, value in zip(survivors, values):
+                    gate = float("-inf")
+                for index, value in zip(*batch.take_at_least(scores, gate)):
                     record = records[index]
-                    entry = (value, record.rid, record)
-                    if len(candidates) < k:
-                        heapq.heappush(candidates, entry)
-                    elif entry[:2] > candidates[0][:2]:
-                        heapq.heapreplace(candidates, entry)
-            else:
-                # Constrained / filtered scan: per-record checks decide
-                # what gets scored, so counters keep their meaning.
-                for record in cell.iter_points():
-                    if region is not None and not region.contains(
-                        record.attrs
-                    ):
-                        continue
-                    if point_filter is not None and not point_filter(record):
-                        continue
-                    score = function.score(record.attrs)
-                    counters.points_scored += 1
-                    entry = (score, record.rid, record)
-                    if len(candidates) < k:
-                        heapq.heappush(candidates, entry)
-                    elif entry[:2] > candidates[0][:2]:
-                        heapq.heapreplace(candidates, entry)
+                    _admit(candidates, k, (value, record.rid, record))
+        else:
+            # Constrained / filtered scan: per-record checks decide
+            # what gets scored, so counters keep their meaning.
+            cell = grid.peek_cell(order.coords[position])
+            position += 1
+            for record in cell.iter_points() if cell is not None else ():
+                if region is not None and not region.contains(record.attrs):
+                    continue
+                if point_filter is not None and not point_filter(record):
+                    continue
+                counters.points_scored += 1
+                _admit(
+                    candidates,
+                    k,
+                    (function.score(record.attrs), record.rid, record),
+                )
+        counters.cells_processed += position - start
 
-        for neighbour in grid.steps_toward_worse(coords, function):
-            push(neighbour)
-
-    remaining = [item[2] for item in heap]
+    counters.cells_enheaped += order.enheaped_by(position)
     entries = [
         ResultEntry(score, record)
         for score, _, record in sorted(
@@ -322,7 +395,7 @@ def compute_top_k(
         )
     ]
     return TraversalOutcome(
-        entries=entries, processed=processed, remaining=remaining
+        entries=entries, processed=order.coords[:position], order=order
     )
 
 
@@ -475,12 +548,7 @@ def _trim_shared_outcome(
         kth_score = entries[-1].score
     else:
         kth_score = float("-inf")
-    if type(function) is LinearFunction and _has_constant_maxscore_decrements(
-        grid, function
-    ):
-        maxscore_of = _linear_maxscore_fn(grid, function)
-    else:
-        maxscore_of = lambda coords: grid.maxscore(coords, function)  # noqa: E731
+    maxscore_of = _maxscore_fn(grid, function)
     processed: List[Coords] = []
     stale_seeds: List[Coords] = []
     for coords in outcome.processed:
@@ -488,10 +556,14 @@ def _trim_shared_outcome(
             processed.append(coords)
         else:
             stale_seeds.append(coords)
+    # A class swept solo carries its order instead of heap leftovers;
+    # the order is the member's too (same function), and the cells
+    # kept above are a prefix of it.
     return TraversalOutcome(
         entries=entries,
         processed=processed,
         remaining=outcome.remaining + stale_seeds,
+        order=outcome.order,
     )
 
 
@@ -720,11 +792,7 @@ def compute_top_k_group(
                         values = scores
                     for index, value in zip(survivors, values):
                         record = records[index]
-                        entry = (value, record.rid, record)
-                        if len(cand) < k:
-                            heapq.heappush(cand, entry)
-                        elif entry[:2] > cand[0][:2]:
-                            heapq.heapreplace(cand, entry)
+                        _admit(cand, k, (value, record.rid, record))
                     if len(cand) >= k:
                         gates[q] = cand[0][0]
 
@@ -797,12 +865,7 @@ def collect_cells_above_threshold(
     result: List[Coords] = []
     seen: Set[Coords] = {start}
     frontier: List[Coords] = [start]
-    if type(function) is LinearFunction and _has_constant_maxscore_decrements(
-        grid, function
-    ):
-        cell_maxscore = _linear_maxscore_fn(grid, function)
-    else:
-        cell_maxscore = lambda coords: grid.maxscore(coords, function)  # noqa: E731
+    cell_maxscore = _maxscore_fn(grid, function)
     while frontier:
         coords = frontier.pop()
         if cell_maxscore(coords) <= threshold:

@@ -67,6 +67,10 @@ class ScoreTimeSkyband:
     def __contains__(self, rid: int) -> bool:
         return rid in self._by_rid
 
+    def rids(self):
+        """Record ids of the entries (a live set-like view)."""
+        return self._by_rid.keys()
+
     def entries(self) -> Sequence[SkybandEntry]:
         """All entries, ascending key order (worst first)."""
         return tuple(self._entries)

@@ -5,6 +5,8 @@ import random
 from repro.algorithms.topk_computation import (
     cleanup_influence,
     compute_and_install,
+    compute_and_install_group,
+    drop_stale_influence,
     query_region,
     remove_query_everywhere,
 )
@@ -74,7 +76,17 @@ class TestInstall:
 
 
 class TestCleanup:
-    def test_flood_removes_stale_entries(self):
+    @staticmethod
+    def _assert_threshold_set(grid, qid, f, threshold):
+        for x in range(6):
+            for y in range(6):
+                has_query = qid in grid.get_cell((x, y)).influence
+                if grid.maxscore((x, y), f) < threshold:
+                    assert not has_query, (x, y)
+                if grid.maxscore((x, y), f) >= threshold:
+                    assert has_query, (x, y)
+
+    def test_walk_removes_stale_entries(self):
         grid, _ = build_grid([(0.9, 0.9)])
         f = LinearFunction([1.0, 1.0])
         query = TopKQuery(f, 1)
@@ -84,16 +96,31 @@ class TestCleanup:
         for x in range(6):
             for y in range(6):
                 grid.get_cell((x, y)).influence.add(3)
-        removed = cleanup_influence(grid, 3, f, outcome.remaining)
-        assert removed > 0
-        threshold = outcome.entries[0].score
-        for x in range(6):
-            for y in range(6):
-                has_query = 3 in grid.get_cell((x, y)).influence
-                if grid.maxscore((x, y), f) < threshold:
-                    assert not has_query, (x, y)
-                if grid.maxscore((x, y), f) >= threshold:
-                    assert has_query, (x, y)
+        removed = drop_stale_influence(
+            grid, 3, outcome.order, len(outcome.processed)
+        )
+        assert removed == 36 - len(outcome.processed)
+        self._assert_threshold_set(grid, 3, f, outcome.entries[0].score)
+
+    def test_flood_removes_stale_entries(self):
+        """A group sweep's members have no order: its heap leftovers
+        seed the flood."""
+        grid, _ = build_grid([(0.9, 0.9)])
+        queries = [
+            TopKQuery(LinearFunction(weights), 1)
+            for weights in ([1.0, 1.0], [1.0, 0.9])
+        ]
+        for qid, query in enumerate(queries):
+            query.qid = qid
+            for x in range(6):
+                for y in range(6):
+                    grid.get_cell((x, y)).influence.add(qid)
+        outcomes = compute_and_install_group(grid, queries)
+        for query, outcome in zip(queries, outcomes):
+            assert outcome.order is None
+            self._assert_threshold_set(
+                grid, query.qid, query.function, outcome.entries[0].score
+            )
 
     def test_seeds_without_query_stop_immediately(self):
         grid = Grid(2, 4)

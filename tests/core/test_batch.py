@@ -145,6 +145,35 @@ class TestBackendHelpers:
             assert all(type(value) is float for value in picked)
 
 
+class TestBlockHelpers:
+    def test_concat_scores_like_its_parts(self):
+        function = LinearFunction([0.3, -0.7])
+        parts = [[(0.1, 0.9), (0.5, 0.5)], [(1 / 3, 2 / 3)], [(0.9, 0.2)]]
+        whole = batch.concat([as_matrix(part) for part in parts])
+        assert to_list(function.score_batch(whole)) == [
+            function.score(row) for part in parts for row in part
+        ]
+        single = as_matrix(parts[0])
+        assert batch.concat([single]) is single
+
+    def test_take_rows_keeps_requested_order(self):
+        rows = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]
+        function = LinearFunction([1.0, 2.0])
+        picked = batch.take_rows(as_matrix(rows), [2, 0])
+        assert to_list(function.score_batch(picked)) == [
+            function.score(rows[2]),
+            function.score(rows[0]),
+        ]
+
+    def test_kth_largest_counts_ties(self):
+        function = LinearFunction([1.0, 0.0])
+        values = [0.5, 0.9, 0.5, 0.1, 0.9, 0.7]
+        vector = function.score_batch(as_matrix([(v, 0.0) for v in values]))
+        ranked = sorted(values, reverse=True)
+        for k in range(1, len(values) + 1):
+            assert batch.kth_largest(vector, k) == ranked[k - 1]
+
+
 class TestArrivalScorer:
     def test_scores_match_scalar(self):
         factory = RecordFactory()
@@ -155,8 +184,22 @@ class TestArrivalScorer:
         function = LinearFunction([0.7, 0.3])
         expected = [function.score(record.attrs) for record in records]
         assert scorer.scores(function) == expected
-        for index in (0, 5, 11):
-            assert scorer.score_of(function, index) == expected[index]
+
+    def test_take_survivors_among_scores_only_the_subset(self):
+        factory = RecordFactory()
+        records = [
+            factory.make((0.1 * i, 1.0 - 0.05 * i)) for i in range(12)
+        ]
+        scorer = ArrivalScorer(records)
+        function = LinearFunction([0.7, 0.3])
+        expected = [function.score(record.attrs) for record in records]
+        subset = [11, 0, 5, 7]  # caller's order is kept
+        gate = expected[5]  # a tie with the gate survives
+        indices, values = scorer.take_survivors_among(function, subset, gate)
+        assert indices == [i for i in subset if expected[i] >= gate]
+        assert values == [expected[i] for i in indices]
+        assert all(type(value) is float for value in values)
+        assert scorer.take_survivors_among(function, subset, 9.0) == ([], [])
 
     def test_survivors_prefilter(self):
         factory = RecordFactory()

@@ -1,0 +1,551 @@
+"""Properties of the resumable sweep order and the query-major gate.
+
+Three contracts, each against a reference kept here:
+
+- a *warm* :class:`~repro.grid.traversal.SweepOrder` (replayed across
+  calls, with or without an ``at_most`` bound) is indistinguishable
+  from a cold call — entries, processed cells and counter deltas;
+- the cells listing a query are always the last processed set, however
+  solo installs, group installs, k changes, eager trims and
+  pause/resume interleave;
+- the query-major arrival/expiration gate of TMA, SMA and the
+  threshold path decides what the record-major
+  ``for record: for qid in cell.influence`` loops decided — those
+  loops live on below as the oracle — with the same counters.
+
+The whole file is re-run under the pure-Python batch backend by
+:func:`test_python_backend_subprocess`.
+"""
+
+import os
+import subprocess
+import sys
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms.base import MonitorAlgorithm
+from repro.algorithms.sma import SkybandMonitoringAlgorithm
+from repro.algorithms.tma import TopKMonitoringAlgorithm
+from repro.algorithms.topk_computation import (
+    compute_and_install,
+    compute_and_install_group,
+    eager_trim_influence,
+    remove_query_everywhere,
+)
+from repro.core.queries import ConstrainedTopKQuery, ThresholdQuery, TopKQuery
+from repro.core.regions import Rectangle
+from repro.core.results import ResultEntry
+from repro.core.scoring import (
+    LinearFunction,
+    ProductFunction,
+    QuadraticFunction,
+)
+from repro.core.stats import OpCounters
+from repro.core.tuples import RecordFactory
+from repro.grid.grid import Grid
+from repro.grid.traversal import SweepOrder, compute_top_k
+
+from tests.integration.test_grouped_parity import influence_map
+
+#: tier-1 is deterministic: the same examples on every run.
+PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: attribute values on a coarse lattice, so equal scores, equal
+#: maxscores and points on cell boundaries all occur.
+LATTICE = [index / 12 for index in range(13)]
+WEIGHTS = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
+
+
+def draw_function(rng, dims, linear_only=False):
+    family = "linear" if linear_only else rng.choice(
+        ["linear", "product", "quadratic"]
+    )
+    if family == "product":
+        return ProductFunction(
+            [rng.choice([0.0, 0.5, 1.0]) for _ in range(dims)]
+        )
+    weights = [rng.choice(WEIGHTS) for _ in range(dims)]
+    if family == "linear":
+        return LinearFunction(weights)
+    return QuadraticFunction(weights)
+
+
+def draw_region(rng, dims):
+    lower, upper = [], []
+    for _ in range(dims):
+        low, high = sorted(rng.sample(LATTICE, 2))
+        lower.append(low)
+        upper.append(high)
+    return Rectangle(tuple(lower), tuple(upper))
+
+
+class Churn:
+    """A grid whose points come and go between calls."""
+
+    def __init__(self, rng, dims, cells):
+        self.rng = rng
+        self.dims = dims
+        self.grid = Grid(dims, cells)
+        self.factory = RecordFactory()
+        self.live = []
+
+    def step(self):
+        rng = self.rng
+        for _ in range(rng.randint(0, 12)):
+            record = self.factory.make(
+                tuple(rng.choice(LATTICE) for _ in range(self.dims))
+            )
+            self.grid.insert(record)
+            self.live.append(record)
+        for _ in range(rng.randint(0, min(8, len(self.live)))):
+            record = self.live.pop(rng.randrange(len(self.live)))
+            self.grid.delete(record)
+
+
+def fingerprint(outcome):
+    return [(entry.score.hex(), entry.rid) for entry in outcome.entries]
+
+
+def sweep_counts(counters):
+    return (
+        counters.cells_processed,
+        counters.cells_enheaped,
+        counters.points_scored,
+    )
+
+
+def kth_score(outcome, k):
+    return outcome.entries[-1].score if len(outcome.entries) >= k else None
+
+
+# ----------------------------------------------------------------------
+# Warm order ≡ cold call
+# ----------------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    rng=st.randoms(use_true_random=False),
+    dims=st.integers(1, 3),
+    cells=st.integers(1, 6),
+    constrained=st.booleans(),
+)
+def test_warm_order_matches_cold_call(rng, dims, cells, constrained):
+    churn = Churn(rng, dims, cells)
+    function = draw_function(rng, dims)
+    region = draw_region(rng, dims) if constrained else None
+    order = None
+    for _ in range(6):
+        churn.step()
+        k = rng.choice([1, 2, 5])
+        cold_counters, warm_counters = OpCounters(), OpCounters()
+        cold = compute_top_k(
+            churn.grid, function, k, cold_counters, region=region
+        )
+        true_kth = kth_score(cold, k)
+        if true_kth is None:
+            # Underfull: there is no kth score, any bound holds.
+            at_most = rng.choice([None, 0.0, float("inf")])
+        else:
+            at_most = rng.choice(
+                [None, true_kth, true_kth + rng.random(), float("inf")]
+            )
+        warm = compute_top_k(
+            churn.grid,
+            function,
+            k,
+            warm_counters,
+            region=region,
+            order=order,
+            at_most=at_most,
+        )
+        order = warm.order
+        assert fingerprint(warm) == fingerprint(cold)
+        assert warm.processed == cold.processed
+        assert sweep_counts(warm_counters) == sweep_counts(cold_counters)
+        # Minimality, by the order itself: processed cells reach the
+        # kth score, the next one in the order does not.
+        if true_kth is not None:
+            reach = len(warm.processed)
+            assert all(key >= true_kth for key in order.keys[:reach])
+            if order.reaches(reach):
+                assert order.keys[reach] < true_kth
+
+
+@PROPERTY
+@given(
+    rng=st.randoms(use_true_random=False),
+    dims=st.integers(1, 3),
+    cells=st.integers(1, 6),
+)
+def test_bound_below_the_kth_score_is_still_exact(rng, dims, cells):
+    churn = Churn(rng, dims, cells)
+    function = draw_function(rng, dims)
+    order = SweepOrder(churn.grid, function)
+    for _ in range(4):
+        churn.step()
+        k = rng.choice([1, 3])
+        cold = compute_top_k(churn.grid, function, k)
+        true_kth = kth_score(cold, k)
+        too_low = rng.choice(
+            [float("-inf")]
+            + ([true_kth - rng.random()] if true_kth is not None else [])
+        )
+        warm = compute_top_k(
+            churn.grid, function, k, order=order, at_most=too_low
+        )
+        assert fingerprint(warm) == fingerprint(cold)
+        assert warm.processed[: len(cold.processed)] == cold.processed
+
+
+# ----------------------------------------------------------------------
+# Influence lists are the last processed set
+# ----------------------------------------------------------------------
+
+
+def listing(grid, qid):
+    return {cell.coords for cell in grid.cells() if qid in cell.influence}
+
+
+@PROPERTY
+@given(
+    rng=st.randoms(use_true_random=False),
+    dims=st.integers(1, 3),
+    cells=st.integers(1, 6),
+    constrained=st.booleans(),
+)
+def test_cells_listing_a_query_are_the_last_processed_set(
+    rng, dims, cells, constrained
+):
+    churn = Churn(rng, dims, cells)
+    function = draw_function(rng, dims, linear_only=True)
+    if constrained:
+        query = ConstrainedTopKQuery(
+            function, 3, constraint=draw_region(rng, dims)
+        )
+    else:
+        query = TopKQuery(function, 3)
+    query.qid = 0
+    # A partner for group sweeps: same directions, nearby weights.
+    partner = TopKQuery(
+        LinearFunction(
+            [
+                weight + direction * 0.125
+                for weight, direction in zip(
+                    function.weights, function.directions
+                )
+            ]
+        ),
+        2,
+    )
+    partner.qid = 1
+    counters = OpCounters()
+    order = None
+    installed = False
+    for _ in range(10):
+        churn.step()
+        step = rng.choice(["solo", "solo", "group", "k", "trim", "pause"])
+        if step == "k":
+            query.k = rng.choice([1, 2, 4, 6])
+            continue
+        if step == "trim":
+            if installed:
+                before = listing(churn.grid, 0)
+                threshold = rng.random() * 2 - 0.5
+                eager_trim_influence(churn.grid, query, threshold, counters)
+                whole = SweepOrder(
+                    churn.grid, function, getattr(query, "constraint", None)
+                )
+                while whole.reaches(len(whole.keys)):
+                    pass
+                keys = dict(zip(whole.coords, whole.keys))
+                assert listing(churn.grid, 0) == {
+                    coords for coords in before if keys[coords] >= threshold
+                }
+            continue
+        if step == "pause":
+            remove_query_everywhere(churn.grid, query, counters, order)
+            assert listing(churn.grid, 0) == set()
+            installed = False
+            continue
+        if step == "group" and not constrained:
+            outcome, _ = compute_and_install_group(
+                churn.grid, [query, partner], counters
+            )
+            assert outcome.order is None
+        else:
+            outcome = compute_and_install(
+                churn.grid, query, counters, order=order
+            )
+            order = outcome.order
+        installed = True
+        assert listing(churn.grid, 0) == set(outcome.processed)
+        assert fingerprint(outcome) == fingerprint(
+            compute_top_k(
+                churn.grid,
+                query.function,
+                query.k,
+                region=getattr(query, "constraint", None),
+            )
+        )
+
+
+# ----------------------------------------------------------------------
+# Query-major gate ≡ record-major loops
+# ----------------------------------------------------------------------
+
+
+class RecordMajorThresholds(MonitorAlgorithm):
+    """The threshold path's former arrival loop (grid algorithms)."""
+
+    def _maintain_thresholds(self, arrivals, expirations):
+        states = self._threshold_states
+        for record in arrivals:
+            cell = self.grid.peek_cell(self.grid.coords_of(record.attrs))
+            if cell is None:
+                continue
+            for qid in list(cell.influence):
+                state = states.get(qid)
+                if state is None:
+                    continue
+                self.counters.influence_checks += 1
+                score = state.query.function.score(record.attrs)
+                if score > state.query.threshold:
+                    self._touch(qid)
+                    state.members[record.rid] = ResultEntry(score, record)
+        super()._maintain_thresholds([], expirations)
+
+
+class RecordMajorTma(RecordMajorThresholds, TopKMonitoringAlgorithm):
+    """TMA with its former ``for record: for qid`` cycle."""
+
+    def _apply_cycle(self, arrivals, expirations):
+        states = self._states
+        gate_rose = []
+        for record, cell in zip(arrivals, self.grid.insert_many(arrivals)):
+            admitted = []
+            for qid in cell.influence:
+                state = states.get(qid)
+                if state is None:
+                    continue
+                self.counters.influence_checks += 1
+                if state.region is not None and not state.region.contains(
+                    record.attrs
+                ):
+                    continue
+                key = (state.query.function.score(record.attrs), record.rid)
+                if key > state.gate_key():
+                    self._touch(qid)
+                    admitted.append((state, key))
+                    self.counters.top_list_updates += 1
+            for state, key in admitted:
+                full_before = len(state.top) == state.query.k
+                state.admit(key, record)
+                if (
+                    self.eager_cleanup
+                    and full_before
+                    and state not in gate_rose
+                ):
+                    gate_rose.append(state)
+        for state in gate_rose:
+            eager_trim_influence(
+                self.grid, state.query, state.gate_key()[0], self.counters
+            )
+        affected = []
+        for record, cell in zip(
+            expirations, self.grid.delete_many(expirations)
+        ):
+            for qid in cell.influence:
+                state = states.get(qid)
+                if state is None:
+                    continue
+                self.counters.influence_checks += 1
+                if record.rid in state.member_ids and state not in affected:
+                    affected.append(state)
+        if self.groups is not None and len(affected) > 1:
+            self._recompute_grouped(affected)
+        else:
+            for state in affected:
+                self._recompute(state)
+
+
+class RecordMajorSma(RecordMajorThresholds, SkybandMonitoringAlgorithm):
+    """SMA with its former ``for record: for qid`` cycle."""
+
+    def _apply_cycle(self, arrivals, expirations):
+        states = self._states
+        for record, cell in zip(arrivals, self.grid.insert_many(arrivals)):
+            for qid in cell.influence:
+                state = states.get(qid)
+                if state is None:
+                    continue
+                self.counters.influence_checks += 1
+                if state.region is not None and not state.region.contains(
+                    record.attrs
+                ):
+                    continue
+                score = state.query.function.score(record.attrs)
+                if (score, record.rid) > state.gate:
+                    self._touch(qid)
+                    state.skyband.insert(score, record, self.counters)
+        refills = []
+        for record, cell in zip(
+            expirations, self.grid.delete_many(expirations)
+        ):
+            for qid in cell.influence:
+                state = states.get(qid)
+                if state is None:
+                    continue
+                self.counters.influence_checks += 1
+                if record.rid in state.skyband:
+                    self._touch(qid)
+                    state.skyband.remove_by_rid(record.rid)
+                    if (
+                        len(state.skyband) < state.query.k
+                        and state not in refills
+                    ):
+                        refills.append(state)
+        if self.groups is not None and len(refills) > 1:
+            self._refill_grouped(refills)
+        else:
+            for state in refills:
+                self._refill(state)
+
+
+def draw_queries(rng, dims):
+    base = [rng.choice([0.25, 0.5, 1.0]) for _ in range(dims)]
+    queries = []
+    for qid in range(rng.randint(2, 7)):
+        kind = rng.choice(["similar", "similar", "any", "region", "threshold"])
+        k = rng.choice([1, 2, 4])
+        if kind == "similar":  # groupable with its like
+            query = TopKQuery(
+                LinearFunction(
+                    [weight + rng.choice([0.0, 0.125]) for weight in base]
+                ),
+                k,
+            )
+        elif kind == "any":
+            query = TopKQuery(draw_function(rng, dims), k)
+        elif kind == "region":
+            query = ConstrainedTopKQuery(
+                draw_function(rng, dims), k, constraint=draw_region(rng, dims)
+            )
+        else:
+            query = ThresholdQuery(
+                LinearFunction(base), rng.random() * sum(base)
+            )
+        query.qid = qid
+        queries.append(query)
+    return queries
+
+
+def clone(query):
+    if isinstance(query, ThresholdQuery):
+        twin = ThresholdQuery(query.function, query.threshold)
+    elif isinstance(query, ConstrainedTopKQuery):
+        twin = ConstrainedTopKQuery(
+            query.function, query.k, constraint=query.constraint
+        )
+    else:
+        twin = TopKQuery(query.function, query.k)
+    twin.qid = query.qid
+    return twin
+
+
+def results_of(algorithm, queries):
+    # Plain floats: the oracle scores row by row, and the vector
+    # kernels may sign a zero differently (``-0.0 == 0.0``).
+    return {
+        query.qid: [
+            (entry.score, entry.rid)
+            for entry in algorithm.current_result(query.qid)
+        ]
+        for query in queries
+    }
+
+
+@PROPERTY
+@given(
+    rng=st.randoms(use_true_random=False),
+    dims=st.integers(1, 3),
+    cells=st.integers(1, 6),
+    family=st.sampled_from(["tma", "tma-eager", "sma"]),
+    grouped=st.booleans(),
+)
+def test_query_major_gate_matches_record_major_loops(
+    rng, dims, cells, family, grouped
+):
+    if family == "sma":
+        options = {"grouped": grouped}
+        pair = (SkybandMonitoringAlgorithm, RecordMajorSma)
+    else:
+        options = {"grouped": grouped, "eager_cleanup": family == "tma-eager"}
+        pair = (TopKMonitoringAlgorithm, RecordMajorTma)
+    subject, oracle = (cls(dims, cells, **options) for cls in pair)
+    queries = draw_queries(rng, dims)
+    factory = RecordFactory()
+    window = []
+    for cycle in range(8):
+        if cycle == 2:  # queries join a grid that already holds points
+            subject.register_many([clone(query) for query in queries])
+            oracle.register_many([clone(query) for query in queries])
+        arrivals = [
+            factory.make(tuple(rng.choice(LATTICE) for _ in range(dims)))
+            for _ in range(rng.randint(0, 10))
+        ]
+        window.extend(arrivals)
+        expirations = []
+        while len(window) > 25:
+            expirations.append(window.pop(0))
+        changed = subject.process_cycle(list(arrivals), list(expirations))
+        expected = oracle.process_cycle(list(arrivals), list(expirations))
+        assert set(changed) == set(expected)
+        if cycle < 2:
+            continue
+        assert results_of(subject, queries) == results_of(oracle, queries)
+        assert influence_map(subject) == influence_map(oracle)
+        assert subject.counters.snapshot() == oracle.counters.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Both backends
+# ----------------------------------------------------------------------
+
+
+def test_python_backend_subprocess():
+    """Everything above again under ``REPRO_BATCH_BACKEND=python`` (the
+    backend is picked at import time, hence the subprocess)."""
+    if os.environ.get("REPRO_BATCH_BACKEND", "").strip().lower() == "python":
+        return  # already the pure-Python leg
+    env = dict(os.environ, REPRO_BATCH_BACKEND="python")
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [
+            os.path.abspath(os.path.join(root, "src")),
+            os.path.abspath(root),
+            env.get("PYTHONPATH", ""),
+        ]
+    )
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            os.path.abspath(__file__),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

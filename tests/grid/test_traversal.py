@@ -62,12 +62,18 @@ class TestPaperFigure5:
         for coords in processed:
             assert self.grid.maxscore(coords, self.f) >= top_score
 
-    def test_remaining_cells_are_unprocessed_boundary(self):
+    def test_processed_cells_are_a_prefix_of_the_order(self):
         outcome = compute_top_k(self.grid, self.f, 1)
         top_score = outcome.entries[0].score
-        for coords in outcome.remaining:
-            assert coords not in outcome.processed
-            assert self.grid.maxscore(coords, self.f) < top_score
+        order = outcome.order
+        reach = len(outcome.processed)
+        assert order.coords[:reach] == outcome.processed
+        # The sweep stopped at the first cell that cannot contribute.
+        assert order.reaches(reach)
+        assert order.keys[reach] < top_score
+        assert order.keys[: reach + 1] == sorted(
+            order.keys[: reach + 1], reverse=True
+        )
 
 
 class TestPaperFigure7:

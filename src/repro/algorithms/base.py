@@ -46,10 +46,12 @@ from typing import (
     Tuple,
 )
 
+from repro.core import batch
 from repro.core.batch import ArrivalScorer
 from repro.core.errors import QueryError
 from repro.core.queries import ThresholdQuery, TopKQuery
 from repro.core.results import ResultChange, ResultEntry, diff_results
+from repro.core.scoring import LinearFunction, linear_scores
 from repro.core.stats import OpCounters
 from repro.core.tuples import StreamRecord
 from repro.obs.trace import NULL_TRACER
@@ -102,23 +104,74 @@ def gated_arrivals(
 ) -> Iterator[Tuple[object, StreamRecord, float]]:
     """The arrivals that can enter a query's result, query by query.
 
-    Per query of ``states``, the arrivals lying in its influence cells
-    (:func:`influence_hits`) are scored as one block and compared
-    against ``gate_score(state)``, read once before the block; yields
-    ``(state, record, score)`` for those scoring at least that, in
-    arrival order. A gate only rises while arrivals are applied, so
-    the caller's exact check on each yielded triple decides what the
-    record-by-record scan decided.
+    Only the (arrival, query) pairs :func:`influence_hits` names are
+    scored, each against ``gate_score(state)`` read once, before any
+    triple of that query is yielded; yields ``(state, record, score)``
+    for the pairs scoring at least that, query by query in the order
+    of the hits and in arrival order within a query. A gate only rises
+    while arrivals are applied, so the caller's exact check on each
+    yielded triple decides what the record-by-record scan decided.
+
+    Under the NumPy backend every pair of a plain ``LinearFunction``
+    query is scored by **one** :func:`~repro.core.scoring.linear_scores`
+    call over two index columns (arrival position, query column) —
+    bitwise the per-query ``score_batch`` values, without a kernel
+    round trip per query. Other families score one block per query;
+    the pure-Python backend scores one scalar per pair either way.
     """
-    scorer = ArrivalScorer(arrivals)
-    for qid, runs in influence_hits(cells, states, counters).items():
-        state = states[qid]
-        indices = [position for run in runs for position in run]
-        survivors, values = scorer.take_survivors_among(
-            state.query.function, indices, gate_score(state)
+    hits = influence_hits(cells, states, counters)
+    if not hits:
+        return
+    matrix = batch.as_matrix([record.attrs for record in arrivals])
+    passed: Dict[int, List[Tuple[int, float]]] = {}
+    if batch.is_matrix(matrix):
+        passed = {
+            qid: []
+            for qid in hits
+            if type(states[qid].query.function) is LinearFunction
+        }
+    if passed:
+        np = batch.np
+        stacked = list(passed)
+        positions: List[int] = []
+        sizes = []
+        for qid in stacked:
+            before = len(positions)
+            for run in hits[qid]:
+                positions += run
+            sizes.append(len(positions) - before)
+        rows = np.array(positions)
+        columns = np.repeat(np.arange(len(stacked)), sizes)
+        weights = np.array(
+            [states[qid].query.function.weights for qid in stacked],
+            dtype=np.float64,
         )
-        for index, score in sorted(zip(survivors, values)):
-            yield state, arrivals[index], score
+        gates = np.array(
+            [gate_score(states[qid]) for qid in stacked], dtype=np.float64
+        )
+        scores = linear_scores(matrix[rows], weights.T[:, columns])
+        kept = np.nonzero(scores >= gates[columns])[0]
+        kept = kept[np.lexsort((rows[kept], columns[kept]))]
+        for column, position, score in zip(
+            columns[kept].tolist(), rows[kept].tolist(), scores[kept].tolist()
+        ):
+            passed[stacked[column]].append((position, score))
+    for qid, runs in hits.items():
+        state = states[qid]
+        survivors = passed.get(qid)
+        if survivors is None:
+            indices = [position for run in runs for position in run]
+            picked, values = batch.take_at_least(
+                state.query.function.score_batch(
+                    batch.take_rows(matrix, indices)
+                ),
+                gate_score(state),
+            )
+            survivors = sorted(
+                zip([indices[index] for index in picked], values)
+            )
+        for position, score in survivors:
+            yield state, arrivals[position], score
 
 
 class _ThresholdState:

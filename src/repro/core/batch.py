@@ -80,24 +80,13 @@ def to_list(vector) -> List[float]:
     return list(vector)
 
 
-def indices_at_least(vector, threshold: float) -> List[int]:
-    """Indices ``i`` with ``vector[i] >= threshold``.
-
-    The survivor prefilter of the batched cycle paths: candidates whose
-    score cannot reach a query's current gate are dropped in one
-    vector comparison instead of one interpreted comparison each.
-    """
-    if np is not None and isinstance(vector, np.ndarray):
-        return np.nonzero(vector >= threshold)[0].tolist()
-    return [index for index, value in enumerate(vector) if value >= threshold]
-
-
 def take_at_least(vector, threshold: float):
     """``(indices, values)`` of entries with ``value >= threshold``.
 
-    Like :func:`indices_at_least` but also gathers the surviving
-    values as Python floats, so callers touching only a few survivors
-    skip converting the full vector.
+    The survivor prefilter of the batched cycle paths: candidates whose
+    score cannot reach a query's current gate are dropped in one
+    vector comparison instead of one interpreted comparison each, and
+    only the surviving values become Python floats.
     """
     if np is not None and isinstance(vector, np.ndarray):
         picked = np.nonzero(vector >= threshold)[0]
@@ -138,17 +127,13 @@ def kth_largest(vector, k: int) -> float:
 class ArrivalScorer:
     """Lazy per-function batch scores over one cycle's arrival batch.
 
-    TSL needs every (arrival, query) score; TMA/SMA need scores only
-    for the queries whose influence lists the arrivals actually hit.
-    This helper serves both: the arrival matrix is packed at most once,
-    and per preference function the full score vector is computed on
-    first request and cached (keyed by function identity, which is
-    stable for the cycle because query objects outlive it).
-
-    :meth:`take_survivors_among` scores a subset instead — the
-    arrivals inside one query's influence cells — and caches nothing:
-    under the pure-Python backend that is one scalar ``score`` per
-    (arrival, query) hit, never a whole batch per query.
+    For the paths that need every (arrival, query) score — TSL, the
+    approximate tier, threshold queries without a grid: the arrival
+    matrix is packed at most once, and per preference function the
+    full score vector is computed on first request and cached (keyed
+    by function identity, which is stable for the cycle because query
+    objects outlive it). TMA/SMA score only the pairs their influence
+    lists name (:func:`repro.algorithms.base.gated_arrivals`).
     """
 
     __slots__ = ("_records", "_matrix", "_vectors", "_lists")
@@ -185,10 +170,6 @@ class ArrivalScorer:
             self._lists[key] = values
         return values
 
-    def survivors(self, function, min_score: float) -> List[int]:
-        """Arrival indices whose score is ``>= min_score``."""
-        return indices_at_least(self.vector(function), min_score)
-
     def take_survivors(self, function, min_score: float):
         """``(indices, values)`` of arrivals scoring ``>= min_score``.
 
@@ -196,12 +177,3 @@ class ArrivalScorer:
         so a high gate avoids materialising the full batch as floats.
         """
         return take_at_least(self.vector(function), min_score)
-
-    def take_survivors_among(
-        self, function, indices: Sequence[int], min_score: float
-    ):
-        """``(indices, values)`` of the arrivals at ``indices`` scoring
-        ``>= min_score``, in the order ``indices`` lists them."""
-        block = take_rows(self._ensure_matrix(), indices)
-        picked, values = take_at_least(function.score_batch(block), min_score)
-        return [indices[position] for position in picked], values

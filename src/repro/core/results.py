@@ -79,14 +79,16 @@ def diff_results(
     bound: Optional[float] = None,
 ) -> ResultChange:
     """Compute the change report between two result snapshots."""
-    old_ids = {entry.rid for entry in old}
-    new_ids = {entry.rid for entry in new}
-    added = [entry for entry in new if entry.rid not in old_ids]
-    removed = [entry for entry in old if entry.rid not in new_ids]
+    # ``entry[1].rid``, not the ``rid`` property: 4·k reads per touched
+    # query, hundreds of touched queries in a refill burst.
+    old_ids = {entry[1].rid for entry in old}
+    new_ids = {entry[1].rid for entry in new}
+    added = [entry for entry in new if entry[1].rid not in old_ids]
+    removed = [entry for entry in old if entry[1].rid not in new_ids]
     return ResultChange(
         qid=qid,
-        added=entries_best_first(added),
-        removed=entries_best_first(removed),
+        added=entries_best_first(added) if len(added) > 1 else added,
+        removed=entries_best_first(removed) if len(removed) > 1 else removed,
         top=list(new),
         cause=cause,
         bound=bound,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.core import batch
 from repro.core.errors import (
@@ -89,19 +89,6 @@ class PreferenceFunction(abc.ABC):
         """
         return [self.score(row) for row in matrix]
 
-    def maxscore_delta(self, dim: int, delta: float) -> Optional[float]:
-        """Drop in box maxscore per ``delta``-sized step along ``dim``.
-
-        When a box of extent ``delta`` moves one step *down* the
-        preference order along dimension ``dim``, some families lose a
-        constant amount of maxscore (linear: ``|a_dim| * delta``),
-        which lets the grid traversal price neighbour cells without a
-        ``bounds_of`` + ``score`` round trip. Returns None when the
-        decrement is not constant (the generic case: quadratic and
-        product scores depend on where the box sits).
-        """
-        return None
-
     def best_corner(
         self, lower: Sequence[float], upper: Sequence[float]
     ) -> Tuple[float, ...]:
@@ -143,6 +130,30 @@ class PreferenceFunction(abc.ABC):
         return repr(self)
 
 
+def linear_scores(matrix, weights):
+    """``Σ matrix[:, i]·weights[i]`` over a NumPy block, one column at a time.
+
+    The one vector form of :meth:`LinearFunction.score`. ``weights[i]``
+    is a scalar (one function over the block), or an array that
+    broadcasts against column ``i``: one weight per row (each row its
+    own function — the arrival gate's (arrival, query) pairs), or a
+    ``(Q,)`` vector against an ``(n, d, 1)`` view of the block (an
+    ``(n, Q)`` result — the grouped traversal).
+
+    Exactness contract: each elementwise multiply and add rounds
+    exactly like the scalar loop's, in its order (a single matmul would
+    sum in a different order and could flip last-bit ties), and the
+    sum starts from ``0.0`` as the scalar's does, so an all-``-0.0``
+    row of products yields ``+0.0`` — every element is bit for bit the
+    scalar ``score``.
+    """
+    out = matrix[:, 0] * weights[0]
+    out += 0.0
+    for dim in range(1, len(weights)):
+        out += matrix[:, dim] * weights[dim]
+    return out
+
+
 class LinearFunction(PreferenceFunction):
     """``f(p) = Σ aᵢ·p.xᵢ`` — the paper's default query family.
 
@@ -169,18 +180,7 @@ class LinearFunction(PreferenceFunction):
     def score_batch(self, matrix) -> Sequence[float]:
         if not batch.is_matrix(matrix):
             return [self.score(row) for row in matrix]
-        # Column-at-a-time accumulation: each elementwise multiply and
-        # add rounds exactly like the scalar loop's, keeping the batch
-        # bitwise equal to per-row score() (a single matmul would sum
-        # in a different order and could flip last-bit ties).
-        weights = self.weights
-        out = matrix[:, 0] * weights[0]
-        for dim in range(1, self.dims):
-            out += matrix[:, dim] * weights[dim]
-        return out
-
-    def maxscore_delta(self, dim: int, delta: float) -> Optional[float]:
-        return abs(self.weights[dim]) * delta
+        return linear_scores(matrix, self.weights)
 
     def __repr__(self) -> str:
         terms = " + ".join(
@@ -257,6 +257,7 @@ class QuadraticFunction(PreferenceFunction):
         weights = self.weights
         out = matrix[:, 0] * weights[0]
         out *= matrix[:, 0]
+        out += 0.0  # the scalar sum starts from 0.0: -0.0 becomes +0.0
         for dim in range(1, self.dims):
             term = matrix[:, dim] * weights[dim]
             term *= matrix[:, dim]

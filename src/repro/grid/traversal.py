@@ -60,7 +60,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core import batch
 from repro.core.regions import Rectangle
 from repro.core.results import ResultEntry
-from repro.core.scoring import LinearFunction, PreferenceFunction
+from repro.core.scoring import (
+    LinearFunction,
+    PreferenceFunction,
+    linear_scores,
+)
 from repro.core.stats import NULL_COUNTERS, OpCounters
 from repro.grid.grid import Coords, Grid
 
@@ -412,9 +416,8 @@ class _GroupScorer:
     floating-point operations in the same order as the per-query code
     it replaces — :meth:`maxscores_of` accumulates the same
     :func:`_linear_corner_tables` entries dimension by dimension, and
-    :meth:`score_block` runs the column-at-a-time accumulation of
-    :meth:`~repro.core.scoring.LinearFunction.score_batch` broadcast
-    over the group — so per-query decisions taken on these values are
+    :meth:`score_block` runs :func:`~repro.core.scoring.linear_scores`
+    broadcast over the group — so per-query decisions taken on these values are
     bitwise identical to a solo traversal's.
     """
 
@@ -518,13 +521,9 @@ class _GroupScorer:
         NumPy backend only (the traversal's fallback branch scores
         lazily per member instead): an ``(n, Q)`` matrix whose column
         q is bitwise equal to ``functions[q].score_batch(matrix)`` —
-        the same column-at-a-time accumulation, broadcast over the
-        group's weight columns.
+        the same kernel, broadcast over the group's weight columns.
         """
-        out = matrix[:, 0:1] * self._weight_columns[0]
-        for dim in range(1, self.dims):
-            out += matrix[:, dim:dim + 1] * self._weight_columns[dim]
-        return out
+        return linear_scores(matrix[:, :, None], self._weight_columns)
 
 
 def _trim_shared_outcome(

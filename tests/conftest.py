@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
@@ -47,6 +50,39 @@ def random_rows(
     rng: random.Random, count: int, dims: int
 ) -> List[Tuple[float, ...]]:
     return [tuple(rng.random() for _ in range(dims)) for _ in range(count)]
+
+
+def rerun_under_python_backend(test_file: str) -> None:
+    """Run ``test_file`` again under ``REPRO_BATCH_BACKEND=python`` (the
+    backend is picked at import time, hence the subprocess) and assert
+    it passes; a no-op when this already is the pure-Python leg."""
+    if os.environ.get("REPRO_BATCH_BACKEND", "").strip().lower() == "python":
+        return
+    env = dict(os.environ, REPRO_BATCH_BACKEND="python")
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [
+            os.path.abspath(os.path.join(root, "src")),
+            os.path.abspath(root),
+            env.get("PYTHONPATH", ""),
+        ]
+    )
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            os.path.abspath(test_file),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 @pytest.fixture

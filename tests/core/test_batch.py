@@ -21,7 +21,6 @@ from repro.core import batch
 from repro.core.batch import (
     ArrivalScorer,
     as_matrix,
-    indices_at_least,
     is_matrix,
     take_at_least,
     to_list,
@@ -114,35 +113,26 @@ class TestBackendHelpers:
         values = to_list(function.score_batch(as_matrix([(0.2, 0.4)])))
         assert all(type(value) is float for value in values)
 
-    def test_indices_at_least_matches_loop(self):
+    def test_take_at_least_matches_loop(self):
         function = LinearFunction([1.0, 1.0])
         rows = [(0.1, 0.1), (0.5, 0.5), (0.3, 0.7), (0.9, 0.9)]
         vector = function.score_batch(as_matrix(rows))
         values = to_list(vector)
         for threshold in (-1.0, 0.2, 1.0, 1.7999, 1.8, 2.5):
-            expected = [
+            indices, picked = take_at_least(vector, threshold)
+            assert indices == [
                 index
                 for index, value in enumerate(values)
                 if value >= threshold
             ]
-            assert indices_at_least(vector, threshold) == expected
+            assert picked == [values[index] for index in indices]
+            assert all(type(value) is float for value in picked)
 
-    def test_indices_at_least_includes_exact_ties(self):
+    def test_take_at_least_includes_exact_ties(self):
         function = LinearFunction([1.0, 1.0])
         vector = function.score_batch(as_matrix([(0.25, 0.25)]))
         threshold = function.score((0.25, 0.25))
-        assert indices_at_least(vector, threshold) == [0]
-
-    def test_take_at_least_matches_indices_and_values(self):
-        function = LinearFunction([1.0, 1.0])
-        rows = [(0.1, 0.1), (0.5, 0.5), (0.3, 0.7), (0.9, 0.9)]
-        vector = function.score_batch(as_matrix(rows))
-        values = to_list(vector)
-        for threshold in (-1.0, 0.2, 1.0, 1.8, 2.5):
-            indices, picked = take_at_least(vector, threshold)
-            assert indices == indices_at_least(vector, threshold)
-            assert picked == [values[index] for index in indices]
-            assert all(type(value) is float for value in picked)
+        assert take_at_least(vector, threshold) == ([0], [threshold])
 
 
 class TestBlockHelpers:
@@ -185,30 +175,15 @@ class TestArrivalScorer:
         expected = [function.score(record.attrs) for record in records]
         assert scorer.scores(function) == expected
 
-    def test_take_survivors_among_scores_only_the_subset(self):
-        factory = RecordFactory()
-        records = [
-            factory.make((0.1 * i, 1.0 - 0.05 * i)) for i in range(12)
-        ]
-        scorer = ArrivalScorer(records)
-        function = LinearFunction([0.7, 0.3])
-        expected = [function.score(record.attrs) for record in records]
-        subset = [11, 0, 5, 7]  # caller's order is kept
-        gate = expected[5]  # a tie with the gate survives
-        indices, values = scorer.take_survivors_among(function, subset, gate)
-        assert indices == [i for i in subset if expected[i] >= gate]
-        assert values == [expected[i] for i in indices]
-        assert all(type(value) is float for value in values)
-        assert scorer.take_survivors_among(function, subset, 9.0) == ([], [])
-
-    def test_survivors_prefilter(self):
+    def test_take_survivors_prefilter(self):
         factory = RecordFactory()
         records = [factory.make((value, value)) for value in (0.1, 0.5, 0.9)]
         scorer = ArrivalScorer(records)
         function = LinearFunction([1.0, 1.0])
-        assert scorer.survivors(function, 1.0) == [1, 2]
+        assert scorer.take_survivors(function, 1.0)[0] == [1, 2]
         # A threshold equal to a score keeps that arrival (rid ties).
-        assert scorer.survivors(function, function.score((0.9, 0.9))) == [2]
+        best = function.score((0.9, 0.9))
+        assert scorer.take_survivors(function, best) == ([2], [best])
 
     def test_cache_is_per_function(self):
         factory = RecordFactory()

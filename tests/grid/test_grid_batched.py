@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import batch
 from repro.core.errors import DimensionalityError
-from repro.core.scoring import LinearFunction, ProductFunction
+from repro.core.scoring import LinearFunction
 from repro.core.stats import NULL_COUNTERS, OpCounters
 from repro.core.tuples import RecordFactory
 from repro.grid.grid import Grid
@@ -168,12 +168,6 @@ class TestLinearMaxscoreTables:
                 rng.randrange(grid.cells_per_axis) for _ in range(dims)
             )
             assert evaluator(coords) == grid.maxscore(coords, function)
-
-    def test_maxscore_delta_api(self):
-        function = LinearFunction([0.5, -2.0])
-        assert function.maxscore_delta(0, 0.1) == pytest.approx(0.05)
-        assert function.maxscore_delta(1, 0.1) == pytest.approx(0.2)
-        assert ProductFunction([0.1, 0.2]).maxscore_delta(0, 0.1) is None
 
 
 class TestNullCounters:

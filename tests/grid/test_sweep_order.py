@@ -17,10 +17,6 @@ The whole file is re-run under the pure-Python batch backend by
 :func:`test_python_backend_subprocess`.
 """
 
-import os
-import subprocess
-import sys
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +33,7 @@ from repro.core.queries import ConstrainedTopKQuery, ThresholdQuery, TopKQuery
 from repro.core.regions import Rectangle
 from repro.core.results import ResultEntry
 from repro.core.scoring import (
+    CallableFunction,
     LinearFunction,
     ProductFunction,
     QuadraticFunction,
@@ -46,6 +43,7 @@ from repro.core.tuples import RecordFactory
 from repro.grid.grid import Grid
 from repro.grid.traversal import SweepOrder, compute_top_k
 
+from tests.conftest import rerun_under_python_backend
 from tests.integration.test_grouped_parity import influence_map
 
 #: tier-1 is deterministic: the same examples on every run.
@@ -419,10 +417,15 @@ class RecordMajorSma(RecordMajorThresholds, SkybandMonitoringAlgorithm):
 
 
 def draw_queries(rng, dims):
+    """One table mixing every family and query kind, so the gate's
+    pair-stacked (plain linear) and per-query (everything else)
+    branches interleave inside one cycle: the first two queries pin
+    one of each, the rest are drawn."""
     base = [rng.choice([0.25, 0.5, 1.0]) for _ in range(dims)]
+    kinds = ["similar", "similar", "any", "callable", "region", "threshold"]
     queries = []
     for qid in range(rng.randint(2, 7)):
-        kind = rng.choice(["similar", "similar", "any", "region", "threshold"])
+        kind = ("similar", "callable")[qid] if qid < 2 else rng.choice(kinds)
         k = rng.choice([1, 2, 4])
         if kind == "similar":  # groupable with its like
             query = TopKQuery(
@@ -433,13 +436,21 @@ def draw_queries(rng, dims):
             )
         elif kind == "any":
             query = TopKQuery(draw_function(rng, dims), k)
+        elif kind == "callable":
+            query = TopKQuery(
+                CallableFunction(
+                    lambda *attrs: min(attrs), [1] * dims, label="min"
+                ),
+                k,
+            )
         elif kind == "region":
             query = ConstrainedTopKQuery(
                 draw_function(rng, dims), k, constraint=draw_region(rng, dims)
             )
         else:
             query = ThresholdQuery(
-                LinearFunction(base), rng.random() * sum(base)
+                rng.choice([LinearFunction(base), draw_function(rng, dims)]),
+                rng.random() * sum(base),
             )
         query.qid = qid
         queries.append(query)
@@ -460,11 +471,9 @@ def clone(query):
 
 
 def results_of(algorithm, queries):
-    # Plain floats: the oracle scores row by row, and the vector
-    # kernels may sign a zero differently (``-0.0 == 0.0``).
     return {
         query.qid: [
-            (entry.score, entry.rid)
+            (entry.score.hex(), entry.rid)
             for entry in algorithm.current_result(query.qid)
         ]
         for query in queries
@@ -520,32 +529,5 @@ def test_query_major_gate_matches_record_major_loops(
 
 
 def test_python_backend_subprocess():
-    """Everything above again under ``REPRO_BATCH_BACKEND=python`` (the
-    backend is picked at import time, hence the subprocess)."""
-    if os.environ.get("REPRO_BATCH_BACKEND", "").strip().lower() == "python":
-        return  # already the pure-Python leg
-    env = dict(os.environ, REPRO_BATCH_BACKEND="python")
-    root = os.path.join(os.path.dirname(__file__), "..", "..")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [
-            os.path.abspath(os.path.join(root, "src")),
-            os.path.abspath(root),
-            env.get("PYTHONPATH", ""),
-        ]
-    )
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            "-q",
-            "-p",
-            "no:cacheprovider",
-            os.path.abspath(__file__),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
+    """Everything above again under ``REPRO_BATCH_BACKEND=python``."""
+    rerun_under_python_backend(__file__)

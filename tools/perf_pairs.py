@@ -9,7 +9,9 @@ flipped every pair so neither always meets the warmer machine. Each
 side's runs are merged into one file and ``python3 -m perf.compare
 BASE CHANGE`` is printed: medians, ratio and verdict for every
 end-to-end metric, the base on the left. Every run's own numbers are
-printed as it ends, for counting which side won each pair.
+printed as it ends; before the table, each (workload, metric) gets one
+line of its pairs as ``base/change`` and how many the change won (ties
+count for neither side) — the list a claimed gain is judged on.
 """
 
 import argparse
@@ -20,6 +22,26 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def print_pair_wins(base_runs, change_runs) -> None:
+    """One line per (workload, end-to-end metric): every pair's two
+    values and the number of pairs the change won."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as source:
+        declared = json.load(source)["end_to_end"]
+    for workload in dict.fromkeys(run["workload"] for run in base_runs):
+        for metric in declared:
+            name = metric["name"]
+            pairs = [
+                (a["metrics"][name]["value"], b["metrics"][name]["value"])
+                for a, b in zip(base_runs, change_runs)
+                if a["workload"] == workload == b["workload"]
+            ]
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(sign * (b - a) > 0 for a, b in pairs)
+            print(f"pairs {workload:16} {name:14}",
+                  " ".join(f"{a:.4g}/{b:.4g}" for a, b in pairs),
+                  f" change won {wins} of {len(pairs)}")
 
 
 def main() -> int:
@@ -62,6 +84,7 @@ def main() -> int:
                               *(f"{name}={metric['value']:.4g}"
                                 for name, metric in run["metrics"].items()),
                               flush=True)
+            print_pair_wins(merged["base"]["runs"], merged["change"]["runs"])
             paths = []
             for side, runs in merged.items():
                 paths.append(os.path.join(scratch, side + ".json"))

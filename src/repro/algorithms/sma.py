@@ -207,36 +207,37 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
     ) -> None:
         states = self._states
         counters = self.counters
-
-        # Batched grid insertion, then per query one scored block of
-        # the arrivals inside its influence cells, as in TMA (see
-        # there); the gate is frozen, so the block test is the test.
-        cells = self.grid.insert_many(arrivals)
-        for state, record, score in gated_arrivals(
-            arrivals, cells, states, counters, lambda s: s.gate[0]
-        ):
-            if state.region is not None and not state.region.contains(
-                record.attrs
-            ):
-                continue
-            if (score, record.rid) > state.gate:
-                self._touch(state.query.qid)
-                state.skyband.insert(score, record, counters)
-
-        cells = self.grid.delete_many(expirations)
-        expired = {record.rid for record in expirations}
-        refills: List[_SmaQueryState] = []
-        for qid in influence_hits(cells, states, counters):
-            state = states[qid]
-            gone = state.skyband.rids() & expired
-            if gone:
-                self._touch(qid)  # before mutating, for the diff
-                for rid in gone:
-                    state.skyband.remove_by_rid(rid)
-                if len(state.skyband) < state.query.k:
-                    refills.append(state)
-
+        # The grid takes the whole batch first — only a refill reads
+        # its points — so one span holds all the skyband upkeep.
+        arrived = self.grid.insert_many(arrivals)
+        departed = self.grid.delete_many(expirations)
         with self.tracer.span("skyband"):
+            # Per query one scored block of the arrivals inside its
+            # influence cells, as in TMA (see there); the gate is
+            # frozen, so the block test is the test.
+            for state, record, score in gated_arrivals(
+                arrivals, arrived, states, counters, lambda s: s.gate[0]
+            ):
+                if state.region is not None and not state.region.contains(
+                    record.attrs
+                ):
+                    continue
+                if (score, record.rid) > state.gate:
+                    self._touch(state.query.qid)
+                    state.skyband.insert(score, record, counters)
+
+            expired = {record.rid for record in expirations}
+            refills: List[_SmaQueryState] = []
+            for qid in influence_hits(departed, states, counters):
+                state = states[qid]
+                gone = state.skyband.rids() & expired
+                if gone:
+                    self._touch(qid)  # before mutating, for the diff
+                    for rid in gone:
+                        state.skyband.remove_by_rid(rid)
+                    if len(state.skyband) < state.query.k:
+                        refills.append(state)
+
             if self.groups is not None and len(refills) > 1:
                 self._refill_grouped(refills)
             else:
@@ -271,8 +272,13 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
                 self._refill(states[group[0].qid])
                 continue
             self.counters.recomputations += len(group)
+            # As in _refill: each frozen gate bounds its member's kth.
+            gates = [states[query.qid].gate for query in group]
             outcomes = compute_and_install_group(
-                self.grid, group, self.counters
+                self.grid,
+                group,
+                self.counters,
+                at_most=None if MIN_RANK_KEY in gates else min(gates)[0],
             )
             for query, outcome in zip(group, outcomes):
                 states[query.qid].rebuild_from(outcome, self.counters)

@@ -344,8 +344,13 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
             for query in group:
                 self._touch(query.qid)
                 self.counters.recomputations += 1
+            # As in _recompute: the pre-expiry kth scores are bounds.
+            gates = [states[query.qid].gate_key() for query in group]
             outcomes = compute_and_install_group(
-                self.grid, group, self.counters
+                self.grid,
+                group,
+                self.counters,
+                at_most=None if MIN_RANK_KEY in gates else min(gates)[0],
             )
             for query, outcome in zip(group, outcomes):
                 states[query.qid].set_result(outcome)

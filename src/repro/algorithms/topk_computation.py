@@ -24,8 +24,10 @@ the processed prefix for as long as they still list the query.
 A group sweep follows the *group key's* order, not any member's, and
 its members carry no order of their own; step 2 there is the paper's
 flood (:func:`cleanup_influence`) from the cells left in the traversal
-heap. Why that flood is complete and safe — the argument the paper
-leaves implicit, spelled out because the tests assert it:
+heap — looked at once for the whole group, since most list no member —
+and from the member's own swept-but-below cells. Why that flood is
+complete and safe — the argument the paper leaves implicit, spelled
+out because the tests assert it:
 
 - Threshold sets are closed "upward" along the preference order.
 - At termination the heap contains exactly the one-step-worse
@@ -79,7 +81,8 @@ def _install(
     cells as needed so later arrivals into currently-empty cells still
     find the query), then removes its stale entries: past the
     processed prefix of the outcome's order or, after a group sweep,
-    by the flood from the heap leftovers.
+    by the flood from its swept cells below the kth score (the shared
+    frontier is :func:`compute_and_install_group`'s).
     """
     qid = query.qid
     added = 0
@@ -131,6 +134,7 @@ def compute_and_install_group(
     grid: Grid,
     queries: Sequence[TopKQuery],
     counters: Optional[OpCounters] = None,
+    at_most: Optional[float] = None,
 ) -> List[TraversalOutcome]:
     """Grouped :func:`compute_and_install`: one sweep, many queries.
 
@@ -138,9 +142,11 @@ def compute_and_install_group(
     whole group, then performs per query the influence-list
     bookkeeping of the solo path — the grouped outcome's ``processed``
     is the same cell set a solo traversal would install, and its
-    ``remaining`` seeds the cleanup flood (plus swept cells outside
-    the query's region, which the flood's "delete only where found"
-    rule skips over harmlessly).
+    ``remaining`` seeds the cleanup flood. The sweep's ``frontier``
+    lies outside every member's region, so each of its cells is
+    tested against the whole group once and seeds a flood for the
+    members it still lists. ``at_most`` is the least of the members'
+    upper bounds on the kth score about to be found, if each has one.
 
     Callers must pass plain unconstrained linear queries (what
     :meth:`repro.core.queries.QueryGroupRegistry.partition` groups).
@@ -151,9 +157,18 @@ def compute_and_install_group(
         [query.function for query in queries],
         [query.k for query in queries],
         counters=counters,
+        at_most=at_most,
     )
     for query, outcome in zip(queries, outcomes):
         _install(grid, query, outcome, counters)
+    members = {query.qid: query.function for query in queries}
+    qids = set(members)
+    # One list for the whole group (empty when it was swept solo).
+    for coords in outcomes[0].frontier if outcomes else ():
+        cell = grid.peek_cell(coords)
+        if cell is not None:
+            for qid in cell.influence & qids:
+                cleanup_influence(grid, qid, members[qid], [coords], counters)
     return outcomes
 
 

@@ -11,7 +11,7 @@ them with the paper's inventory:
 - every influence-list entry: one query id;
 - TMA query state: function coefficients (d) + k × (id, score);
 - SMA query state: function coefficients (d) + |skyband| × (id, score,
-  dominance counter);
+  dominance counter) — the skyband's three columns, one word a cell;
 - TSL: d sorted lists of (value, pointer) entries + views of k' ×
   (id, score).
 

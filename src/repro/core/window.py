@@ -7,7 +7,10 @@ time units. Both evict strictly first-in-first-out (Section 4.1), so a
 single FIFO list of valid records suffices and eviction is O(1) per
 expired tuple.
 
-A window object owns that FIFO list. The engine feeds arrivals through
+A window object owns that FIFO list — a ``collections.deque``: nothing
+removes from the middle, and a linked list's node cycles would keep a
+closed monitor's records alive until the next full garbage collection.
+The engine feeds arrivals through
 :meth:`SlidingWindow.insert` and collects the expirations a cycle
 produces through :meth:`SlidingWindow.evict`; the two sets are handed
 to the monitoring algorithm as the paper's ``P_ins`` / ``P_del``.
@@ -16,18 +19,18 @@ to the monitoring algorithm as the paper's ``P_ins`` / ``P_del``.
 from __future__ import annotations
 
 import abc
+from collections import deque
 from typing import Iterator, List, Optional
 
 from repro.core.errors import WindowError
 from repro.core.tuples import StreamRecord
-from repro.structures.fifo import FifoList
 
 
 class SlidingWindow(abc.ABC):
     """Base class: FIFO store of the currently valid records."""
 
     def __init__(self) -> None:
-        self._records = FifoList()
+        self._records: deque = deque()
         self._last_time: Optional[float] = None
 
     def __len__(self) -> int:
@@ -75,7 +78,7 @@ class SlidingWindow(abc.ABC):
         """Pop and return every record that expires at time ``now``."""
 
     def peek_oldest(self) -> Optional[StreamRecord]:
-        return self._records.peekleft() if self._records else None
+        return self._records[0] if self._records else None
 
 
 class CountBasedWindow(SlidingWindow):
@@ -115,7 +118,7 @@ class TimeBasedWindow(SlidingWindow):
     def evict(self, now: float) -> List[StreamRecord]:
         expired: List[StreamRecord] = []
         while self._records:
-            oldest = self._records.peekleft()
+            oldest = self._records[0]
             if oldest.time + self.duration <= now:
                 expired.append(self._records.popleft())
             else:

@@ -14,8 +14,8 @@ That visiting order is a function of the grid and the preference
 function alone — no record takes part in it — so the heap lives in a
 :class:`SweepOrder` that a caller may keep and hand back:
 :func:`compute_top_k` walks the order's list of cells and extends it
-only where no earlier call has been. :func:`compute_top_k_group` keeps
-its own heap; its order follows a key shared by the whole group.
+only where no earlier call has been. :func:`compute_top_k_group` walks
+an order of its own, priced by a key shared by the whole group.
 
 Two deliberate deviations from the paper's pseudo-code, both documented
 here because tests rely on them:
@@ -33,8 +33,8 @@ here because tests rely on them:
    also does — see its lines 9–12 and the remark below Figure 6). What
    lies beyond the processed cells is how stale influence entries are
    found (Figure 9 line 14): the next cells of the order for a solo
-   sweep, the heap leftovers (``remaining``) for a group sweep — see
-   :mod:`repro.algorithms.topk_computation`.
+   sweep, the cells en-heaped but not swept (``frontier``) for a group
+   sweep — see :mod:`repro.algorithms.topk_computation`.
 
 The optional ``region`` argument implements constrained top-k
 computation (Section 7, Figure 12): the traversal is restricted to
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import batch
@@ -77,9 +78,11 @@ class TraversalOutcome:
         entries: up to k results, best-first in canonical order.
         processed: coords of de-heaped (scanned) cells — exactly the
             cells whose influence list must reference the query.
-        remaining: group sweeps only — coords left in the heap at
-            termination, the seeds for the influence-list cleanup
-            flood.
+        remaining: group sweeps only — swept cells below this query's
+            kth score, seeds for its influence-list cleanup flood.
+        frontier: group sweeps only — the cells en-heaped but not
+            swept, outside every member's region; one list shared by
+            the group's outcomes.
         order: solo sweeps only — the :class:`SweepOrder` walked;
             ``processed`` is its prefix, and stale influence entries
             are the cells that follow it.
@@ -88,6 +91,7 @@ class TraversalOutcome:
     entries: List[ResultEntry] = field(default_factory=list)
     processed: List[Coords] = field(default_factory=list)
     remaining: List[Coords] = field(default_factory=list)
+    frontier: Sequence[Coords] = ()
     order: Optional["SweepOrder"] = None
 
     @property
@@ -205,7 +209,9 @@ class SweepOrder:
     The traversal's heap, ``enheaped`` set and sequence counter, kept
     between calls. Position ``i`` of three parallel lists describes
     the ``i``-th cell a sweep visits: ``keys[i]`` its maxscore (clipped
-    to ``region`` if given), ``coords[i]`` its coordinates, and
+    to ``region`` if given; ``price(coords)`` for a group sweep, which
+    takes only the step relation from ``function``), ``coords[i]`` its
+    coordinates, and
     ``pushed[i]`` the cells en-heaped once its neighbours went in — so
     a sweep over the first ``n`` cells en-heaped ``pushed[n - 1]``,
     however far the order has been extended since. The lists grow
@@ -230,13 +236,16 @@ class SweepOrder:
         grid: Grid,
         function: PreferenceFunction,
         region: Optional[Rectangle] = None,
+        price: Optional[Callable[[Coords], Optional[float]]] = None,
     ) -> None:
         self.keys: List[float] = []
         self.coords: List[Coords] = []
         self.pushed: List[int] = []
         self._grid = grid
         self._function = function
-        if region is None:
+        if price is not None:
+            self._price = price
+        elif region is None:
             self._price = _maxscore_fn(grid, function)
         else:  # None for cells disjoint from the constraint region
             self._price = lambda coords: grid.maxscore_in_region(  # noqa: E731
@@ -273,6 +282,10 @@ class SweepOrder:
     def enheaped_by(self, position: int) -> int:
         """Cells a sweep over the first ``position`` cells en-heaped."""
         return self.pushed[position - 1] if position else 0
+
+    def frontier(self, position: int) -> List[Coords]:
+        """The cells en-heaped so far, less the first ``position``."""
+        return self.coords[position:] + [item[2] for item in self._heap]
 
 
 def _admit(
@@ -408,13 +421,13 @@ class _GroupScorer:
 
     Holds the group's weight matrix and per-dimension corner tables in
     the batch backend's native layout, so one grid sweep can price a
-    cell for every member (:meth:`maxscores_of`) and score a cell's
+    cell for every member (:meth:`maxscores_of_many`) and score a cell's
     columnar block for every member (:meth:`score_block`) in a handful
     of array operations.
 
     Exactness: every element of every result is produced by the same
     floating-point operations in the same order as the per-query code
-    it replaces — :meth:`maxscores_of` accumulates the same
+    it replaces — :meth:`maxscores_of_many` accumulates the same
     :func:`_linear_corner_tables` entries dimension by dimension, and
     :meth:`score_block` runs :func:`~repro.core.scoring.linear_scores`
     broadcast over the group — so per-query decisions taken on these values are
@@ -432,9 +445,35 @@ class _GroupScorer:
     def __init__(self, grid: Grid, functions: Sequence[LinearFunction]) -> None:
         self.functions = list(functions)
         self.dims = grid.dims
-        per_query_tables = [
-            _linear_corner_tables(grid, function) for function in functions
-        ]
+        np = batch.np
+        if np is not None:
+            self._weight_columns = list(
+                np.array(
+                    [function.weights for function in functions],
+                    dtype=np.float64,
+                ).T.copy()
+            )
+            # tables[dim] is a (Q, g) matrix: row q = query q's
+            # contribution table along `dim`, the very products of
+            # :func:`_linear_corner_tables`.
+            steps = np.arange(grid.cells_per_axis)
+            self._tables = [
+                column[:, None]
+                * ((steps + (1 if direction > 0 else 0)) * grid.delta)
+                for column, direction in zip(
+                    self._weight_columns, functions[0].directions
+                )
+            ]
+            best = [table.max(axis=0).tolist() for table in self._tables]
+        else:
+            self._weight_columns = None
+            self._tables = [  # [query][dim][index]
+                _linear_corner_tables(grid, function) for function in functions
+            ]
+            best = [
+                [max(column) for column in zip(*tables)]
+                for tables in zip(*self._tables)
+            ]
         # Heap keys come from summed per-dimension *max* contributions:
         # sum_d max_q table_q[d] >= max_q sum_d table_q[d] >= every
         # member's maxscore, and each term is non-increasing along the
@@ -443,33 +482,7 @@ class _GroupScorer:
         # the solo traversal pays — instead of a Q-vector reduction.
         # (Looser than the true group max only across dimensions, i.e.
         # by at most the members' per-dimension weight spread.)
-        self._key_tables: List[List[float]] = [
-            [
-                max(tables[dim][index] for tables in per_query_tables)
-                for index in range(grid.cells_per_axis)
-            ]
-            for dim in range(self.dims)
-        ]
-        if batch.np is not None:
-            # tables[dim] is a (Q, g) matrix: row q = query q's
-            # contribution table along `dim`.
-            self._tables = [
-                batch.np.array(
-                    [tables[dim] for tables in per_query_tables],
-                    dtype=batch.np.float64,
-                )
-                for dim in range(self.dims)
-            ]
-            self._weight_columns = [
-                batch.np.array(
-                    [function.weights[dim] for function in functions],
-                    dtype=batch.np.float64,
-                )
-                for dim in range(self.dims)
-            ]
-        else:
-            self._tables = per_query_tables  # [query][dim][index]
-            self._weight_columns = None
+        self._key_tables: List[List[float]] = best
 
     def group_key_of(self, coords: Coords) -> float:
         """Monotone upper bound of every member's maxscore at ``coords``."""
@@ -478,20 +491,10 @@ class _GroupScorer:
             total += table[coords[dim]]
         return total
 
-    def maxscores_of(self, coords: Coords):
-        """Per-query maxscore vector of the cell at ``coords``.
-
-        NumPy: a float64 vector of length Q. Fallback: a list. Entry q
-        equals ``_linear_maxscore_fn(grid, functions[q])(coords)``
-        under comparisons (the vector path starts the sum from the
-        first table entry instead of 0.0, which can differ only in the
-        sign of a zero).
-        """
-        if self._weight_columns is not None:
-            total = self._tables[0][:, coords[0]]
-            for dim in range(1, self.dims):
-                total = total + self._tables[dim][:, coords[dim]]
-            return total
+    def maxscores_of(self, coords: Coords) -> List[float]:
+        """Per-query maxscores of the cell at ``coords`` (fallback
+        backend): entry q is ``_linear_maxscore_fn(grid,
+        functions[q])(coords)``."""
         out = []
         for tables in self._tables:
             total = 0.0
@@ -501,14 +504,17 @@ class _GroupScorer:
         return out
 
     def maxscores_of_many(self, coords_list: Sequence[Coords]):
-        """Per-query maxscores of many cells at once (NumPy only).
+        """Per-query maxscores of many cells at once.
 
-        Returns a ``(Q, P)`` matrix — column p is
-        :meth:`maxscores_of` of ``coords_list[p]``, computed with the
-        same dimension-by-dimension accumulation as d column gathers
-        over the whole batch (the grouped post-pass classifies every
-        swept cell for every member this way)."""
+        Returns a ``(Q, P)`` matrix (fallback: Q tuples) — column p is
+        :meth:`maxscores_of` of ``coords_list[p]`` under comparisons
+        (the d column gathers accumulate dimension by dimension from
+        the first table entry, not from 0.0: only a zero's sign can
+        differ); the grouped post-pass classifies every swept cell for
+        every member this way."""
         np = batch.np
+        if np is None:
+            return list(zip(*map(self.maxscores_of, coords_list)))
         index = np.asarray(coords_list)
         total = self._tables[0][:, index[:, 0]]
         for dim in range(1, self.dims):
@@ -548,20 +554,18 @@ def _trim_shared_outcome(
     else:
         kth_score = float("-inf")
     maxscore_of = _maxscore_fn(grid, function)
-    processed: List[Coords] = []
-    stale_seeds: List[Coords] = []
-    for coords in outcome.processed:
-        if maxscore_of(coords) >= kth_score:
-            processed.append(coords)
-        else:
-            stale_seeds.append(coords)
+    keep = [maxscore_of(coords) >= kth_score for coords in outcome.processed]
+    stale_seeds = [
+        coords for coords, kept in zip(outcome.processed, keep) if not kept
+    ]
     # A class swept solo carries its order instead of heap leftovers;
     # the order is the member's too (same function), and the cells
     # kept above are a prefix of it.
     return TraversalOutcome(
         entries=entries,
-        processed=processed,
+        processed=list(compress(outcome.processed, keep)),
         remaining=outcome.remaining + stale_seeds,
+        frontier=outcome.frontier,
         order=outcome.order,
     )
 
@@ -571,6 +575,7 @@ def compute_top_k_group(
     functions: Sequence[LinearFunction],
     ks: Sequence[int],
     counters: Optional[OpCounters] = None,
+    at_most: Optional[float] = None,
 ) -> List[TraversalOutcome]:
     """Serve a whole group of linear queries in one Figure-6 sweep.
 
@@ -581,21 +586,27 @@ def compute_top_k_group(
     preference-vector similarity so members' influence staircases
     overlap heavily, but any shared-direction group is *correct*.
 
-    One heap drives the sweep, keyed by the **group key** — a monotone
-    upper bound of every member's cell maxscore priced with d scalar
-    table lookups (:meth:`_GroupScorer.group_key_of`). Because the key
-    upper-bounds every member and is monotone along the shared step
-    relation, the heap-frontier invariant holds for the group: when
-    the best remaining key drops strictly below member q's kth score,
-    no unprocessed cell can contribute to q and q deactivates; the
-    sweep ends when every member has. Each processed cell's columnar
-    block is packed once and scored once for the whole group
-    (:meth:`_GroupScorer.score_block`); the per-query survivor
-    prefilter is one comparison of that score matrix against the
-    vector of per-query kth scores (``gates``) — a deactivated
-    member's gate can no longer be reached (every remaining score is
-    strictly below its frozen kth), so the mask also retires its
-    column for free.
+    The sweep walks a :class:`SweepOrder` priced by the **group key**
+    — a monotone upper bound of every member's cell maxscore made of d
+    scalar table lookups (:meth:`_GroupScorer.group_key_of`). Because
+    the key upper-bounds every member and is monotone along the shared
+    step relation, the heap-frontier invariant holds for the group:
+    when the next key drops strictly below member q's kth score, no
+    unprocessed cell can contribute to q and q is done; the sweep ends
+    when every member is. Cells are taken a *wave* at a time, as in
+    :func:`compute_top_k`: the next cell plus every following one a
+    cell-by-cell sweep is certain to process — while fewer rows than
+    the largest k have been seen (that member is still underfull), and
+    while the cell's key reaches ``at_most``, the least of the
+    members' upper bounds on the kth score about to be found (some
+    member's true kth score is no higher, so it is not done). A wave
+    is scored for the whole group by one
+    :meth:`_GroupScorer.score_block` call, cut per column at the
+    member's kth largest score of the wave and its gate, and the
+    survivors of a column join that member's candidates through one
+    sort. A bound that is too low costs extra processed cells, never a
+    wrong entry. The pure-Python backend walks the same waves cell by
+    cell, each member scoring only the cells its staircase reaches.
 
     **Exactness contract** (asserted by the grouped parity suite): the
     returned entries are bitwise identical — same ``(score, rid)``
@@ -605,9 +616,10 @@ def compute_top_k_group(
     deactivates. ``processed`` is also the same *set* of cells per
     query (cells with ``maxscore_q >= kth score``, recovered by a
     post-pass), though visiting order follows the group key;
-    ``remaining`` seeds the same influence-cleanup flood but contains
-    the group sweep's extra cells too — a superset of boundary seeds,
-    which the flood's "delete only where found" rule makes harmless.
+    ``remaining`` and the shared ``frontier`` together seed the same
+    influence-cleanup flood but contain the group sweep's extra cells
+    too — a superset of boundary seeds, which the flood's "delete only
+    where found" rule makes harmless.
 
     Returns one :class:`TraversalOutcome` per query, in input order.
     """
@@ -631,51 +643,49 @@ def compute_top_k_group(
             )
     # Near-identical members: queries sharing one weight vector drive
     # the same candidate ordering through the sweep, so the top-k of a
-    # smaller k is a prefix of a larger one's. Collapse each weight
-    # class to a single representative swept at the class's largest k
-    # and serve every member from that shared outcome — aliased
-    # outright when the member's k equals the swept k (the PR 8
-    # duplicate-spec case), otherwise derived by trimming the shared
-    # entries to the member's k and re-classifying the swept cells
-    # against the member's own kth score, exactly the classification
-    # the grouped post-pass performs (a cell is in the solo processed
-    # set iff its maxscore reaches the kth score, and every such cell
-    # is in the representative's processed set because the shared
-    # sweep's kth threshold is lower). Each merged member still counts
-    # as a served query / top-k computation, so counter totals match a
-    # run that never deduplicated.
+    # smaller k is a prefix of a larger one's. Each weight class is
+    # swept once, at its largest k, and serves every member — aliased
+    # outright when the member's k is the swept k (the PR 8
+    # duplicate-spec case), else trimmed (:func:`_trim_shared_outcome`).
+    # Each merged member still counts as a served query / top-k
+    # computation, so counter totals match a run that never
+    # deduplicated.
     class_members: Dict[Tuple[float, ...], List[int]] = {}
     for index, function in enumerate(functions):
         class_members.setdefault(tuple(function.weights), []).append(index)
     if len(class_members) < len(functions):
-        order = list(class_members)
-        rep_outcomes = compute_top_k_group(
+        classes = list(class_members.values())
+        swept_ks = [max(ks[index] for index in members) for members in classes]
+        shared = compute_top_k_group(
             grid,
-            [functions[class_members[w][0]] for w in order],
-            [max(ks[index] for index in class_members[w]) for w in order],
+            [functions[members[0]] for members in classes],
+            swept_ks,
             counters=counters,
+            at_most=at_most,  # the class's larger k only lowers its kth
         )
         if counters is not None:
-            merged = len(functions) - len(order)
+            merged = len(functions) - len(classes)
             counters.topk_computations += merged
             counters.grouped_queries_served += merged
-        shared = dict(zip(order, rep_outcomes))
         results: List[Optional[TraversalOutcome]] = [None] * len(functions)
-        for weights, members in class_members.items():
-            outcome = shared[weights]
-            swept_k = max(ks[index] for index in members)
+        for members, swept_k, outcome in zip(classes, swept_ks, shared):
             for index in members:
-                if ks[index] == swept_k:
-                    results[index] = outcome
-                else:
-                    results[index] = _trim_shared_outcome(
+                results[index] = (
+                    outcome
+                    if ks[index] == swept_k
+                    else _trim_shared_outcome(
                         grid, functions[index], ks[index], outcome
                     )
+                )
         return results
 
     if len(functions) == 1:
         # Zero-overhead degenerate case: the solo path is the contract.
-        return [compute_top_k(grid, functions[0], ks[0], counters=counters)]
+        return [
+            compute_top_k(
+                grid, functions[0], ks[0], counters=counters, at_most=at_most
+            )
+        ]
 
     if counters is None:
         counters = NULL_COUNTERS
@@ -685,164 +695,140 @@ def compute_top_k_group(
 
     size = len(functions)
     scorer = _GroupScorer(grid, functions)
-    lead = functions[0]  # directions donor for steps_toward_worse
+    # functions[0] only lends its directions: start corner, step relation.
+    order = SweepOrder(grid, functions[0], price=scorer.group_key_of)
+    keys = order.keys
     np = batch.np
+    most = max(ks)
+    # One partition per distinct k cuts a wave's score block.
+    distinct = sorted(set(ks))
+    by_k = [(k, [q for q in range(size) if ks[q] == k]) for k in distinct]
 
-    # Per-query candidate top-k as min-heaps of canonical keys, plus
-    # the vector of current kth scores (-inf while underfull) the
-    # admission mask compares whole cell blocks against.
+    # Per-query candidate top-k in ascending canonical order — element
+    # 0 is the kth result once full — and the current kth scores (-inf
+    # while underfull) a block of scores is compared against.
     candidates: List[List[Tuple[float, int, object]]] = [
         [] for _ in range(size)
     ]
-    #: current kth score per query (-inf while underfull). The python
-    #: list serves the per-pop deactivation check without boxing; the
-    #: NumPy mirror serves the whole-block admission mask.
     gates: List[float] = [float("-inf")] * size
-    gates_np = np.full(size, float("-inf")) if np is not None else None
+    cut = np.array(gates) if np is not None else gates  # its vector mirror
 
-    heap: List[Tuple[float, int, Coords]] = []
-    seq = 0
-    enheaped: Set[Coords] = set()
-    #: every de-heaped cell; under the fallback backend each entry
-    #: carries its per-query maxscore vector (needed in-loop for the
-    #: skip decisions), under NumPy the vectors come from one batched
-    #: post-pass gather instead.
-    processed: List[Coords] = []
-    processed_maxscores: List[List[float]] = []
+    def admit(q: int, hits: List[Tuple[float, int, object]]) -> None:
+        cand = candidates[q]
+        cand += hits
+        cand.sort()
+        del cand[: -ks[q]]
+        if len(cand) == ks[q]:
+            gates[q] = cut[q] = cand[0][0]
 
-    def push(coords: Coords) -> None:
-        nonlocal seq
-        if coords in enheaped:
-            return
-        enheaped.add(coords)
-        seq += 1
-        heapq.heappush(heap, (-scorer.group_key_of(coords), seq, coords))
-        counters.cells_enheaped += 1
-
-    push(start_coords(grid, lead, None))
-
-    active = list(range(size))
-    while heap and active:
-        best_key = -heap[0][0]
-        # Tie-aware per-query termination: q deactivates when even the
-        # group's upper bound is strictly below its kth score.
-        active = [q for q in active if best_key >= gates[q]]
-        if not active:
-            break
-        _, _, coords = heapq.heappop(heap)
-        processed.append(coords)
+    seen = 0  # rows swept so far: a member is underfull while seen < k
+    position = 0
+    # Tie-aware per-query termination: q is done when even the group's
+    # upper bound is strictly below its kth score, the sweep when all are.
+    while order.reaches(position) and keys[position] >= min(gates):
+        start = position
+        underfull = [pair for pair in by_k if seen < pair[0]]
+        wave = []  # (coords, records, matrix) of its non-empty cells
+        while True:
+            coords = order.coords[position]
+            position += 1
+            cell = grid.peek_cell(coords)
+            if cell is not None and cell.points:
+                wave.append((coords, *cell.columns()))
+                seen += len(cell.points)
+            if not order.reaches(position) or not (
+                seen < most
+                or (at_most is not None and keys[position] >= at_most)
+            ):
+                break
+        counters.cells_processed += position - start
         if np is None:
-            maxscores = scorer.maxscores_of(coords)
-            processed_maxscores.append(maxscores)
-        counters.cells_processed += 1
-
-        cell = grid.peek_cell(coords)
-        if cell is not None and cell.points:
-            records, matrix = cell.columns()
-            if np is not None:
-                # The stacked kernel examines every (record, member)
-                # pair, and the admission mask compares them all —
-                # count that, mirroring the solo path's "points
-                # examined" semantics.
-                block = scorer.score_block(matrix)
-                counters.points_scored += len(records) * size
-                # One mask for every (record, query) pair: a hit must
-                # reach the query's gate (ties included — equal scores
-                # can still win on rid). Deactivated queries cannot
-                # hit: every remaining score sits strictly below their
-                # frozen gate.
-                rows, cols = np.nonzero(block >= gates_np)
-                if len(rows):
-                    values = block[rows, cols].tolist()
-                    for row, q, value in zip(
-                        rows.tolist(), cols.tolist(), values
-                    ):
-                        cand = candidates[q]
-                        record = records[row]
-                        entry = (value, record.rid, record)
-                        if len(cand) < ks[q]:
-                            heapq.heappush(cand, entry)
-                            if len(cand) == ks[q]:
-                                gates[q] = gates_np[q] = cand[0][0]
-                        elif entry[:2] > cand[0][:2]:
-                            heapq.heapreplace(cand, entry)
-                            gates[q] = gates_np[q] = cand[0][0]
-            else:
-                # Fallback: score lazily per member, *after* the skip
-                # check — a member whose staircase misses the cell
-                # pays nothing, so the fallback never scores more
-                # (record, member) pairs than per-query traversals
-                # would.
-                for q in active:
-                    cand = candidates[q]
-                    k = ks[q]
-                    full = len(cand) >= k
-                    if full and maxscores[q] < cand[0][0]:
+            # Fallback: score lazily per member, *after* the skip
+            # check — a member whose staircase misses the cell pays
+            # nothing, so the fallback never scores more (record,
+            # member) pairs than per-query traversals would.
+            for coords, records, matrix in wave:
+                maxscores = scorer.maxscores_of(coords)
+                for q, function in enumerate(functions):
+                    gate = gates[q]
+                    if maxscores[q] < gate:
                         continue  # cell cannot contribute to q
-                    function = scorer.functions[q]
                     scores = [function.score(row) for row in matrix]
                     counters.points_scored += len(records)
-                    if full:
-                        survivors, values = batch.take_at_least(
-                            scores, cand[0][0]
-                        )
-                    else:
-                        survivors = range(len(records))
-                        values = scores
-                    for index, value in zip(survivors, values):
-                        record = records[index]
-                        _admit(cand, k, (value, record.rid, record))
-                    if len(cand) >= k:
-                        gates[q] = cand[0][0]
-
-        for neighbour in grid.steps_toward_worse(coords, lead):
-            push(neighbour)
-
-    heap_coords = [item[2] for item in heap]
-    if np is not None and processed:
-        swept_maxscores = scorer.maxscores_of_many(processed)  # (Q, P)
-    outcomes: List[TraversalOutcome] = []
-    for q in range(size):
-        cand = candidates[q]
-        if len(cand) >= ks[q]:
-            kth_score = cand[0][0]
-        else:
-            kth_score = float("-inf")
-        # Post-pass recovery of the solo traversal's processed set:
-        # exactly the swept cells whose maxscore for q reaches its kth
-        # score (the solo sweep processes a descending-key prefix that
-        # ends at that threshold). Swept-but-below cells join the
-        # cleanup seeds instead, alongside the heap leftovers.
-        processed_q: List[Coords] = []
-        stale_seeds: List[Coords] = []
-        if np is not None:
-            if processed:
-                keep = (swept_maxscores[q] >= kth_score).tolist()
-                for index, coords in enumerate(processed):
-                    if keep[index]:
-                        processed_q.append(coords)
-                    else:
-                        stale_seeds.append(coords)
-        else:
-            for coords, maxscores in zip(processed, processed_maxscores):
-                if maxscores[q] >= kth_score:
-                    processed_q.append(coords)
-                else:
-                    stale_seeds.append(coords)
-        entries = [
-            ResultEntry(score, record)
-            for score, _, record in sorted(
-                cand, key=lambda item: item[:2], reverse=True
+                    admit(
+                        q,
+                        [
+                            (score, record.rid, record)
+                            for score, record in zip(scores, records)
+                            if score >= gate
+                        ],
+                    )
+        elif wave:
+            records = [record for _, some, _ in wave for record in some]
+            block = scorer.score_block(
+                batch.concat([matrix for _, _, matrix in wave])
             )
+            # The stacked kernel examines every (record, member) pair:
+            # count that, as the solo path counts points examined.
+            counters.points_scored += len(records) * size
+            # A hit reaches its column's gate (ties included: equal
+            # scores can still win on rid) or, while the member has
+            # none, the column's kth largest score of the wave. A
+            # finished member cannot hit: what is left scores strictly
+            # below its frozen gate.
+            bar = cut
+            for k, members in underfull:
+                below = len(records) - k
+                if below > 0:
+                    bar = cut.copy() if bar is cut else bar
+                    bar[members] = np.partition(
+                        block[:, members], below, axis=0
+                    )[below]
+            columns, rows = np.nonzero((block >= bar).T)
+            if not len(rows):
+                continue
+            hits = [
+                (value, records[row].rid, records[row])
+                for value, row in zip(
+                    block[rows, columns].tolist(), rows.tolist()
+                )
+            ]
+            stop = 0
+            for q, count in enumerate(
+                np.bincount(columns, minlength=size).tolist()
+            ):
+                if count:
+                    admit(q, hits[stop : stop + count])
+                    stop += count
+
+    counters.cells_enheaped += order.enheaped_by(position)
+    processed = order.coords[:position]
+    frontier = order.frontier(position)
+    # Post-pass recovery of the solo traversal's processed set: exactly
+    # the swept cells whose maxscore for q reaches its kth score (the
+    # solo sweep processes a descending-key prefix that ends at that
+    # threshold). Swept-but-below cells seed q's cleanup flood instead.
+    swept = scorer.maxscores_of_many(processed)  # one row per member
+    if np is not None:
+        reached = (swept >= cut[:, None]).tolist()
+    else:
+        reached = [
+            [value >= gate for value in row] for row, gate in zip(swept, gates)
         ]
-        outcomes.append(
-            TraversalOutcome(
-                entries=entries,
-                processed=processed_q,
-                remaining=heap_coords + stale_seeds,
-            )
+    return [
+        TraversalOutcome(
+            entries=[
+                ResultEntry(score, record)
+                for score, _, record in reversed(cand)
+            ],
+            processed=list(compress(processed, keep)),
+            remaining=[
+                coords for coords, kept in zip(processed, keep) if not kept
+            ],
+            frontier=frontier,
         )
-    return outcomes
+        for cand, keep in zip(candidates, reached)
+    ]
 
 
 def collect_cells_above_threshold(

@@ -10,12 +10,11 @@ k-skyband used by tests to validate the reduction and by analysis
 tooling.
 """
 
-from repro.skyband.skyband import ScoreTimeSkyband, SkybandEntry
+from repro.skyband.skyband import ScoreTimeSkyband
 from repro.skyband.skyline import dominates, k_skyband, skyline
 
 __all__ = [
     "ScoreTimeSkyband",
-    "SkybandEntry",
     "dominates",
     "k_skyband",
     "skyline",

@@ -15,10 +15,12 @@ and entries whose DC reaches k can never re-enter any top-k result and
 are evicted (Figure 10's worked example is test-replayed in
 ``tests/skyband/test_skyband.py``).
 
-Entries are stored in a plain list in ascending key order: the current
-top-k is the last k entries, an insertion is a bisect plus one pass
-over the dominated prefix (the paper's O(k) per update), and an expiry
-is a bisect plus one ``del``.
+Entries are three parallel columns in ascending key order — the rank
+keys, the :class:`~repro.core.results.ResultEntry` objects a delivery
+carries, and the DCs as plain ints: the current top-k is a reversed
+slice of the second, an insertion is a bisect plus one pass over a
+slice of the third (the paper's O(k) per update), and an expiry is a
+bisect plus one ``del`` per column. No object is made per entry.
 """
 
 from __future__ import annotations
@@ -31,38 +33,20 @@ from repro.core.stats import OpCounters
 from repro.core.tuples import RankKey, StreamRecord
 
 
-class SkybandEntry:
-    """One skyband member: canonical key, record, dominance counter."""
-
-    __slots__ = ("key", "record", "dc")
-
-    def __init__(self, key: RankKey, record: StreamRecord, dc: int = 0) -> None:
-        self.key = key
-        self.record = record
-        self.dc = dc
-
-    def __repr__(self) -> str:
-        return f"SkybandEntry(rid={self.record.rid}, score={self.key[0]:g}, dc={self.dc})"
-
-
 class ScoreTimeSkyband:
     """Dominance-counter k-skyband over (score, expiry-order) pairs."""
 
-    __slots__ = ("k", "_entries", "_keys", "_by_rid", "_top_cache")
+    __slots__ = ("k", "_keys", "_results", "_dcs", "_by_rid")
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self._entries: List[SkybandEntry] = []  # ascending by key
-        self._keys: List[RankKey] = []
+        self._keys: List[RankKey] = []  # ascending
+        self._results: List[ResultEntry] = []  # _results[i] has _keys[i]
+        self._dcs: List[int] = []
         self._by_rid: Dict[int, RankKey] = {}
-        #: memoised top() materialisation; None after any mutation.
-        #: The change-report machinery reads the result both before
-        #: and after each cycle's mutations, so an unchanged skyband
-        #: re-serves its entry list without rebuilding k objects.
-        self._top_cache: Optional[List[ResultEntry]] = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def __contains__(self, rid: int) -> bool:
         return rid in self._by_rid
@@ -71,25 +55,21 @@ class ScoreTimeSkyband:
         """Record ids of the entries (a live set-like view)."""
         return self._by_rid.keys()
 
-    def entries(self) -> Sequence[SkybandEntry]:
-        """All entries, ascending key order (worst first)."""
-        return tuple(self._entries)
+    def dcs(self) -> Dict[int, int]:
+        """``rid -> dominance counter``, ascending key order (worst first)."""
+        return {
+            result[1].rid: dc for result, dc in zip(self._results, self._dcs)
+        }
 
     def top(self) -> List[ResultEntry]:
         """The current top-k: best-first list of the k highest keys."""
-        if self._top_cache is None:
-            best = self._entries[-self.k :] if self.k else []
-            self._top_cache = [
-                ResultEntry(entry.key[0], entry.record)
-                for entry in reversed(best)
-            ]
-        return list(self._top_cache)
+        return self._results[: -self.k - 1 : -1]
 
     def kth_key(self) -> RankKey:
         """Key of the kth-best entry (gate), or -inf when under-full."""
-        if len(self._entries) < self.k:
+        if len(self._keys) < self.k:
             return (float("-inf"), -1)
-        return self._entries[-self.k].key
+        return self._keys[-self.k]
 
     def insert(
         self,
@@ -104,28 +84,27 @@ class ScoreTimeSkyband:
         key — Figure 11, lines 8–11.
         """
         key: RankKey = (score, record.rid)
-        self._top_cache = None
         position = bisect_left(self._keys, key)
         evicted: List[StreamRecord] = []
         if position:
-            kept_entries: List[SkybandEntry] = []
-            kept_keys: List[RankKey] = []
-            for entry in self._entries[:position]:
-                entry.dc += 1
-                if counters is not None:
-                    counters.dominance_updates += 1
-                if entry.dc >= self.k:
-                    evicted.append(entry.record)
-                    del self._by_rid[entry.record.rid]
-                else:
-                    kept_entries.append(entry)
-                    kept_keys.append(entry.key)
-            if evicted:
-                self._entries[:position] = kept_entries
-                self._keys[:position] = kept_keys
-                position = len(kept_entries)
-        self._entries.insert(position, SkybandEntry(key, record))
+            bumped = [dc + 1 for dc in self._dcs[:position]]
+            if counters is not None:
+                counters.dominance_updates += position
+            if max(bumped) >= self.k:
+                results = self._results
+                kept = [i for i, dc in enumerate(bumped) if dc < self.k]
+                gone = [i for i, dc in enumerate(bumped) if dc >= self.k]
+                evicted = [results[i][1] for i in gone]
+                for dominated in evicted:
+                    del self._by_rid[dominated.rid]
+                self._keys[:position] = [self._keys[i] for i in kept]
+                results[:position] = [results[i] for i in kept]
+                bumped = [bumped[i] for i in kept]
+            self._dcs[:position] = bumped
+            position = len(bumped)
         self._keys.insert(position, key)
+        self._results.insert(position, ResultEntry(score, record))
+        self._dcs.insert(position, 0)
         self._by_rid[record.rid] = key
         if counters is not None:
             counters.skyband_insertions += 1
@@ -142,11 +121,11 @@ class ScoreTimeSkyband:
         key = self._by_rid.pop(rid, None)
         if key is None:
             return False
-        self._top_cache = None
-        position = bisect_left(self._keys, key)
         # Keys are unique (rid component); position is exact.
-        del self._entries[position]
+        position = bisect_left(self._keys, key)
         del self._keys[position]
+        del self._results[position]
+        del self._dcs[position]
         return True
 
     def rebuild(
@@ -156,38 +135,44 @@ class ScoreTimeSkyband:
     ) -> None:
         """Reset to a freshly computed top-k set and derive its DCs.
 
-        Section 5: scan in descending score order keeping an ordered
-        set BT of arrival times; each entry's DC is the number of
-        already-scanned entries that arrived later — O(k log k) total.
-        The ordered set is a bisect-maintained list rather than the
-        balanced tree the paper suggests: k is small (≤ a few hundred)
-        and a C-level bisect + memmove beats an interpreted tree by an
-        order of magnitude at that size (same trade the TMA top lists
-        make); ``repro.analysis.cost_model`` keeps the O(log k) terms.
+        The entries are kept as they are — immutable, they may be
+        shared with the caller and with other skybands; the columns
+        are this skyband's own. Section 5: scan in descending score
+        order keeping an ordered set BT of arrival times; each entry's
+        DC is the number of already-scanned entries that arrived later
+        — O(k log k) total. The ordered set is a bisect-maintained
+        list rather than the balanced tree the paper suggests: k is
+        small (≤ a few hundred) and a C-level bisect + memmove beats
+        an interpreted tree by an order of magnitude at that size
+        (same trade the TMA top lists make);
+        ``repro.analysis.cost_model`` keeps the O(log k) terms.
         """
-        self._entries.clear()
-        self._keys.clear()
-        self._by_rid.clear()
-        self._top_cache = None
+        self._results = list(reversed(best_first))  # ascending key order
+        rids = [result[1].rid for result in self._results]
+        self._keys = [
+            (result[0], rid) for result, rid in zip(self._results, rids)
+        ]
+        self._by_rid = dict(zip(rids, self._keys))
         seen_rids: List[int] = []
-        rebuilt: List[SkybandEntry] = []
-        for result in best_first:  # descending key order
-            dc = len(seen_rids) - bisect_right(seen_rids, result.record.rid)
-            insort(seen_rids, result.record.rid)
-            if counters is not None:
-                counters.dominance_updates += 1
-            rebuilt.append(
-                SkybandEntry((result.score, result.record.rid), result.record, dc)
-            )
-        for entry in reversed(rebuilt):  # back to ascending key order
-            self._entries.append(entry)
-            self._keys.append(entry.key)
-            self._by_rid[entry.record.rid] = entry.key
+        dcs: List[int] = []
+        for rid in reversed(rids):  # descending key order
+            dcs.append(len(seen_rids) - bisect_right(seen_rids, rid))
+            insort(seen_rids, rid)
+        dcs.reverse()
+        self._dcs = dcs
+        if counters is not None:
+            counters.dominance_updates += len(rids)
 
     def validate(self) -> None:
         """Internal-consistency check used by property tests."""
         assert self._keys == sorted(self._keys), "keys out of order"
-        assert len(self._keys) == len(self._entries) == len(self._by_rid)
-        for entry in self._entries:
-            assert entry.dc < self.k, f"{entry!r} should have been evicted"
-            assert self._by_rid[entry.record.rid] == entry.key
+        assert (
+            len(self._keys)
+            == len(self._results)
+            == len(self._dcs)
+            == len(self._by_rid)
+        )
+        for key, result, dc in zip(self._keys, self._results, self._dcs):
+            assert dc < self.k, f"rid {key[1]} should have been evicted"
+            assert key == (result.score, result.record.rid)
+            assert self._by_rid[key[1]] == key

@@ -4,20 +4,34 @@
 ``(score, rid)`` order — and the same *set* of processed cells per
 query as running ``compute_top_k`` once per group member. These tests
 pin that contract directly against the solo traversal across weight
-families, group sizes, ties, underfull grids and mixed-k groups, under
-whichever batch backend is active (the python-backend subprocess sweep
-lives in ``tests/integration/test_grouped_parity.py``).
+families, group sizes, ties, underfull grids and mixed-k groups. The
+group sweep takes its certain cells a wave at a time when the caller
+holds an upper bound on the kth scores (``at_most``): Hypothesis
+properties pin that any valid bound — and any invalid one — changes
+nothing a caller can see, and that the influence lists a group install
+leaves are each member's threshold set. The whole file is re-run under
+the pure-Python batch backend by :func:`test_python_backend_subprocess`.
 """
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.grid.traversal as traversal
+from repro.algorithms.sma import SkybandMonitoringAlgorithm
+from repro.algorithms.topk_computation import compute_and_install_group
+from repro.core import batch
+from repro.core.queries import TopKQuery
 from repro.core.scoring import LinearFunction, ProductFunction
 from repro.core.stats import OpCounters
 from repro.core.tuples import RecordFactory
 from repro.grid.grid import Grid
 from repro.grid.traversal import compute_top_k, compute_top_k_group
+
+from tests.conftest import rerun_under_python_backend
+from tests.grid.test_sweep_order import LATTICE, Churn
 
 
 def fill_grid(grid, rows):
@@ -248,3 +262,201 @@ class TestDuplicateMemberMerge:
         assert counters.topk_computations == 3
         assert counters.grouped_queries_served == 3
         assert counters.grouped_traversals == 1
+
+
+# ----------------------------------------------------------------------
+# Waves: a bound on the kth scores changes nothing a caller can see
+# ----------------------------------------------------------------------
+
+#: tier-1 is deterministic: the same examples on every run.
+PROPERTY = settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+GROUP_COUNTERS = (
+    "cells_processed",
+    "cells_enheaped",
+    "points_scored",
+    "topk_computations",
+    "grouped_traversals",
+    "grouped_queries_served",
+    "influence_list_updates",
+)
+
+
+def draw_group(rng, dims):
+    """2–40 linear members sharing directions, weights from a small
+    lattice — so duplicate weight vectors and mixed k are the rule."""
+    signs = [rng.choice([1, 1, -1]) for _ in range(dims)]
+    functions = [
+        LinearFunction(
+            [
+                sign * rng.choice([0.25, 0.5, 1.0] + [0.0] * (sign > 0))
+                for sign in signs
+            ]
+        )
+        for _ in range(rng.randint(2, 40))
+    ]
+    return functions, [rng.randint(1, 6) for _ in functions]
+
+
+def snapshot(outcomes):
+    return [
+        (
+            [(entry.score.hex(), entry.rid) for entry in outcome.entries],
+            set(outcome.processed),
+            set(outcome.remaining) | set(outcome.frontier),
+        )
+        for outcome in outcomes
+    ]
+
+
+def counts(counters):
+    return [getattr(counters, field) for field in GROUP_COUNTERS]
+
+
+def kth_scores(outcomes, ks):
+    return [
+        outcome.entries[-1].score
+        for outcome, k in zip(outcomes, ks)
+        if len(outcome.entries) >= k
+    ]
+
+
+@PROPERTY
+@given(
+    rng=st.randoms(use_true_random=False),
+    dims=st.integers(1, 3),
+    cells=st.integers(1, 6),
+)
+def test_any_valid_bound_matches_the_cold_call(rng, dims, cells):
+    churn = Churn(rng, dims, cells)
+    functions, ks = draw_group(rng, dims)
+    for _ in range(3):
+        churn.step()
+        cold_counters = OpCounters()
+        cold = compute_top_k_group(churn.grid, functions, ks, cold_counters)
+        for function, k, outcome in zip(functions, ks, cold):
+            solo = compute_top_k(churn.grid, function, k)
+            assert snapshot([outcome])[0][:2] == snapshot([solo])[0][:2]
+        found = kth_scores(cold, ks)
+        # Anything from the smallest true kth score up is a valid bound
+        # (with an underfull member every cell is certain anyway).
+        lowest = min(found) if found else rng.choice(LATTICE)
+        for slack in (0.0, rng.choice(LATTICE), 10.0):
+            counters = OpCounters()
+            warm = compute_top_k_group(
+                churn.grid, functions, ks, counters, at_most=lowest + slack
+            )
+            assert snapshot(warm) == snapshot(cold)
+            assert counts(counters) == counts(cold_counters)
+
+
+@PROPERTY
+@given(
+    rng=st.randoms(use_true_random=False),
+    dims=st.integers(1, 3),
+    cells=st.integers(1, 6),
+)
+def test_a_bound_that_is_too_low_still_gives_exact_entries(rng, dims, cells):
+    churn = Churn(rng, dims, cells)
+    functions, ks = draw_group(rng, dims)
+    churn.step()
+    churn.step()
+    cold = snapshot(compute_top_k_group(churn.grid, functions, ks))
+    found = kth_scores(compute_top_k_group(churn.grid, functions, ks), ks)
+    low = (min(found) if found else 0.0) - rng.choice(LATTICE[1:])
+    warm = snapshot(compute_top_k_group(churn.grid, functions, ks, at_most=low))
+    for (entries, processed, _), (cold_entries, cold_processed, _) in zip(
+        warm, cold
+    ):
+        assert entries == cold_entries
+        assert processed == cold_processed  # extra cells are the sweep's
+
+
+@PROPERTY
+@given(
+    rng=st.randoms(use_true_random=False),
+    dims=st.integers(1, 3),
+    cells=st.integers(1, 6),
+)
+def test_group_install_leaves_each_member_its_threshold_set(rng, dims, cells):
+    """The invariant ``drop_stale_influence`` and the flood rely on: the
+    cells listing a query are the last processed set, whatever wave
+    shape, bound and frontier the installs before it had."""
+    churn = Churn(rng, dims, cells)
+    functions, ks = draw_group(rng, dims)
+    queries = []
+    for qid, (function, k) in enumerate(zip(functions, ks)):
+        query = TopKQuery(function, k)
+        query.qid = qid
+        queries.append(query)
+    bound = None
+    for _ in range(4):
+        churn.step()
+        outcomes = compute_and_install_group(
+            churn.grid, queries, OpCounters(), at_most=bound
+        )
+        for query, outcome in zip(queries, outcomes):
+            solo = compute_top_k(churn.grid, query.function, query.k)
+            listed = {
+                cell.coords
+                for cell in churn.grid.cells()
+                if query.qid in cell.influence
+            }
+            assert listed == set(solo.processed) == set(outcome.processed)
+        # The next round's bound: sometimes valid, sometimes not, sometimes none.
+        found = kth_scores(outcomes, ks)
+        bound = rng.choice([None, rng.choice(LATTICE) * 3] + found[:1])
+
+
+def test_refill_burst_is_scored_in_at_most_two_kernel_calls(monkeypatch):
+    """Structure, not speed: when 32 similar queries underflow on one
+    expiry, the group sweep scores its certain cells as one block (plus
+    at most one straggler), not one block per cell."""
+    if not batch.HAVE_NUMPY:
+        pytest.skip("the pure-Python backend scores lazily per member")
+    rng = random.Random(25)
+    factory = RecordFactory()
+    algorithm = SkybandMonitoringAlgorithm(2, 20, grouped=True)
+    window = [factory.make(row) for row in random_rows(rng, 1500, 2)]
+    algorithm.process_cycle(window, [])
+    queries = []
+    for qid in range(32):
+        query = TopKQuery(
+            LinearFunction(
+                [0.6 + rng.uniform(-0.01, 0.01), 0.8 + rng.uniform(-0.01, 0.01)]
+            ),
+            10,
+        )
+        query.qid = qid
+        queries.append(query)
+    results = algorithm.register_many(queries)
+    # Expire one current result member of every query; nothing arrives
+    # that could take its place, so every skyband underflows.
+    doomed = {results[query.qid][-1].rid for query in queries}
+    expired = [record for record in window if record.rid in doomed]
+
+    calls = []
+    kernel = traversal.linear_scores
+    monkeypatch.setattr(
+        traversal,
+        "linear_scores",
+        lambda matrix, weights: calls.append(len(matrix))
+        or kernel(matrix, weights),
+    )
+    before = algorithm.counters.snapshot()
+    algorithm.process_cycle([factory.make((0.0, 0.0))], expired)
+    after = algorithm.counters
+    assert after.recomputations - before.recomputations >= 30
+    assert after.grouped_traversals - before.grouped_traversals == 1
+    swept_cells = after.cells_processed - before.cells_processed
+    assert swept_cells >= 5  # cell by cell this would be as many calls
+    assert 1 <= len(calls) <= 2
+
+
+def test_python_backend_subprocess():
+    rerun_under_python_backend(__file__)

@@ -96,6 +96,51 @@ class TestTracing:
         finally:
             monitor.close()
 
+    def test_skyband_span_encloses_inserts_without_a_refill(self):
+        """The span is SMA's skyband upkeep — arrival inserts and
+        expiry removals, not only refill sweeps: a cycle that inserts
+        and refills nothing still opens it, around every insert.
+        Structure only; no duration is looked at."""
+        from repro.algorithms.sma import SkybandMonitoringAlgorithm
+        from repro.core.tuples import RecordFactory
+
+        algorithm = SkybandMonitoringAlgorithm(2, 4)
+        spans = []
+
+        class Recording:
+            def __init__(self, name):
+                self.name = name
+
+            def __enter__(self):
+                self.before = algorithm.counters.snapshot()
+
+            def __exit__(self, *exc):
+                spans.append((self.name, self.before, algorithm.counters.snapshot()))
+
+        class Tracer:
+            enabled = True
+            span = staticmethod(Recording)
+
+        algorithm.bind_observability(None, Tracer())
+        factory = RecordFactory()
+        window = [factory.make((0.1 * i, 0.1)) for i in range(6)]
+        algorithm.process_cycle(window, [])
+        query = TopKQuery(LinearFunction([0.7, 0.3]), k=3)
+        query.qid = 0
+        algorithm.register(query)
+
+        del spans[:]
+        before = algorithm.counters.snapshot()
+        # A new best record arrives; the record leaving is no member.
+        algorithm.process_cycle([factory.make((0.9, 0.9))], window[:1])
+        after = algorithm.counters
+        assert after.skyband_insertions - before.skyband_insertions == 1
+        assert after.recomputations == before.recomputations
+        assert [name for name, _, _ in spans] == ["skyband"]
+        _, entered, left = spans[0]
+        assert entered.skyband_insertions == before.skyband_insertions
+        assert left.skyband_insertions == after.skyband_insertions
+
     def test_tracing_does_not_change_results(self):
         plain = make_monitor()
         traced = make_monitor(trace=True)

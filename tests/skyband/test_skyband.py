@@ -49,14 +49,12 @@ class TestPaperFigure10:
 
     def members(self, skyband):
         inverse = {rid: name for name, rid in self.RIDS.items()}
-        return {inverse[entry.record.rid] for entry in skyband.entries()}
+        return {inverse[rid] for rid in skyband.rids()}
 
     def test_initial_two_skyband_and_counters(self):
         skyband = self.build()
         assert self.members(skyband) == {"p2", "p3", "p5", "p7"}
-        dcs = {
-            entry.record.rid: entry.dc for entry in skyband.entries()
-        }
+        dcs = skyband.dcs()
         assert dcs[self.RIDS["p2"]] == 0
         assert dcs[self.RIDS["p3"]] == 1
         assert dcs[self.RIDS["p5"]] == 0
@@ -79,7 +77,7 @@ class TestPaperFigure10:
             self.RIDS["p7"],
         }
         assert self.members(skyband) == {"p2", "p9", "p5"}
-        dcs = {entry.record.rid: entry.dc for entry in skyband.entries()}
+        dcs = skyband.dcs()
         assert dcs[self.RIDS["p5"]] == 1  # "p5.DC = 1"
 
     def test_top2_after_p9(self):
@@ -159,7 +157,7 @@ class TestBasics:
             ResultEntry(0.6, rec(4)),
         ]
         skyband.rebuild(entries)
-        dcs = {entry.record.rid: entry.dc for entry in skyband.entries()}
+        dcs = skyband.dcs()
         # rid 2: nothing above it -> 0
         # rid 5: above it only rid 2 (arrived before 5? 2 < 5 -> no) -> 0
         # rid 1: above it rid 2 (2 > 1: later) and rid 5 (later) -> 2
@@ -198,7 +196,7 @@ class TestOracle:
             skyband.insert(score, rec(rid, score))
             inserted.append((score, rid))
         skyband.validate()
-        got = {entry.record.rid for entry in skyband.entries()}
+        got = set(skyband.rids())
         assert got == self.oracle_members(inserted, k)
 
     @settings(max_examples=40, deadline=None)
@@ -228,7 +226,7 @@ class TestOracle:
                 live.append((score, next_rid))
                 next_rid += 1
             skyband.validate()
-        got = {entry.record.rid for entry in skyband.entries()}
+        got = set(skyband.rids())
         expected = {
             rid
             for score, rid in live

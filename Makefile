@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test selfcheck bench-smoke bench-json examples serve-smoke check cluster-smoke approx-smoke obs-smoke perf-smoke perf-pairs
+.PHONY: test selfcheck bench-smoke bench-json examples serve-smoke check cluster-smoke obs-smoke perf-smoke perf-pairs
 
 # Docs-facing smoke: every example must run end to end (CI mirrors
 # this on both batch backends with a hard per-script timeout).
@@ -82,17 +82,6 @@ perf-smoke:
 perf-pairs:
 	python3 tools/perf_pairs.py --base $(BASE) --pairs $(or $(PAIRS),10) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
-
-# The approximate-tier gate: the contract property tests and the
-# sharded (pipe + TCP) sketch-parity suite, then an --approx bench leg
-# that sweeps ε against an in-process exact baseline and exits
-# non-zero if any report violates its certified bound. CI mirrors
-# this on both batch backends under hard timeouts.
-approx-smoke:
-	PYTHONPATH=src timeout 360 python -m pytest -q tests/approx
-	PYTHONPATH=src timeout 180 python -m repro.bench run --n 4000 \
-		--rate 200 --queries 30 --cycles 5 --algorithms tma \
-		--approx 0.05,0.1
 
 # The observability gate: the obs unit suites (metrics registry,
 # tracer, HTTP endpoint, engine integration), the delivery-latency

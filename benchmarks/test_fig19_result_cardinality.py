@@ -5,6 +5,12 @@ and recomputation work — grow with k. TMA and SMA start close, but the
 gap widens with k because Pr_rec (the probability that a current
 result expires, forcing TMA to recompute from scratch) grows with k;
 at k=100/ANT the paper measures TMA almost at TSL's cost.
+
+Every ordering is asserted over :class:`~repro.core.stats.OpCounters`:
+the grid methods against TSL as ``influence_checks + points_scored``
+against TSL's checks plus ``sorted_list_updates`` (Figure 17's sum, as
+in Figures 15 and 16). Seconds are printed, and compared by
+``python3 -m perf.run``.
 """
 
 import pytest
@@ -19,6 +25,7 @@ ALGOS = ("tsl", "tma", "sma")
 
 def sweep(distribution: str):
     series = {name: [] for name in ALGOS}
+    work = {name: [] for name in ALGOS}
     prrec = {"tma": [], "sma": []}
     for k in KS:
         spec = scaled_defaults(
@@ -31,15 +38,21 @@ def sweep(distribution: str):
         )
         runs = compare_algorithms(spec, ALGOS)
         for name in ALGOS:
+            counters = runs[name].counters
             series[name].append(runs[name].total_seconds)
+            work[name].append(
+                counters.influence_checks
+                + counters.points_scored
+                + counters.sorted_list_updates
+            )
         for name in ("tma", "sma"):
             prrec[name].append(runs[name].recomputation_rate)
-    return series, prrec
+    return series, work, prrec
 
 
 @pytest.mark.parametrize("distribution", ["ind", "ant"])
 def test_fig19_cpu_vs_k(benchmark, distribution):
-    series, prrec = benchmark.pedantic(
+    series, work, prrec = benchmark.pedantic(
         lambda: sweep(distribution), rounds=1, iterations=1
     )
     label = "a" if distribution == "ind" else "b"
@@ -68,7 +81,7 @@ def test_fig19_cpu_vs_k(benchmark, distribution):
 
     if distribution == "ind":
         # Grid methods stay ahead of TSL on IND (sweep aggregate).
-        assert sum(series["sma"]) < sum(series["tsl"])
+        assert sum(work["sma"]) < sum(work["tsl"])
 
     # The TMA-over-SMA gap widens as k grows — stated on its cause,
     # the recomputations SMA's skyband saves per query per cycle

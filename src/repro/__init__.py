@@ -42,7 +42,6 @@ from repro.algorithms import (
     TopKMonitoringAlgorithm,
     make_algorithm,
 )
-from repro.approx import Accuracy, ApproxTopKAlgorithm
 from repro.service import (
     Delivery,
     DeliveryHub,
@@ -52,6 +51,7 @@ from repro.service import (
     RemoteQueryHandle,
 )
 from repro.core import (
+    Accuracy,
     CallableFunction,
     ChangeStream,
     ConstrainedTopKQuery,
@@ -81,7 +81,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Accuracy",
-    "ApproxTopKAlgorithm",
     "BruteForceAlgorithm",
     "CallableFunction",
     "ChangeStream",

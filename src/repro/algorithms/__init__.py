@@ -8,7 +8,6 @@ the comparison of the paper's Section 8.
 Use :func:`make_algorithm` to construct one by name.
 """
 
-import importlib
 from typing import Optional
 
 from repro.algorithms.base import MonitorAlgorithm
@@ -27,18 +26,13 @@ ALGORITHMS = {
     # runs can compare grouped vs per-query side by side).
     "tma-grouped": TopKMonitoringAlgorithm,
     "sma-grouped": SkybandMonitoringAlgorithm,
-    # TMA plus the sketch-backed approximate tier for queries carrying
-    # an accuracy contract. The class subclasses TMA from this
-    # package, so it is referenced lazily (module:attr string) and
-    # resolved on first use to keep the import graph acyclic.
-    "approx": "repro.approx.algorithm:ApproxTopKAlgorithm",
 }
 
 #: names whose algorithms index a grid (take ``cells_per_axis``).
 GRID_ALGORITHMS = frozenset(
     name
     for name in ALGORITHMS
-    if name.split("-")[0] in ("tma", "sma", "approx")
+    if name.split("-")[0] in ("tma", "sma")
 )
 
 
@@ -69,10 +63,6 @@ def make_algorithm(
             f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
         )
     cls = ALGORITHMS[key]
-    if isinstance(cls, str):  # lazy registration (see ALGORITHMS)
-        module_name, _, attr = cls.partition(":")
-        cls = getattr(importlib.import_module(module_name), attr)
-        ALGORITHMS[key] = cls
     if key.endswith("-grouped"):
         kwargs.setdefault("grouped", True)
     if key in GRID_ALGORITHMS:

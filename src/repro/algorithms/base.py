@@ -328,23 +328,11 @@ class MonitorAlgorithm(abc.ABC):
             self._maintain_thresholds(arrivals, expirations)
         changes: Dict[int, ResultChange] = {}
         for qid, before in self._snapshots.items():
-            cause, bound = self._change_annotations(qid)
-            change = diff_results(
-                qid, before, self.current_result(qid), cause=cause, bound=bound
-            )
+            change = diff_results(qid, before, self.current_result(qid))
             if change.changed:
                 changes[qid] = change
         self._snapshots.clear()
         return changes
-
-    def _change_annotations(self, qid: int):
-        """(cause, bound) annotation of this cycle's change for ``qid``.
-
-        The exact tiers report plain cycle maintenance; the
-        approximate tier overrides this to tag contracted queries
-        ``("approx", certified_bound)``.
-        """
-        return "cycle", None
 
     @abc.abstractmethod
     def _apply_cycle(

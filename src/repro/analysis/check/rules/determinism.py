@@ -264,15 +264,8 @@ _NUMPY_RECEIVERS = {"np", "numpy"}
 
 
 def _is_dual_backend(module: SourceModule) -> bool:
-    # The approximate tier's sketch reductions must agree bit-for-bit
-    # across backends too (the sketch delta/state are part of the
-    # sharded parity contract), so repro.approx modules are in scope
-    # even though the sketch itself is integer-only today.
-    return (
-        _BACKEND_MARKER in module.text
-        or module.imports_module("repro.core.batch")
-        or module.imports_module("repro.approx.sketch")
-        or "/approx/" in module.path.as_posix()
+    return _BACKEND_MARKER in module.text or module.imports_module(
+        "repro.core.batch"
     )
 
 

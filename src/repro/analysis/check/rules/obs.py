@@ -49,7 +49,6 @@ def _is_hot_module(module: SourceModule) -> bool:
     return (
         module.imports_module("repro.core.batch")
         or module.imports_module("repro.grid.traversal")
-        or module.imports_module("repro.approx.sketch")
         or "/grid/" in module.path.as_posix()
     )
 

@@ -44,9 +44,6 @@ class SpaceBreakdown:
     influence_lists: int = 0
     query_state: int = 0
     sorted_lists: int = 0
-    #: sliding-window cell-population sketch of the approximate tier
-    #: (cell table + exponential-histogram buckets, repro.approx).
-    sketch: int = 0
 
     @property
     def total(self) -> int:
@@ -56,7 +53,6 @@ class SpaceBreakdown:
             + self.influence_lists
             + self.query_state
             + self.sorted_lists
-            + self.sketch
         )
 
     @property
@@ -70,7 +66,6 @@ class SpaceBreakdown:
             "influence_lists": self.influence_lists,
             "query_state": self.query_state,
             "sorted_lists": self.sorted_lists,
-            "sketch": self.sketch,
             "total": self.total,
         }
 
@@ -93,7 +88,6 @@ def estimate_space(algorithm: MonitorAlgorithm) -> SpaceBreakdown:
             total.influence_lists += breakdown.influence_lists
             total.query_state += breakdown.query_state
             total.sorted_lists += breakdown.sorted_lists
-            total.sketch += breakdown.sketch
         return total
     if isinstance(algorithm, (TopKMonitoringAlgorithm, SkybandMonitoringAlgorithm)):
         return _grid_space(algorithm)
@@ -129,14 +123,6 @@ def _grid_space(algorithm) -> SpaceBreakdown:
             algorithm.dims + per_query_entry_words * entries
         ) * WORD
     breakdown.query_state = state_bytes
-    sketch = getattr(algorithm, "sketch", None)
-    if sketch is not None:
-        # The approximate tier's per-cell summaries: 2 words per
-        # tracked cell + 2 per live EH bucket (timestamp, size) — the
-        # sketch's own machine-independent accounting. Reported per
-        # shard: each shard keeps its own full sketch (stream state is
-        # replicated), so the sharded sum above counts every copy.
-        breakdown.sketch = sketch.space_words() * WORD
     return breakdown
 
 

@@ -29,7 +29,6 @@ from repro.algorithms import ALGORITHMS, make_algorithm
 from repro.bench.reporting import (
     format_table,
     run_result_to_dict,
-    speedup,
     workload_to_dict,
 )
 from repro.bench.runner import compare_algorithms
@@ -133,19 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="overflow policy of the healthy --serve subscription",
     )
     run.add_argument(
-        "--approx",
-        metavar="EPS[,EPS...]",
-        default=None,
-        help=(
-            "append an approximate-tier leg: run the 'approx' "
-            "algorithm once per listed epsilon on the same workload "
-            "(in-process) and report per-cycle throughput against a "
-            "fresh in-process exact baseline, together with each "
-            "query's observed rank error vs its certified bound; "
-            "e.g. --approx 0.02,0.05,0.1"
-        ),
-    )
-    run.add_argument(
         "--trace",
         action="store_true",
         help=(
@@ -206,63 +192,6 @@ def parse_shards_argument(text: str):
     return count, None, None
 
 
-#: exact baseline of the --approx sweep (the paper's reference grid
-#: algorithm; rerun in-process so the timing comparison is apples to
-#: apples even when the main table ran sharded).
-APPROX_BASELINE = "tma"
-
-
-def run_approx_sweep(spec, epsilons):
-    """Run the approximate tier at each ε against an exact baseline.
-
-    Returns ``(baseline_run, legs)`` where each leg is a dict holding
-    the approx :class:`~repro.bench.runner.RunResult` plus the derived
-    error/throughput account: per-query observed relative rank error
-    ``max(0, (exact_s_k - approx_s_k) / exact_s_k)`` compared against
-    the certified bound the run reported, and the per-cycle speedup
-    over the baseline. Approx legs always run in-process.
-    """
-    from repro.bench.runner import run_workload
-
-    base_spec = spec.with_(shards=1, shard_hosts=None, accuracy=None)
-    baseline = run_workload(base_spec, APPROX_BASELINE)
-    legs = []
-    for epsilon in epsilons:
-        run = run_workload(base_spec.with_(accuracy=epsilon), "approx")
-        errors = []
-        within = True
-        for qid, scores in run.final_scores.items():
-            exact_scores = baseline.final_scores.get(qid)
-            if not scores or not exact_scores:
-                continue
-            exact_kth = exact_scores[-1]
-            observed = (
-                max(0.0, (exact_kth - scores[-1]) / exact_kth)
-                if exact_kth > 0
-                else 0.0
-            )
-            errors.append(observed)
-            if observed > run.result_bounds.get(qid, 0.0) + 1e-12:
-                within = False
-        bounds = list(run.result_bounds.values())
-        legs.append(
-            {
-                "epsilon": epsilon,
-                "run": run,
-                "speedup": speedup(
-                    baseline.mean_cycle_seconds, run.mean_cycle_seconds
-                ),
-                "max_observed_error": max(errors) if errors else 0.0,
-                "mean_observed_error": (
-                    sum(errors) / len(errors) if errors else 0.0
-                ),
-                "max_certified_bound": max(bounds) if bounds else 0.0,
-                "within_bound": within,
-            }
-        )
-    return baseline, legs
-
-
 def command_run(args: argparse.Namespace) -> int:
     names = [name.strip() for name in args.algorithms.split(",") if name]
     unknown = [name for name in names if name not in ALGORITHMS]
@@ -276,25 +205,6 @@ def command_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad --shards value: {exc}", file=sys.stderr)
         return 2
-    approx_epsilons = None
-    if args.approx is not None:
-        try:
-            approx_epsilons = [
-                float(part)
-                for part in args.approx.split(",")
-                if part.strip()
-            ]
-            if not approx_epsilons or any(
-                not 0.0 < value < 1.0 for value in approx_epsilons
-            ):
-                raise ValueError(args.approx)
-        except ValueError:
-            print(
-                f"bad --approx value {args.approx!r}: expected a "
-                "comma-separated list of epsilons in (0, 1)",
-                file=sys.stderr,
-            )
-            return 2
     if args.json not in (None, "-"):
         # Fail fast: a benchmark run can take minutes; discovering an
         # unwritable output path afterwards would lose the whole run.
@@ -436,50 +346,6 @@ def command_run(args: argparse.Namespace) -> int:
                     ],
                 )
             )
-    approx_sweep = None
-    if approx_epsilons is not None:
-        approx_baseline, approx_legs = run_approx_sweep(
-            spec, approx_epsilons
-        )
-        approx_sweep = (approx_baseline, approx_legs)
-        print(
-            f"\n== approximate tier (baseline "
-            f"{APPROX_BASELINE.upper()} "
-            f"{approx_baseline.mean_cycle_seconds * 1e3:.2f} ms/cycle, "
-            f"in-process) =="
-        )
-        print(
-            format_table(
-                [
-                    "epsilon",
-                    "ms/cycle",
-                    "speedup",
-                    "max err",
-                    "mean err",
-                    "max bound",
-                    "bound held",
-                ],
-                [
-                    [
-                        f"{leg['epsilon']:g}",
-                        f"{leg['run'].mean_cycle_seconds * 1e3:.2f}",
-                        f"{leg['speedup']:.2f}x",
-                        f"{leg['max_observed_error']:.4f}",
-                        f"{leg['mean_observed_error']:.4f}",
-                        f"{leg['max_certified_bound']:.4f}",
-                        "yes" if leg["within_bound"] else "NO",
-                    ]
-                    for leg in approx_legs
-                ],
-            )
-        )
-        if not all(leg["within_bound"] for leg in approx_legs):
-            print(
-                "approx check FAILED: an observed rank error exceeded "
-                "its certified bound",
-                file=sys.stderr,
-            )
-            return 1
     serve_result = None
     if args.serve:
         from repro.bench.serve import (
@@ -508,17 +374,15 @@ def command_run(args: argparse.Namespace) -> int:
             # percentiles, with and without a stalled co-subscriber);
             # /4 adds workload.shard_hosts and the per-run "transport"
             # block (bytes-on-the-wire, per cycle and cumulative, for
-            # pipe- and TCP-sharded runs; null in-process); /5 adds
-            # workload.accuracy, per-run "result_bounds", and the
-            # optional "approx" block (the --approx sweep: one leg per
-            # epsilon with observed-vs-certified rank error and the
-            # per-cycle speedup over a fresh in-process exact
-            # baseline); /6 keeps integer counts integral (no more
-            # 17.0 in counters/churn_ops) and adds the per-run
-            # "phases" + "metrics" blocks captured by --trace (the
-            # per-phase time breakdown and the full metrics-registry
-            # snapshot; both null when untraced).
-            "schema": "repro-bench-run/6",
+            # pipe- and TCP-sharded runs; null in-process); /5 added
+            # workload.accuracy, per-run "result_bounds" and the
+            # --approx "approx" block, which /7 drops again; /6 keeps
+            # integer counts integral (no more 17.0 in
+            # counters/churn_ops) and adds the per-run "phases" +
+            # "metrics" blocks captured by --trace (the per-phase time
+            # breakdown and the full metrics-registry snapshot; both
+            # null when untraced).
+            "schema": "repro-bench-run/7",
             "batch_backend": BACKEND,
             "workload": workload_to_dict(spec),
             "algorithms": {
@@ -526,30 +390,6 @@ def command_run(args: argparse.Namespace) -> int:
                 for name, run in results.items()
             },
         }
-        if approx_sweep is not None:
-            approx_baseline, approx_legs = approx_sweep
-            payload["approx"] = {
-                "baseline_algorithm": APPROX_BASELINE,
-                "baseline": run_result_to_dict(approx_baseline),
-                "legs": [
-                    {
-                        "epsilon": leg["epsilon"],
-                        "speedup_vs_exact": round(leg["speedup"], 4),
-                        "max_observed_error": round(
-                            leg["max_observed_error"], 9
-                        ),
-                        "mean_observed_error": round(
-                            leg["mean_observed_error"], 9
-                        ),
-                        "max_certified_bound": round(
-                            leg["max_certified_bound"], 9
-                        ),
-                        "within_bound": leg["within_bound"],
-                        "run": run_result_to_dict(leg["run"]),
-                    }
-                    for leg in approx_legs
-                ],
-            }
         if serve_result is not None:
             payload["serve"] = serve_result
         if args.json == "-":

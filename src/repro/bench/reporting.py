@@ -90,7 +90,6 @@ def workload_to_dict(spec) -> Dict[str, object]:
             None if spec.shard_hosts is None else list(spec.shard_hosts)
         ),
         "churn": spec.churn,
-        "accuracy": spec.accuracy,
     }
 
 
@@ -123,12 +122,6 @@ def run_result_to_dict(run) -> Dict[str, object]:
         "mean_state_size": round(run.mean_state_size, 3),
         "space_bytes": run.space.as_dict(),
         "counters": run.counters.as_dict(),
-        # Approximate-tier runs only: the certified per-query relative
-        # error bound each final result carries. Empty for exact runs.
-        "result_bounds": {
-            str(qid): round(bound, 9)
-            for qid, bound in run.result_bounds.items()
-        },
         # Sharded runs only (pipe workers or TCP remote hosts): the
         # coordinator's bytes-on-the-wire accounting, including the
         # per-cycle wire/shared split. None for in-process runs.

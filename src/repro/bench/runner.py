@@ -40,13 +40,6 @@ class RunResult:
     mean_state_size: float
     #: final top-k ids per query, for cross-algorithm equality checks
     final_results: Dict[int, List[int]] = field(default_factory=dict)
-    #: final top-k scores per query (same order as final_results) —
-    #: what the approximate tier's observed-error computation compares
-    #: against an exact baseline's kth score
-    final_scores: Dict[int, List[float]] = field(default_factory=dict)
-    #: certified per-query relative error bounds at the end of the run
-    #: (approx runs only; empty for exact algorithms)
-    result_bounds: Dict[int, float] = field(default_factory=dict)
     #: registration-only share of setup_seconds (the engine-timed
     #: initial top-k computations — setup_seconds additionally covers
     #: the warm-up window fill)
@@ -259,14 +252,7 @@ def run_workload(
         # Burst registration: grouped algorithms serve similar queries'
         # initial computations through shared sweeps, and sharded runs
         # issue one round trip per shard (results identical either way).
-        contract = None
-        if spec.accuracy is not None and getattr(
-            monitor.algorithm, "supports_accuracy", False
-        ):
-            from repro.approx import Accuracy
-
-            contract = Accuracy(epsilon=spec.accuracy)
-        qids = monitor.add_queries(spec.make_queries(), accuracy=contract)
+        qids = monitor.add_queries(spec.make_queries())
         setup_seconds = time.perf_counter() - setup_started
 
         monitor.cycle_seconds.clear()
@@ -299,18 +285,10 @@ def run_workload(
         if churn is not None:
             churn.finish()
 
-        final_results = {}
-        final_scores = {}
-        for qid in qids:
-            entries = monitor.result(qid)
-            final_results[int(qid)] = [entry.rid for entry in entries]
-            final_scores[int(qid)] = [entry.score for entry in entries]
-        bounds_of = getattr(monitor.algorithm, "result_bounds", None)
-        result_bounds = (
-            {int(qid): bound for qid, bound in bounds_of().items()}
-            if bounds_of is not None
-            else {}
-        )
+        final_results = {
+            int(qid): [entry.rid for entry in monitor.result(qid)]
+            for qid in qids
+        }
         transport_stats = getattr(
             monitor.algorithm, "transport_stats", None
         )
@@ -326,8 +304,6 @@ def run_workload(
                 sum(state_sizes) / len(state_sizes) if state_sizes else 0.0
             ),
             final_results=final_results,
-            final_scores=final_scores,
-            result_bounds=result_bounds,
             register_seconds=monitor.total_setup_seconds,
             mutation_seconds=monitor.total_mutation_seconds,
             churn_updates=churn.updates if churn else 0,

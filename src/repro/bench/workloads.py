@@ -82,12 +82,6 @@ class WorkloadSpec:
     #: (identical across algorithms, so results stay comparable);
     #: the mutation cost is recorded separately from maintenance.
     churn: bool = False
-    #: None = exact monitoring (the default). A float ε opts every
-    #: query into the sketch-backed approximate tier with an
-    #: ``Accuracy(epsilon=ε)`` contract when the run's algorithm is
-    #: ``"approx"`` (exact algorithms refuse contracts, so the field
-    #: is ignored for them to keep mixed comparisons runnable).
-    accuracy: Optional[float] = None
 
     def grid_cells_per_axis(self) -> int:
         if self.cells_per_axis is not None:

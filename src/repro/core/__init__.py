@@ -16,6 +16,7 @@ from repro.core.errors import (
     WindowError,
 )
 from repro.core.queries import (
+    Accuracy,
     ConstrainedTopKQuery,
     QueryTable,
     ThresholdQuery,
@@ -36,6 +37,7 @@ from repro.core.tuples import RecordFactory, StreamRecord, rank_key
 from repro.core.window import CountBasedWindow, SlidingWindow, TimeBasedWindow
 
 __all__ = [
+    "Accuracy",
     "CallableFunction",
     "ChangeStream",
     "ConstrainedTopKQuery",

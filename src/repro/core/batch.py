@@ -127,8 +127,8 @@ def kth_largest(vector, k: int) -> float:
 class ArrivalScorer:
     """Lazy per-function batch scores over one cycle's arrival batch.
 
-    For the paths that need every (arrival, query) score — TSL, the
-    approximate tier, threshold queries without a grid: the arrival
+    For the paths that need every (arrival, query) score — TSL and
+    threshold queries without a grid: the arrival
     matrix is packed at most once, and per preference function the
     full score vector is computed on first request and cached (keyed
     by function identity, which is stable for the cycle because query

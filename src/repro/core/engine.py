@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import time
 import weakref
+from itertools import chain
+from math import isfinite
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -75,7 +77,7 @@ from repro.core.subscriptions import (
     SubscriptionHub,
 )
 from repro.core.tuples import RecordFactory, StreamRecord
-from repro.core.window import CountBasedWindow, SlidingWindow
+from repro.core.window import SlidingWindow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms import MonitorAlgorithm
@@ -95,10 +97,8 @@ class StreamMonitor:
             ``stream_model="update"`` (explicit deletions define the
             valid set there).
         algorithm: algorithm name (``"tma"``, ``"sma"``, ``"tsl"``,
-            ``"brute"``, the similarity-grouped variants
-            ``"tma-grouped"`` / ``"sma-grouped"``, or ``"approx"`` —
-            TMA plus the sketch-backed approximate tier for queries
-            registered with an ``accuracy`` contract) or a pre-built
+            ``"brute"``, or the similarity-grouped variants
+            ``"tma-grouped"`` / ``"sma-grouped"``) or a pre-built
             :class:`~repro.algorithms.base.MonitorAlgorithm`.
         cells_per_axis: grid granularity for grid-based algorithms.
         shards: ``None``/``1`` runs the algorithm in-process (the
@@ -121,7 +121,7 @@ class StreamMonitor:
             engine holds :data:`~repro.obs.trace.NULL_TRACER` and
             every span is a shared no-op object; on, each cycle is
             sliced into phase spans (ingest / traversal / skyband /
-            sketch / encode / shard_rpc / dispatch — see
+            encode / shard_rpc / dispatch — see
             docs/OBSERVABILITY.md) collected in a ring buffer
             (:meth:`last_traces`) and mirrored into phase histograms
             on :attr:`metrics_registry`. Sharded runs forward the
@@ -258,13 +258,6 @@ class StreamMonitor:
         publish_op_counters(self.metrics_registry, _read_op_counters)
         if stream_model == "update":
             self._refuse_unordered_expiry()
-        if isinstance(window, CountBasedWindow):
-            # The approximate tier's sketch expires against the global
-            # arrival count; algorithms that keep one learn the window
-            # capacity here (others simply lack the hook).
-            bind = getattr(self.algorithm, "bind_window", None)
-            if bind is not None:
-                bind(window.capacity)
         self.query_table = QueryTable()
         self.cycle_seconds: List[float] = []
         #: per-registration wall-clock of the initial top-k computation
@@ -279,6 +272,8 @@ class StreamMonitor:
         self._factory = RecordFactory()
         self._clock = 0.0
         self._handles: Dict[int, QueryHandle] = {}
+        #: qids registered with an accuracy contract (see add_query).
+        self._contracted: Set[int] = set()
         self._paused: Dict[int, List[ResultEntry]] = {}
         self._hub = SubscriptionHub()
         self._live: Dict[int, StreamRecord] = {}
@@ -349,14 +344,12 @@ class StreamMonitor:
         query's lifecycle. Monitor-wide subscribers receive the initial
         result as a ``cause="register"`` delta.
 
-        ``accuracy`` (an :class:`~repro.approx.Accuracy`, or one
-        already attached to the query) opts the query into the
-        sketch-backed approximate tier: its maintenance honours the
-        (ε,δ) contract instead of exactness, and its change reports
-        carry ``cause="approx"`` plus the certified ``bound``.
-        Requires an algorithm that declares ``supports_accuracy``
-        (``algorithm="approx"``); exact algorithms refuse the contract
-        instead of silently ignoring it.
+        ``accuracy`` (an :class:`~repro.core.queries.Accuracy`, or
+        one already attached to the query) attaches an (ε,δ) contract
+        to a top-k query. Every algorithm maintains the query exactly,
+        which meets any contract with a certified bound of 0, so its
+        cycle changes carry ``bound=0.0`` (uncontracted queries'
+        carry ``None``). Threshold queries refuse a contract.
         """
         self._ensure_open("add_query")
         self._apply_accuracy(query, accuracy)
@@ -403,30 +396,22 @@ class StreamMonitor:
         ]
 
     def _apply_accuracy(self, query, accuracy) -> None:
-        """Attach an accuracy contract and vet algorithm support.
-
-        A contract passed here wins over one already on the query; a
-        contract from either source against an algorithm that cannot
-        honour it is an error — silently running such a query exactly
-        would misreport its cost model, silently dropping the contract
-        would misreport its accuracy.
-        """
-        if accuracy is not None:
-            query.accuracy = accuracy
-        if getattr(query, "accuracy", None) is None:
+        """Attach an accuracy contract (one passed here wins over one
+        already on the query); only top-k queries take one."""
+        if accuracy is None:
             return
-        if not getattr(self.algorithm, "supports_accuracy", False):
-            name = getattr(
-                self.algorithm, "name", type(self.algorithm).__name__
-            )
+        if not isinstance(query, TopKQuery):
             raise QueryError(
-                f"algorithm {name!r} does not support accuracy "
-                "contracts; build the monitor with algorithm='approx'"
+                "accuracy contracts apply to top-k queries only, not "
+                f"{type(query).__name__}"
             )
+        query.accuracy = accuracy
 
     def _adopt(self, query, entries: List[ResultEntry]) -> QueryHandle:
         handle = QueryHandle(self, query)
         self._handles[handle.qid] = handle
+        if getattr(query, "accuracy", None) is not None:
+            self._contracted.add(handle.qid)
         if entries and not self._hub.empty:
             self._hub.dispatch(
                 {
@@ -464,6 +449,7 @@ class StreamMonitor:
         handle = self._handles.pop(qid, None)
         if handle is not None:
             handle._state = CANCELLED
+        self._contracted.discard(qid)
         if announce and last:
             self._hub.dispatch(
                 {
@@ -737,19 +723,9 @@ class StreamMonitor:
             live, expirations
         )
         elapsed = time.perf_counter() - started
-        self.cycle_seconds.append(elapsed)
-
-        report = CycleReport(
-            timestamp=now,
-            arrivals=len(live),
-            expirations=len(expirations),
-            changes=changes,
-            cpu_seconds=elapsed,
-            dead_on_arrival=dead,
+        report = self._conclude(
+            now, len(live), len(expirations), dead, changes, elapsed
         )
-        if not self._hub.empty:
-            with tracer.span("dispatch"):
-                self._hub.dispatch(report.changes)
         tracer.end_cycle(
             arrivals=len(live),
             expirations=len(expirations),
@@ -763,10 +739,12 @@ class StreamMonitor:
         now: Optional[float],
         deletions: Optional[Sequence[StreamRecord]],
     ):
-        """Advance the clock and apply one batch to the window (or the
-        update-model live set). Returns ``(now, live, expirations,
-        dead_on_arrival)`` — everything :meth:`process` needs before
-        handing the cycle to the algorithm."""
+        """Admit one batch, advance the clock and apply the batch to
+        the window (or the update-model live set). Returns ``(now,
+        live, expirations, dead_on_arrival)`` — everything
+        :meth:`process` needs before handing the cycle to the
+        algorithm."""
+        self._admit(arrivals)
         if now is None:
             now = max(
                 [self._clock] + [record.time for record in arrivals]
@@ -803,6 +781,36 @@ class StreamMonitor:
                 dead += 1
         expirations = self.window.evict(now)
         return now, live, expirations, dead
+
+    def _admit(self, arrivals: Sequence[StreamRecord]) -> None:
+        """Refuse a batch holding a row of the wrong arity or with a
+        non-finite (or non-numeric) value, before the clock, the
+        window or any shard changes — so a refused batch leaves the
+        monitor exactly as it was."""
+        rows = [record.attrs for record in arrivals]
+        if not set(map(len, rows)) <= {self.dims}:
+            bad = next(r for r in arrivals if len(r.attrs) != self.dims)
+            raise StreamError(
+                f"batch refused: record {bad.rid} has {len(bad.attrs)} "
+                f"attributes, expected {self.dims}"
+            )
+        try:
+            # A finite sum proves every value finite; only a failed
+            # sum (or an overflowing one) pays for the exact scan.
+            if isfinite(sum(chain.from_iterable(rows))):
+                return
+        except (TypeError, OverflowError):
+            pass
+        for record in arrivals:
+            try:
+                finite = all(map(isfinite, record.attrs))
+            except (TypeError, OverflowError):  # text, or an int past float
+                finite = False
+            if not finite:
+                raise StreamError(
+                    f"batch refused: record {record.rid} has a "
+                    f"non-finite or non-numeric value {record.attrs!r}"
+                )
 
     def process_many(
         self,
@@ -910,7 +918,28 @@ class StreamMonitor:
         started = time.perf_counter()
         changes = self.algorithm.finish_cycle()
         elapsed = seconds + (time.perf_counter() - started)
+        return self._conclude(
+            now, arrivals, expirations, dead, changes, elapsed
+        )
+
+    def _conclude(
+        self,
+        now: float,
+        arrivals: int,
+        expirations: int,
+        dead: int,
+        changes: Dict[int, ResultChange],
+        elapsed: float,
+    ) -> CycleReport:
+        """Account one maintained cycle, certify the changes of
+        contracted queries, and dispatch them — the one place both
+        :meth:`process` and the pipelined path end a cycle."""
         self.cycle_seconds.append(elapsed)
+        if self._contracted:
+            # Every algorithm is exact, and an exact answer meets any
+            # (ε,δ) contract with a certified bound of 0.
+            for qid in self._contracted.intersection(changes):
+                changes[qid].bound = 0.0
         report = CycleReport(
             timestamp=now,
             arrivals=arrivals,

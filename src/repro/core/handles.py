@@ -121,8 +121,10 @@ class QueryHandle:
 
     @property
     def accuracy(self):
-        """The query's (ε,δ) accuracy contract, or ``None`` when it
-        runs on an exact maintenance path (see :mod:`repro.approx`)."""
+        """The query's (ε,δ) :class:`~repro.core.queries.Accuracy`
+        contract, or ``None``. Either way the query is maintained
+        exactly; a contract makes its cycle changes certify
+        ``bound=0.0``."""
         return getattr(self.query, "accuracy", None)
 
     # ------------------------------------------------------------------

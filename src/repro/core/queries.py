@@ -33,6 +33,35 @@ from repro.core.regions import Rectangle
 from repro.core.scoring import LinearFunction, PreferenceFunction
 
 
+@dataclass(frozen=True, slots=True)
+class Accuracy:
+    """An (ε,δ) accuracy contract on a top-k query.
+
+    A contract is met when ``exact_kth <= reported_kth * (1 + bound)``
+    with ``bound <= epsilon``, except with probability at most
+    ``delta``. Every algorithm maintains contracted queries exactly,
+    so each is met with a certified ``bound`` of 0: their cycle
+    changes carry ``bound=0.0`` (:class:`~repro.core.results.ResultChange`).
+
+    Args:
+        epsilon: maximum relative kth-score error of any report (> 0).
+        delta: probability budget for exceeding ``epsilon``, in [0, 1).
+    """
+
+    epsilon: float
+    delta: float = 0.01
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.epsilon:
+            raise ValueError(
+                f"accuracy epsilon must be positive: {self.epsilon}"
+            )
+        if not 0.0 <= self.delta < 1.0:
+            raise ValueError(
+                f"accuracy delta must be in [0, 1): {self.delta}"
+            )
+
+
 @dataclass(eq=False)
 class TopKQuery:
     """Continuous top-k query specification.
@@ -42,16 +71,16 @@ class TopKQuery:
         k: number of results to maintain (>= 1).
         label: optional human-readable name for reports.
         qid: assigned by :class:`QueryTable` at registration; -1 before.
-        accuracy: optional (ε,δ) contract opting the query into the
-            approximate tier (:mod:`repro.approx`); ``None`` — the
-            default — keeps the exact maintenance path.
+        accuracy: optional (ε,δ) :class:`Accuracy` contract; the
+            query is maintained exactly either way, and a contracted
+            query's cycle changes certify ``bound=0.0``.
     """
 
     function: PreferenceFunction
     k: int
     label: str = ""
     qid: int = -1
-    accuracy: Optional[object] = None
+    accuracy: Optional[Accuracy] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:

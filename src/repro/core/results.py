@@ -45,15 +45,15 @@ class ResultChange:
     ``"resume"`` for the re-sync delta after a pause, ``"cancel"``
     for the final clear-out when a query terminates, ``"resync"``
     for a backlog collapsed by a ``coalesce``-policy delivery
-    (:func:`merge_changes`), and ``"approx"`` for cycle maintenance of
-    a query running under an accuracy contract (:mod:`repro.approx`).
-    Replaying the ``added``/``removed`` sequence of *every* cause
+    (:func:`merge_changes`). Replaying the ``added``/``removed`` sequence of *every* cause
     reconstructs the pull API's result exactly (see
     ``tests/integration/test_subscription_parity.py``).
 
-    ``bound`` accompanies ``cause="approx"``: the certified relative
-    error of this report (``exact_kth_score <= reported_kth_score *
-    (1 + bound)``). Exact causes carry ``None``.
+    ``bound`` is the certified relative error of this report
+    (``exact_kth_score <= reported_kth_score * (1 + bound)``) for a
+    query registered with an :class:`~repro.core.queries.Accuracy`
+    contract: ``0.0`` on its cycle changes, since every algorithm is
+    exact. Uncontracted queries, and other causes, carry ``None``.
     """
 
     qid: int

@@ -42,9 +42,6 @@ class OpCounters:
     sorted_accesses: int = 0
     random_accesses: int = 0
     sorted_list_updates: int = 0
-    sketch_updates: int = 0
-    approx_refreshes: int = 0
-    approx_admissions: int = 0
 
     def add(self, other: "OpCounters") -> None:
         for spec in fields(self):

@@ -41,7 +41,6 @@ class Cell:
         "influence",
         "_col_records",
         "_col_matrix",
-        "_col_scores",
     )
 
     def __init__(
@@ -61,10 +60,6 @@ class Cell:
         #: None whenever the point list changed since the last build.
         self._col_records: Optional[List[StreamRecord]] = None
         self._col_matrix = None
-        #: memoised score vectors per preference function (the dict
-        #: holds the function objects themselves, so a cached entry can
-        #: never be confused with a new function reusing a freed id).
-        self._col_scores: Dict = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -78,15 +73,11 @@ class Cell:
     def add_point(self, record: StreamRecord) -> None:
         self.points[record.rid] = record
         self._col_matrix = None
-        if self._col_scores:
-            self._col_scores.clear()
 
     def remove_point(self, record: StreamRecord) -> None:
         """Remove a record; KeyError if absent (callers guarantee it)."""
         del self.points[record.rid]
         self._col_matrix = None
-        if self._col_scores:
-            self._col_scores.clear()
 
     def iter_points(self) -> Iterator[StreamRecord]:
         """Valid records in this cell, oldest-first."""
@@ -106,21 +97,3 @@ class Cell:
                 [record.attrs for record in records]
             )
         return self._col_records, self._col_matrix
-
-    def scored_columns(self, function):
-        """``(records, scores)`` with the score vector memoised.
-
-        Queries re-scan the same preference-optimal corner cells on
-        every from-scratch computation; a cell left untouched since the
-        last scan re-serves its score vector without a kernel call.
-        The memo maps the function *object* to its vector and is
-        cleared on any point mutation.
-        """
-        scores = self._col_scores.get(function)
-        if scores is None:
-            records, matrix = self.columns()
-            scores = function.score_batch(matrix)
-            self._col_scores[function] = scores
-        else:
-            records = self._col_records
-        return records, scores

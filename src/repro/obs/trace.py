@@ -25,8 +25,8 @@ granularity. Per-*record* hot loops must still gate on
 (:mod:`repro.analysis.check.rules.obs`) enforces exactly that.
 
 Span phase names used across the engine (docs/OBSERVABILITY.md has
-the catalogue): ``ingest``, ``traversal``, ``skyband``, ``sketch``,
-``encode``, ``shard_rpc``, ``dispatch``, ``delivery``.
+the catalogue): ``ingest``, ``traversal``, ``skyband``, ``encode``,
+``shard_rpc``, ``dispatch``, ``delivery``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ PHASE_NAMES = (
     "ingest",
     "traversal",
     "skyband",
-    "sketch",
     "encode",
     "shard_rpc",
     "dispatch",

@@ -102,7 +102,7 @@ from repro.transport.tcp import TcpChannel
 #: other shards' duplicates. Everything else is query-driven and
 #: partitions, so it sums.
 _REPLICATED_COUNTERS = frozenset(
-    {"arrivals", "expirations", "sorted_list_updates", "sketch_updates"}
+    {"arrivals", "expirations", "sorted_list_updates"}
 )
 
 #: per-cycle transport samples retained for stats() (oldest evicted).
@@ -140,8 +140,7 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
             over a worker-local registry and ships the registry's
             per-cycle *delta* in its cycle reply; the coordinator
             merges the deltas, so merged phase histograms measure
-            pool-wide work (replicated phases like the approximate
-            tier's sketch update genuinely run on every shard).
+            pool-wide work.
         **options: forwarded to the per-shard algorithm factory
             (e.g. ``grouped=True``). Must be JSON-serialisable when
             remote addresses are used (they cross the configure
@@ -193,11 +192,6 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         self.shards = count
         self.transport = "pipe" if addresses is None else "tcp"
         self.name = f"{key}x{count}"
-        #: the engine's accuracy-contract gate: sharded pools support
-        #: (ε,δ) queries exactly when the per-shard algorithm does.
-        self.supports_accuracy = key.split("-")[0] == "approx"
-        self._cells_per_axis = cells_per_axis
-        self._sketch_mapper = None
         self.trace = bool(trace)
         #: reserved key the worker factories pop before constructing
         #: the per-shard algorithm (JSON-serialisable: it crosses the
@@ -538,43 +532,13 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         NumPy pack + shared-memory fill for pipes, binary columnar
         deltas for TCP) — the portion of a cycle that pipelining hides
         under the shards' in-flight work. The returned token is
-        consumed by exactly one :meth:`begin_cycle`. Approximate pools
-        additionally derive the cycle's canonical sketch delta here,
-        once, and ship it inside every transport's payload.
+        consumed by exactly one :meth:`begin_cycle`.
         """
         self._ensure_open()
         with self.tracer.span("encode"):
             return encode_prepared_cycle(
-                self._channels,
-                arrivals,
-                expirations,
-                self._sketch_delta(arrivals, expirations),
+                self._channels, arrivals, expirations
             )
-
-    def _sketch_delta(
-        self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
-    ):
-        """The cycle's canonical columnar sketch delta (None for exact
-        pools). Derived coordinator-side with the same cell mapping
-        the workers' grids resolve, so staged columns equal what each
-        worker would derive locally — computed once instead of N times.
-        """
-        if not self.supports_accuracy:
-            return None
-        if self._sketch_mapper is None:
-            from repro.approx.sketch import CellMapper
-
-            cells = self._cells_per_axis
-            if cells is None:
-                from repro.bench.workloads import default_cells_per_axis
-
-                cells = default_cells_per_axis(self.dims)
-            self._sketch_mapper = CellMapper(self.dims, cells)
-        from repro.approx.sketch import cycle_delta
-
-        return cycle_delta(self._sketch_mapper, arrivals, expirations)
 
     def begin_cycle(self, prepared: PreparedCycle) -> None:
         """Send a prepared snapshot to every shard and return without
@@ -755,35 +719,9 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         """Per-shard :class:`~repro.analysis.memory.SpaceBreakdown`s.
 
         Stream state is replicated, so record/point-list bytes appear
-        once *per shard* — the true footprint of a sharded deployment
-        (the approximate tier's sketch included, one copy per shard).
+        once *per shard* — the true footprint of a sharded deployment.
         """
         return self._broadcast("space")
-
-    def bind_window(self, capacity: int) -> None:
-        """Broadcast the count-based window capacity to every shard.
-
-        The approximate tier's sketch must learn the capacity before
-        any data arrives (:meth:`repro.approx.sketch.CellSketch.\
-        bind_window`); the engine calls this right after construction.
-        Exact pools skip the round trips — nothing consumes it there.
-        """
-        if not self.supports_accuracy:
-            return
-        self._broadcast("configure", {"window_capacity": int(capacity)})
-
-    def sketch_state(self):
-        """Shard 0's canonical sketch snapshot (every shard applies
-        the same staged deltas, so all copies are identical — pinned
-        by the sharded sketch-parity suite via
-        :meth:`shard_sketch_states`). None for exact pools."""
-        states = self.shard_sketch_states()
-        return states[0] if states else None
-
-    def shard_sketch_states(self) -> List:
-        """Every shard's sketch snapshot, indexed by shard (None
-        entries for sketch-less algorithms)."""
-        return self._broadcast("sketch")
 
     # ------------------------------------------------------------------
     # Lifecycle

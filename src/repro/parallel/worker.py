@@ -17,14 +17,8 @@ Protocol (``(command, payload)`` in, ``(status, payload)`` out)::
                                        metrics_delta_or_None)
     stats         None          -> ok ((state_sizes, il_entries), counters)
     space         None          -> ok SpaceBreakdown
-    sketch        None          -> ok sketch state (None if sketch-less)
-    configure     {key: value}  -> ok {key: value} (window binding etc.)
     ping          None          -> ok "pong"
     stop          None          -> ok None, then the loop exits
-
-A cycle snapshot may carry a trailing columnar sketch delta (the
-approximate tier); the worker stages it so its sketch applies the
-coordinator's columns verbatim instead of re-deriving them.
 
 ``ping`` is a pure round trip: because a worker serves requests
 strictly in channel order, a ``pong`` proves every previously sent
@@ -45,7 +39,7 @@ import traceback
 
 from repro.transport.base import ChannelClosed
 from repro.transport.pipe import PipeServerChannel
-from repro.transport.snapshot import decode_cycle, sketch_delta_of
+from repro.transport.snapshot import decode_cycle
 
 
 def worker_main(
@@ -75,8 +69,7 @@ def bind_worker_observability(algo, obs) -> None:
 
     Workers always hold a worker-local
     :class:`~repro.obs.metrics.MetricsRegistry` so gauges published by
-    the algorithm (the approximate tier's sketch-accuracy gauges,
-    chiefly) reach the coordinator even with tracing off; phase
+    the algorithm reach the coordinator even with tracing off; phase
     histograms appear only when tracing is on. Every cycle reply ships
     the registry's delta since the previous cycle
     (:func:`cycle_metrics_delta`), which the coordinator ``merge()``s.
@@ -144,14 +137,6 @@ def dispatch_command(algo, command: str, payload):
     """Execute one shard command against the local algorithm."""
     if command == "cycle":
         arrivals, expirations = decode_cycle(payload)
-        delta = sketch_delta_of(payload)
-        if delta is not None:
-            stage = getattr(algo, "stage_sketch_delta", None)
-            if stage is not None:
-                # Apply the coordinator-derived sketch columns instead
-                # of re-deriving them, so every shard's sketch state is
-                # byte-identical to the coordinator's by construction.
-                stage(delta)
         tracer = getattr(algo, "tracer", None)
         if tracer is not None:
             tracer.begin_cycle(
@@ -181,20 +166,6 @@ def dispatch_command(algo, command: str, payload):
         from repro.analysis.memory import estimate_space
 
         return estimate_space(algo)
-    if command == "sketch":
-        state = getattr(algo, "sketch_state", None)
-        return state() if state is not None else None
-    if command == "configure":
-        # Mid-session (re)configuration: currently only the window
-        # capacity broadcast the approximate tier's sketch needs
-        # before any data arrives. Algorithms without a sketch simply
-        # acknowledge.
-        capacity = (payload or {}).get("window_capacity")
-        bind = getattr(algo, "bind_window", None)
-        if capacity is not None and bind is not None:
-            bind(int(capacity))
-            return {"window_capacity": int(capacity)}
-        return {"window_capacity": None}
     if command == "ping":
         return "pong"
     raise ValueError(f"unknown shard command {command!r}")

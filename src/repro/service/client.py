@@ -345,9 +345,9 @@ class MonitorClient:
         :class:`~repro.core.queries.ThresholdQuery` (linear
         preferences only), or build one in place from ``weights`` +
         (``k`` | ``threshold``). ``accuracy`` attaches an
-        :class:`~repro.approx.Accuracy` contract to a top-k query —
-        the server must run the ``approx`` algorithm, and deltas
-        arrive ``cause="approx"`` with a certified ``bound``.
+        :class:`~repro.core.queries.Accuracy` contract to a top-k
+        query; its cycle deltas arrive with a certified ``bound`` of
+        ``0.0`` (every server algorithm is exact).
         """
         if query is not None:
             wire = protocol.query_to_wire(query)

@@ -37,10 +37,11 @@ Only :class:`~repro.core.scoring.LinearFunction` preferences cross the
 wire (a weights list); arbitrary callables are not serialisable and
 are rejected with :class:`ProtocolError`. Supported query kinds:
 ``topk`` and ``threshold``. A top-k spec may carry an optional
-``"accuracy": {"epsilon", "delta"}`` contract (the approximate tier,
-:mod:`repro.approx`), and a change event an optional ``"bound"`` — the
-certified relative rank error of that delta; both keys are simply
-absent for exact queries, keeping their wire shapes unchanged.
+``"accuracy": {"epsilon", "delta"}`` contract
+(:class:`~repro.core.queries.Accuracy`), and a change event an
+optional ``"bound"`` — the certified relative rank error of that
+delta, ``0.0`` on a contracted query's cycle changes; both keys are
+simply absent otherwise.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import json
 from typing import Any, Dict, List, NoReturn, Optional, Union
 
 from repro.core.errors import ReproError
-from repro.core.queries import ThresholdQuery, TopKQuery
+from repro.core.queries import Accuracy, ThresholdQuery, TopKQuery
 from repro.core.results import ResultChange, ResultEntry
 from repro.core.scoring import LinearFunction
 from repro.core.tuples import StreamRecord
@@ -138,8 +139,8 @@ def change_to_wire(change: ResultChange) -> Dict[str, Any]:
         "top": [entry_to_wire(entry) for entry in change.top],
     }
     if change.bound is not None:
-        # Approximate-tier deltas certify their rank error; exact
-        # deltas omit the key so their wire shape is unchanged.
+        # Only a contracted query's cycle changes certify a bound;
+        # every other delta omits the key.
         spec["bound"] = change.bound
     return spec
 
@@ -230,8 +231,6 @@ def query_from_wire(payload: Dict[str, Any]) -> WireQuery:
             )
             accuracy = payload.get("accuracy")
             if accuracy is not None:
-                from repro.approx.accuracy import Accuracy
-
                 query.accuracy = Accuracy(
                     float(accuracy["epsilon"]),
                     float(accuracy.get("delta", 0.01)),

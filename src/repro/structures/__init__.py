@@ -10,24 +10,18 @@ These are the in-memory building blocks the paper's system relies on:
 - :class:`~repro.structures.sorted_list.SortedKeyList` — the sorted
   attribute lists maintained by the TSL baseline (Section 3.2) and the
   ordered top-lists / skybands of the monitoring algorithms.
-- :class:`~repro.structures.fifo.FifoList` — the single list of valid
-  records with O(1) append/evict and O(1) removal by node handle
-  (Section 4.1).
 
 Everything here is pure Python with no third-party dependencies so the
 operation counts measured by the benchmarks reflect the paper's cost
 model rather than vectorisation artefacts.
 """
 
-from repro.structures.fifo import FifoList, FifoNode
 from repro.structures.heap import BinaryMaxHeap
 from repro.structures.ostree import OrderStatisticTree
 from repro.structures.sorted_list import SortedKeyList
 
 __all__ = [
     "BinaryMaxHeap",
-    "FifoList",
-    "FifoNode",
     "OrderStatisticTree",
     "SortedKeyList",
 ]

@@ -102,7 +102,6 @@ class ShardChannel(abc.ABC):
         cls,
         arrivals: Sequence[StreamRecord],
         expirations: Sequence[StreamRecord],
-        sketch_delta: Any = None,
     ) -> Tuple[Any, Any, int]:
         """Encode one cycle for this transport.
 
@@ -110,10 +109,7 @@ class ShardChannel(abc.ABC):
         channel of this kind can :meth:`send_cycle`, a release handle
         (``handle.close()`` after all replies are in), and the number
         of bytes placed in shared memory rather than on the wire
-        (zero for purely wire-borne transports). ``sketch_delta``
-        (the approximate tier's columnar cell-population delta, None
-        for exact pools) rides inside the payload so every worker's
-        sketch applies coordinator-derived columns.
+        (zero for purely wire-borne transports).
         """
 
     @abc.abstractmethod
@@ -209,7 +205,6 @@ def prepare_cycle(
     channels: Sequence[ShardChannel],
     arrivals: Sequence[StreamRecord],
     expirations: Sequence[StreamRecord],
-    sketch_delta: Any = None,
 ) -> PreparedCycle:
     """Encode one cycle for every transport kind present in the pool."""
     encoders = {}
@@ -219,14 +214,9 @@ def prepare_cycle(
     handles: List[Any] = []
     shared_bytes = 0
     for kind in sorted(encoders):
-        if sketch_delta is None:
-            payload, handle, nbytes = encoders[kind].encode_cycle(
-                arrivals, expirations
-            )
-        else:
-            payload, handle, nbytes = encoders[kind].encode_cycle(
-                arrivals, expirations, sketch_delta
-            )
+        payload, handle, nbytes = encoders[kind].encode_cycle(
+            arrivals, expirations
+        )
         payloads[kind] = payload
         handles.append(handle)
         shared_bytes += nbytes

@@ -1,4 +1,4 @@
-"""Binary columnar wire format of the TCP shard channel (revision 4).
+"""Binary columnar wire format of the TCP shard channel (revision 5).
 
 Every message, in both directions, is one frame::
 
@@ -66,12 +66,13 @@ from repro.transport.snapshot import record_columns
 
 #: shard wire-protocol revision, exchanged in the ``configure``
 #: handshake; a host refuses a coordinator with a different revision.
-#: Revision 2 added the optional sketch delta on ``cycle`` requests and
-#: the ``sketch`` introspection op (approximate tier). Revision 3 added
-#: the ``metrics`` key on ``cycle`` replies and the reserved ``_obs``
-#: entry in configure options (observability tier). Revision 4 replaced
-#: the JSON body with the binary columnar frame described above.
-SHARD_PROTOCOL_VERSION = 4
+#: Revision 3 added the ``metrics`` key on ``cycle`` replies and the
+#: reserved ``_obs`` entry in configure options (observability tier).
+#: Revision 4 replaced the JSON body with the binary columnar frame
+#: described above. Revision 5 dropped the sketch delta blocks of
+#: ``cycle`` requests and the ``sketch`` op: a ``cycle`` header carries
+#: ``op`` and ``dims`` only.
+SHARD_PROTOCOL_VERSION = 5
 
 #: hard per-frame ceiling — a length header beyond this is treated as
 #: stream corruption, not an allocation request.
@@ -84,12 +85,11 @@ HEADER_BYTES = _FRAME_LEN.size
 _BIG_ENDIAN = sys.byteorder == "big"
 
 #: requests that carry no payload at all.
-_BARE_OPS = ("stats", "space", "ping", "stop", "sketch")
+_BARE_OPS = ("stats", "space", "ping", "stop")
 
 #: block layout of one record batch / of the entry table.
 _RECORD_BLOCKS = "qdd"  # rids, times, attrs
 _ENTRY_BLOCKS = "dqdd"  # scores, rids, times, attrs
-_SKETCH_BLOCKS = "qqqq"  # add_cells, add_counts, drop_cells, drop_counts
 
 Message = Tuple[Dict[str, Any], List[array]]
 
@@ -277,7 +277,7 @@ def _rows_of(attrs: array, count: int, dims: int) -> List[Tuple[float, ...]]:
 
 
 # ----------------------------------------------------------------------
-# Record batches (cycle deltas) and the sketch delta
+# Record batches (cycle deltas)
 # ----------------------------------------------------------------------
 
 
@@ -305,51 +305,16 @@ def _records_from_blocks(blocks: Sequence[array], dims: int):
     return rids.tolist(), times.tolist(), _rows_of(attrs, len(rids), dims)
 
 
-def _sketch_to_blocks(delta) -> Tuple[int, List[array]]:
-    try:
-        tick = int(delta["tick"])
-        columns = [
-            delta[key]
-            for key in ("add_cells", "add_counts", "drop_cells", "drop_counts")
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed sketch delta: {exc}") from None
-    return tick, [_int_block(column, "sketch columns") for column in columns]
-
-
-def _sketch_from_blocks(tick: Any, blocks: Sequence[array]) -> Dict[str, Any]:
-    add_cells, add_counts, drop_cells, drop_counts = blocks
-    if len(add_cells) != len(add_counts) or len(drop_cells) != len(
-        drop_counts
-    ):
-        raise ProtocolError("ragged sketch delta columns")
-    return {
-        "tick": _wire_int(tick, "sketch tick"),
-        "add_cells": add_cells.tolist(),
-        "add_counts": add_counts.tolist(),
-        "drop_cells": drop_cells.tolist(),
-        "drop_counts": drop_counts.tolist(),
-    }
-
-
 def encode_cycle_request(
     arrivals: Sequence[StreamRecord],
     expirations: Sequence[StreamRecord],
-    sketch_delta=None,
 ) -> bytes:
     """One cycle's deltas → a ready-to-send ``cycle`` request frame.
 
     Encoded once per cycle regardless of how many TCP channels will
     broadcast it (the TCP transport's :meth:`encode_cycle`).
-    ``sketch_delta`` — the approximate tier's columnar cell-population
-    delta — rides as four extra int64 blocks; exact pools omit it.
     """
-    payload = (
-        "cols",
-        record_columns(arrivals),
-        record_columns(expirations),
-        sketch_delta,
-    )
+    payload = ("cols", record_columns(arrivals), record_columns(expirations))
     return frame_message(encode_request("cycle", payload))
 
 
@@ -365,28 +330,20 @@ def _encode_cycle(payload) -> Message:
         raise ProtocolError(
             f"arrivals have {dims_in} attributes, expirations {dims_out}"
         )
-    header = {"op": "cycle", "dims": dims_in or dims_out}
-    blocks += expired
-    if len(payload) > 3 and payload[3] is not None:
-        header["sketch"], sketch = _sketch_to_blocks(payload[3])
-        blocks += sketch
-    return header, blocks
+    return {"op": "cycle", "dims": dims_in or dims_out}, blocks + expired
 
 
 def _decode_cycle(header: Dict[str, Any], blocks: Sequence[array]):
-    layout = _RECORD_BLOCKS * 2
-    if "sketch" in header:
-        layout += _SKETCH_BLOCKS
-    _take(blocks, layout, "cycle request")
+    extra = sorted(set(header) - {"op", "dims"})
+    if extra:
+        raise ProtocolError(f"unknown cycle header keys {extra}")
+    _take(blocks, _RECORD_BLOCKS * 2, "cycle request")
     dims = header["dims"]
-    payload = (
+    return (
         "cols",
         _records_from_blocks(blocks[0:3], dims),
         _records_from_blocks(blocks[3:6], dims),
     )
-    if "sketch" in header:
-        payload += (_sketch_from_blocks(header["sketch"], blocks[6:]),)
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -638,10 +595,6 @@ def encode_reply(command: str, payload: Any) -> Message:
         header["counters"] = counters
     elif command == "space":
         header["space"] = _space_to_wire(payload)
-    elif command == "sketch":
-        # The sketch snapshot is already canonical JSON-able state
-        # (ints, lists, strings) — see CellSketch.state().
-        header["sketch"] = payload
     elif command == "configure":
         header.update(payload)
     elif command not in ("ping", "stop"):
@@ -692,8 +645,6 @@ def decode_reply(command: str, message: Message) -> Tuple[str, Any]:
             )
         if command == "space":
             return "ok", _space_from_wire(header["space"])
-        if command == "sketch":
-            return "ok", header.get("sketch")
         if command == "ping":
             return "ok", "pong"
         if command == "stop":

@@ -95,11 +95,8 @@ class PipeChannel(ShardChannel):
         cls,
         arrivals: Sequence[StreamRecord],
         expirations: Sequence[StreamRecord],
-        sketch_delta: Any = None,
     ) -> Tuple[Any, Any, int]:
-        snapshot, handle = snapshot_encode_cycle(
-            arrivals, expirations, sketch_delta
-        )
+        snapshot, handle = snapshot_encode_cycle(arrivals, expirations)
         shared_bytes = 0
         if snapshot[0] == "shm":
             rows, dims = snapshot[2]

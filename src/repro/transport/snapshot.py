@@ -83,15 +83,11 @@ def record_columns(records: Sequence[StreamRecord]):
 def encode_cycle(
     arrivals: Sequence[StreamRecord],
     expirations: Sequence[StreamRecord],
-    sketch_delta=None,
 ):
     """Encode one cycle's batches; returns ``(payload, handle)``.
 
     The payload is picklable and may be broadcast to any number of
     workers; call ``handle.close()`` only after every worker replied.
-    ``sketch_delta`` (a columnar :data:`repro.approx.sketch.SketchDelta`
-    of the approximate tier) rides as an optional trailing element;
-    without one the payload shapes are exactly the pre-sketch ones.
     """
     rids_a, times_a, rows_a = record_columns(arrivals)
     rids_e, times_e, rows_e = record_columns(expirations)
@@ -104,16 +100,12 @@ def encode_cycle(
         payload, shm = _encode_shared(
             rows, rids_a, times_a, rids_e, times_e
         )
-        if sketch_delta is not None:
-            payload = payload + (sketch_delta,)
         return payload, _SharedBlockHandle(shm)
     payload = (
         "cols",
         (rids_a, times_a, rows_a),
         (rids_e, times_e, rows_e),
     )
-    if sketch_delta is not None:
-        payload = payload + (sketch_delta,)
     return payload, _NullHandle()
 
 
@@ -140,35 +132,23 @@ def _encode_shared(rows, rids_a, times_a, rids_e, times_e):
 
 
 def decode_cycle(payload) -> Batches:
-    """Rebuild ``(arrivals, expirations)`` from an encoded payload.
-
-    A trailing sketch delta, if present, is ignored here — workers
-    read it separately via :func:`sketch_delta_of`.
-    """
+    """Rebuild ``(arrivals, expirations)`` from an encoded payload."""
     kind = payload[0]
     if kind == "cols":
-        _, (rids_a, times_a, rows_a), (rids_e, times_e, rows_e) = (
-            payload[:3]
-        )
+        _, (rids_a, times_a, rows_a), (rids_e, times_e, rows_e) = payload
         return (
             _build(rids_a, times_a, rows_a),
             _build(rids_e, times_e, rows_e),
         )
     if kind != "shm":  # pragma: no cover - protocol guard
         raise ValueError(f"unknown snapshot payload kind {kind!r}")
-    _, name, shape, rids_a, times_a, rids_e, times_e = payload[:7]
+    _, name, shape, rids_a, times_a, rids_e, times_e = payload
     rows = _read_shared(name, shape)
     split = len(rids_a)
     return (
         _build(rids_a, times_a, rows[:split]),
         _build(rids_e, times_e, rows[split:]),
     )
-
-
-def sketch_delta_of(payload):
-    """The trailing sketch delta of an encoded cycle payload, or None."""
-    base = 3 if payload[0] == "cols" else 7
-    return payload[base] if len(payload) > base else None
 
 
 def _read_shared(name: str, shape) -> List[Sequence[float]]:

@@ -203,11 +203,8 @@ class TcpChannel(ShardChannel):
         cls,
         arrivals: Sequence[StreamRecord],
         expirations: Sequence[StreamRecord],
-        sketch_delta: Any = None,
     ) -> Tuple[Any, Any, int]:
-        frame = codec.encode_cycle_request(
-            arrivals, expirations, sketch_delta
-        )
+        frame = codec.encode_cycle_request(arrivals, expirations)
         return frame, _NullHandle(), 0
 
     def _send_frame(self, frame: bytes) -> None:

@@ -103,7 +103,6 @@ class TestMisc:
             "influence_lists",
             "query_state",
             "sorted_lists",
-            "sketch",
             "total",
         }
 

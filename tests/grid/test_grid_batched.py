@@ -119,28 +119,6 @@ class TestColumnarCell:
         records, _ = cell.columns()
         assert records == []
 
-    def test_scored_columns_memo_and_invalidation(self):
-        factory = RecordFactory()
-        grid = Grid(2, 2)
-        function = LinearFunction([1.0, 2.0])
-        cell = grid.insert(factory.make((0.1, 0.2)))
-        records, scores = cell.scored_columns(function)
-        assert batch.to_list(scores) == [function.score(records[0].attrs)]
-        # Unmutated cell re-serves the same vector object.
-        again_records, again_scores = cell.scored_columns(function)
-        assert again_scores is scores
-        # A different function gets its own vector.
-        other = LinearFunction([2.0, 1.0])
-        _, other_scores = cell.scored_columns(other)
-        assert batch.to_list(other_scores) == [other.score(records[0].attrs)]
-        # Mutation drops the memo.
-        newcomer = factory.make((0.3, 0.4))
-        cell.add_point(newcomer)
-        records, scores = cell.scored_columns(function)
-        assert batch.to_list(scores) == [
-            function.score(record.attrs) for record in records
-        ]
-
     def test_fifo_iteration_preserved(self):
         factory = RecordFactory()
         grid = Grid(2, 2)

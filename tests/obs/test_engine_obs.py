@@ -205,39 +205,6 @@ class TestShardedMerge:
             sharded.close()
 
 
-class TestApproxSketchGauges:
-    def test_refresh_publishes_estimate_gauges(self):
-        monitor = StreamMonitor(
-            2,
-            CountBasedWindow(64),
-            algorithm="approx",
-            cells_per_axis=4,
-        )
-        try:
-            from repro.approx import Accuracy
-
-            monitor.add_query(
-                TopKQuery(LinearFunction([0.5, 0.5]), k=3),
-                accuracy=Accuracy(epsilon=0.1),
-            )
-            drive_rows = [
-                [[(i * 13 + j * 7) % 97 / 97.0, (i * 5 + j) % 89 / 89.0]
-                 for j in range(20)]
-                for i in range(6)
-            ]
-            for cycle, rows in enumerate(drive_rows):
-                monitor.process(
-                    monitor.make_records(rows, time_=float(cycle))
-                )
-            gauges = monitor.metrics()["gauges"]
-            if monitor.counters.approx_refreshes:
-                assert "repro_approx_sketch_estimated_points" in gauges
-                assert "repro_approx_sketch_actual_points" in gauges
-                assert gauges["repro_approx_sketch_estimate_error"] >= 0.0
-        finally:
-            monitor.close()
-
-
 class TestLifecycle:
     """The registry must not change how monitors die.
 

@@ -143,7 +143,6 @@ def test_phase_catalogue_is_stable():
         "ingest",
         "traversal",
         "skyband",
-        "sketch",
         "encode",
         "shard_rpc",
         "dispatch",

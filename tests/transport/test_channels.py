@@ -228,10 +228,12 @@ class TestTcpChannelFailures:
 
 
 class TestHostRefusesBadPeers:
-    """A real ``serve_session`` against a peer that is not a rev-4
+    """A real ``serve_session`` against a peer that is not a rev-5
     coordinator: the refusal is a typed error reply, within the call."""
 
     def test_older_revision_refused_at_configure(self):
+        """Rev 4 still framed sketch blocks on cycles; a host refuses
+        it at the handshake, before any cycle can arrive."""
         with fake_host(real_shard) as address:
             sock = socket.create_connection(parse_address(address), timeout=10)
             channel = TcpChannel(sock, address)
@@ -239,7 +241,7 @@ class TestHostRefusesBadPeers:
                 channel.request(
                     "configure",
                     {
-                        "protocol": SHARD_PROTOCOL_VERSION - 1,
+                        "protocol": 4,
                         "algorithm": "tma",
                         "dims": 2,
                         "cells_per_axis": 4,
@@ -247,7 +249,7 @@ class TestHostRefusesBadPeers:
                     },
                 )
                 with pytest.raises(
-                    WorkerFailure, match="speaks shard protocol 3"
+                    WorkerFailure, match="speaks shard protocol 4"
                 ):
                     channel.response(timeout=10.0)
             finally:

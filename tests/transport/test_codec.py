@@ -57,8 +57,9 @@ def raw_body(header, blocks=b""):
 
 class TestFraming:
     def test_protocol_revision(self):
-        # Revision 4 is the binary columnar frame; hosts refuse others.
-        assert codec.SHARD_PROTOCOL_VERSION == 4
+        # Revision 5 is the binary columnar frame without sketch
+        # blocks; hosts refuse others.
+        assert codec.SHARD_PROTOCOL_VERSION == 5
 
     def test_frame_grammar(self):
         frame = codec.frame_message(({"op": "ping"}, []))
@@ -244,7 +245,7 @@ class TestQueryRequests:
 
     def test_unregister_and_bare_ops(self):
         assert roundtrip_request("unregister", 9) == ("unregister", 9)
-        for op in ("stats", "space", "ping", "stop", "sketch"):
+        for op in ("stats", "space", "ping", "stop"):
             assert roundtrip_request(op, None) == (op, None)
 
     def test_control_ops_are_header_only_frames(self):
@@ -301,19 +302,18 @@ class TestReplies:
         changes = {
             4: ResultChange(qid=4, added=[first], removed=[second],
                             top=[first]),
-            3: ResultChange(qid=3, top=[first, second], cause="approx",
-                            bound=0.0125),
+            3: ResultChange(qid=3, top=[first, second], bound=0.0125),
         }
         header, blocks = codec.encode_reply("cycle", (changes, {}, None))
         assert header["changes"] == [
-            [3, "approx", 0, 0, 2, 0.0125],
+            [3, "cycle", 0, 0, 2, 0.0125],
             [4, "cycle", 1, 1, 1, None],
         ]
         assert [block.typecode for block in blocks] == list("dqdd")
         assert list(blocks[1]) == [1, 2, 1, 2, 1]  # rids, row per entry
         _, (decoded, _, _) = codec.decode_reply("cycle", (header, blocks))
         assert list(decoded) == [3, 4]
-        assert decoded[3].bound == 0.0125 and decoded[3].cause == "approx"
+        assert decoded[3].bound == 0.0125 and decoded[3].cause == "cycle"
         assert decoded[4].bound is None
         assert decoded[4].removed == [second]
 
@@ -322,7 +322,7 @@ class TestReplies:
         change = ResultChange(qid=1, added=[entry], removed=[], top=[entry])
         delta = {
             "counters": {"repro_delivery_dropped_total": 2},
-            "gauges": {"repro_approx_sketch_estimate_error": 0.125},
+            "gauges": {"repro_transport_inflight_cycles": 0.125},
             "histograms": {
                 "repro_phase_traversal_seconds": {
                     "bounds": [0.001, 0.1],
@@ -400,7 +400,7 @@ class TestReplies:
         scored = ResultChange(
             qid=2, top=[make_entry(5, 0.5)._replace(score=bad)]
         )
-        bounded = ResultChange(qid=2, cause="approx", bound=bad)
+        bounded = ResultChange(qid=2, bound=bad)
         for change in (scored, bounded):
             with pytest.raises(ProtocolError):
                 codec.frame_message(
@@ -437,23 +437,6 @@ def record_batches(draw):
     return dims, draw(batch), draw(batch)
 
 
-sketch_deltas = st.one_of(
-    st.none(),
-    st.builds(
-        lambda tick, adds, drops: {
-            "tick": tick,
-            "add_cells": [cell for cell, _ in adds],
-            "add_counts": [count for _, count in adds],
-            "drop_cells": [cell for cell, _ in drops],
-            "drop_counts": [count for _, count in drops],
-        },
-        st.integers(min_value=0, max_value=2**40),
-        st.lists(st.tuples(rid_values, rid_values), max_size=5),
-        st.lists(st.tuples(rid_values, rid_values), max_size=5),
-    ),
-)
-
-
 def hexed(record):
     return (
         record.rid,
@@ -468,10 +451,10 @@ def entry_hexed(entry):
 
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None)
-    @given(record_batches(), sketch_deltas)
-    def test_cycle_request_is_bitwise(self, batches, sketch):
+    @given(record_batches())
+    def test_cycle_request_is_bitwise(self, batches):
         _, arrivals, expirations = batches
-        frame = codec.encode_cycle_request(arrivals, expirations, sketch)
+        frame = codec.encode_cycle_request(arrivals, expirations)
         command, payload = codec.decode_request(
             codec.decode_body(memoryview(frame)[codec.HEADER_BYTES:])
         )
@@ -481,7 +464,6 @@ class TestRoundTripProperty:
         assert list(map(hexed, got_expirations)) == list(
             map(hexed, expirations)
         )
-        assert (payload[3] if len(payload) > 3 else None) == sketch
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -501,7 +483,7 @@ class TestRoundTripProperty:
             added=entries,
             removed=entries,
             top=entries,
-            cause=st.sampled_from(["cycle", "approx", "resync"]),
+            cause=st.sampled_from(["cycle", "update", "resync"]),
             bound=st.one_of(st.none(), finite),
         )
         changes = {
@@ -640,7 +622,7 @@ class TestHostileFrames:
         "header",
         [
             '{"ok":true,"dims":1,"counters":{},'
-            '"changes":[[1,"approx",0,0,0,BAD]]}',  # a change's bound
+            '"changes":[[1,"cycle",0,0,0,BAD]]}',  # a change's bound
             '{"op":"update","qid":1,"k":null,"weights":[BAD,1.0]}',
             '{"op":"register_many","queries":[{"kind":"topk","k":1,'
             '"weights":[0.5,BAD],"qid":1}]}',
@@ -680,7 +662,6 @@ class TestHostileFrames:
                 blocks=[["q", 2], ["d", 1], ["d", 5],
                         ["q", 0], ["d", 0], ["d", 0]],
             ),
-            cycle_body(sketch=4),  # sketch announced, blocks missing
             raw_body({"op": "fork_bomb"}),
             raw_body({"dims": 2}),
             raw_body({"op": "ping", "blocks": [["d", 1]]}, doubles(0.5)),
@@ -693,23 +674,25 @@ class TestHostileFrames:
             codec.decode_request(codec.decode_body(body))
 
     @pytest.mark.parametrize(
-        "sketch_blocks",
+        "body",
         [
-            [["q", 2], ["q", 1], ["q", 0], ["q", 0]],  # ragged adds
-            [["q", 0], ["q", 0], ["q", 1], ["q", 0]],  # ragged drops
-            [["q", 1], ["d", 1], ["q", 0], ["q", 0]],  # float counts
+            cycle_body(sketch=4),  # the rev-4 sketch tick, no blocks
+            raw_body(  # the rev-4 sketch tick with its four int blocks
+                {"op": "cycle", "dims": 2, "sketch": 5,
+                 "blocks": [["q", 0], ["d", 0], ["d", 0]] * 2
+                 + [["q", 1]] * 4},
+                longs(1, 1, 1, 1),
+            ),
+            raw_body({"op": "sketch"}),  # the rev-4 introspection op
         ],
     )
-    def test_sketch_column_corruption(self, sketch_blocks):
-        empty = [["q", 0], ["d", 0], ["d", 0]] * 2
-        count = sum(spec[1] for spec in sketch_blocks)
-        body = raw_body(
-            {"op": "cycle", "dims": 2, "sketch": 5,
-             "blocks": empty + sketch_blocks},
-            longs(*[1] * count),
-        )
+    def test_rev4_sketch_frames_are_refused(self, body):
         with pytest.raises(ProtocolError):
             codec.decode_request(codec.decode_body(body))
+
+    def test_sketch_is_no_longer_an_op(self):
+        with pytest.raises(ProtocolError):
+            codec.encode_request("sketch", None)
 
     @pytest.mark.parametrize(
         "rows",

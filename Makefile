@@ -62,7 +62,8 @@ serve-smoke:
 cluster-smoke:
 	PYTHONPATH=src timeout 360 python -m pytest -q \
 		tests/transport tests/cluster \
-		tests/integration/test_remote_parity.py
+		tests/integration/test_remote_parity.py \
+		tests/integration/test_records_cross_once.py
 	PYTHONPATH=src timeout 180 python -m repro.bench run --n 3000 \
 		--rate 30 --queries 10 --cycles 5 --shards tcp:2 \
 		--algorithms tma,sma

@@ -80,9 +80,9 @@ def test_heap_traversal_vs_naive_scan(benchmark):
     # Identical results ...
     assert out["heap"]["top"] == out["naive"]["top"]
     # ... but the naive scan prices every cell for every query, the
-    # heap prices only the influence region plus its boundary.
+    # heap prices only the influence region plus its boundary (the
+    # seconds column above is printed, not asserted).
     assert out["heap"]["cells_priced"] < out["naive"]["cells_priced"] / 5
-    assert out["heap"]["seconds"] < out["naive"]["seconds"]
 
 
 def test_lazy_vs_eager_influence_cleanup(benchmark):

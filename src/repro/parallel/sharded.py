@@ -13,13 +13,20 @@ additive per-query cost model (Section 6):
   exactly one shard (:class:`~repro.parallel.sharding.ShardPlanner`),
   so the expensive part — influence checks, top-list/skyband upkeep,
   from-scratch recomputations — splits ~evenly and runs in parallel;
-- **results merge by qid** — per-cycle
-  :class:`~repro.core.results.ResultChange` dicts are disjoint across
-  shards, and query-driven counters are additive, so the merge is a
-  union plus a sum. Replica-ingestion counters (``arrivals``,
+- **results merge by qid** — per-cycle change reports are disjoint
+  across shards, and query-driven counters are additive, so the merge
+  is a union plus a sum. Replica-ingestion counters (``arrivals``,
   ``expirations``, TSL's ``sorted_list_updates``) are identical on
   every shard and adopted from shard 0 alone — merged counters match
   a single-process run's.
+
+**Records cross once.** Shards are sent expired *ids* and reply with
+``(score, rid)`` columns only. The coordinator keeps one rid → record
+map of the window — arrivals enter it in :meth:`prepare_cycle`, a
+cycle's expirations leave it once :meth:`finish_cycle` merged that
+cycle (under pipelining, cycle *t+1* is prepared before *t* is
+finished) — and :func:`resolve_changes` rebuilds each change from it
+and the cached results.
 
 **Transports.** ``shards=N`` spawns N worker processes on pipe
 channels (:class:`~repro.transport.pipe.PipeChannel`, the
@@ -81,6 +88,7 @@ from repro.core.results import ResultChange, ResultEntry
 from repro.core.tuples import StreamRecord
 from repro.parallel.sharding import ShardPlanner
 from repro.parallel.worker import worker_main
+from repro.service.protocol import ProtocolError
 from repro.transport.base import (
     ChannelClosed,
     ChannelError,
@@ -119,6 +127,89 @@ def _default_start_method() -> str:
 
 def _rpc_timeout() -> float:
     return float(os.environ.get("REPRO_SHARD_TIMEOUT", "120"))
+
+
+Window = Dict[int, StreamRecord]
+
+
+def _insert_best_first(top: List[ResultEntry], entry: ResultEntry) -> None:
+    """Bisect ``entry`` into ``top``, best-first by ``(score, rid)``."""
+    score, rid = entry[0], entry[1].rid
+    low, high = 0, len(top)
+    while low < high:
+        middle = (low + high) // 2
+        probe = top[middle]
+        if probe[0] > score or (probe[0] == score and probe[1].rid > rid):
+            low = middle + 1
+        else:
+            high = middle
+    top.insert(low, entry)
+
+
+def _records(rids: Sequence[int], window: Window) -> List[StreamRecord]:
+    try:
+        return list(map(window.__getitem__, rids))
+    except KeyError as exc:
+        raise ProtocolError(
+            f"a shard reply names record id {exc.args[0]}, which is not "
+            "in the window"
+        ) from None
+
+
+def resolve_entries(
+    scores: Sequence[float], rids: Sequence[int], window: Window
+) -> List[ResultEntry]:
+    """One result's ``(score, rid)`` columns → its entries, each
+    holding the window's record for its rid."""
+    if len(set(rids)) != len(rids):
+        raise ProtocolError("a shard result repeats a record id")
+    return list(map(ResultEntry, scores, _records(rids, window)))
+
+
+def resolve_changes(
+    columns, window: Window, results: Dict[int, List[ResultEntry]]
+) -> Dict[int, ResultChange]:
+    """One shard's cycle reply columns → its ``{qid: ResultChange}``,
+    against ``results``, each query's best-first result before the
+    cycle. Reads only; a malformed reply is a ``ProtocolError``."""
+    qids, added_counts, removed_counts, scores, added_rids, removed_rids = (
+        columns
+    )
+    entries = list(map(ResultEntry, scores, _records(added_rids, window)))
+    changes: Dict[int, ResultChange] = {}
+    added_at = removed_at = 0
+    for qid, n_added, n_removed in zip(qids, added_counts, removed_counts):
+        cached = results.get(qid)
+        if cached is None or qid in changes:
+            raise ProtocolError(
+                f"a shard reports a change of query {qid}, which is not "
+                "registered or already changed this cycle"
+            )
+        added_end = added_at + n_added
+        fresh = added_rids[added_at:added_end]
+        kept = {entry[1].rid: entry for entry in cached}
+        if not kept.keys().isdisjoint(fresh) or len(set(fresh)) < n_added:
+            raise ProtocolError(f"change of query {qid} repeats a record id")
+        try:
+            removed = [
+                kept.pop(rid)
+                for rid in removed_rids[removed_at : removed_at + n_removed]
+            ]
+        except KeyError as exc:
+            raise ProtocolError(
+                f"change of query {qid} removes record id {exc.args[0]}, "
+                "which its result does not hold"
+            ) from None
+        # The kept entries are best-first already: bisecting the few
+        # added ones into them is a linear merge, no re-sort.
+        top = list(kept.values())
+        added = entries[added_at:added_end]
+        for entry in added:
+            _insert_best_first(top, entry)
+        changes[qid] = ResultChange(qid, added, removed, top)
+        added_at = added_end
+        removed_at += n_removed
+    return changes
 
 
 class ShardedMonitorAlgorithm(MonitorAlgorithm):
@@ -201,6 +292,8 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         self.planner = ShardPlanner(count)
         self._queries: Dict[int, TopKQuery] = {}
         self._results: Dict[int, List[ResultEntry]] = {}
+        #: rid -> record of every record the shards hold.
+        self._window: Window = {}
         self._last_counters: List[Dict[str, int]] = [
             {} for _ in range(count)
         ]
@@ -425,10 +518,16 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         for shard, batch_ in per_shard.items():
             self._send(shard, "register_many", batch_)
         results: Dict[int, List[ResultEntry]] = {}
-        for shard, batch_ in per_shard.items():
-            entries_by_qid, counters = self._recv(shard)
+        for shard in per_shard:
+            (qids, counts, scores, rids), counters = self._recv(shard)
             self._merge_counters(shard, counters)
-            results.update(entries_by_qid)
+            start = 0
+            for qid, count in zip(qids, counts):
+                end = start + count
+                results[qid] = resolve_entries(
+                    scores[start:end], rids[start:end], self._window
+                )
+                start = end
         for query in queries:
             self._queries[query.qid] = query
             self._results[query.qid] = list(results[query.qid])
@@ -464,8 +563,11 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         if query is None:
             raise self._unknown_query(qid)
         shard = self.planner.shard_of(qid)
-        entries, counters = self._call(shard, "update", (qid, k, function))
+        (scores, rids), counters = self._call(
+            shard, "update", (qid, k, function)
+        )
         self._merge_counters(shard, counters)
+        entries = resolve_entries(scores, rids, self._window)
         if k is not None:
             query.k = k
         if function is not None:
@@ -532,13 +634,15 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         NumPy pack + shared-memory fill for pipes, binary columnar
         deltas for TCP) — the portion of a cycle that pipelining hides
         under the shards' in-flight work. The returned token is
-        consumed by exactly one :meth:`begin_cycle`.
+        consumed by exactly one :meth:`begin_cycle`. The arrivals
+        enter the coordinator's window map here.
         """
         self._ensure_open()
+        expired = [record.rid for record in expirations]
         with self.tracer.span("encode"):
-            return encode_prepared_cycle(
-                self._channels, arrivals, expirations
-            )
+            prepared = encode_prepared_cycle(self._channels, arrivals, expired)
+        self._window.update((record.rid, record) for record in arrivals)
+        return prepared
 
     def begin_cycle(self, prepared: PreparedCycle) -> None:
         """Send a prepared snapshot to every shard and return without
@@ -570,7 +674,9 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
 
     def finish_cycle(self) -> Dict[int, ResultChange]:
         """Wait for the in-flight cycle's replies (completion order)
-        and merge them into one change report."""
+        and merge them into one change report. Every reply is resolved
+        before any cached result is replaced: a refused one leaves them
+        all as they were and terminates the pool."""
         if self._pending is None:
             raise StreamError(f"{self.name} has no cycle in flight")
         (prepared, baseline), self._pending = self._pending, None
@@ -584,19 +690,27 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
             prepared.close()
         self._record_cycle(prepared, baseline)
         changes: Dict[int, ResultChange] = {}
-        for shard, (shard_changes, counters, metrics_delta) in enumerate(
-            replies
-        ):
-            self._merge_counters(shard, counters)
-            if metrics_delta and self.metrics is not None:
-                # Worker registries hold phase histograms and gauges
-                # only (OpCounters merge via _merge_counters above);
-                # histograms sum to pool-wide work, gauges are
-                # last-writer-wins in shard order.
-                self.metrics.merge(metrics_delta)
-            for qid, change in shard_changes.items():
-                changes[qid] = change
-                self._results[qid] = list(change.top)
+        try:
+            for shard, (columns, counters, metrics_delta) in enumerate(
+                replies
+            ):
+                self._merge_counters(shard, counters)
+                if metrics_delta and self.metrics is not None:
+                    # Worker registries hold phase histograms and
+                    # gauges only (OpCounters merge via _merge_counters
+                    # above); histograms sum to pool-wide work, gauges
+                    # are last-writer-wins in shard order.
+                    self.metrics.merge(metrics_delta)
+                changes.update(
+                    resolve_changes(columns, self._window, self._results)
+                )
+        except ProtocolError:
+            self._terminate()
+            raise
+        for qid, change in changes.items():
+            self._results[qid] = list(change.top)
+        for rid in prepared.expired:
+            del self._window[rid]
         return changes
 
     def _require_no_pending(self, operation: str) -> None:
@@ -738,7 +852,7 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
             # loop (and the shared segment is released) before stop.
             try:
                 self.finish_cycle()
-            except StreamError:
+            except (StreamError, ProtocolError):
                 pass
         for channel in self._channels:
             channel.begin_shutdown()

@@ -2,7 +2,8 @@
 
 A worker owns a full replica of the *stream* state (its own grid /
 sorted lists, fed the same arrivals and expirations as every other
-shard) and a disjoint subset of the *query* state. It answers a tiny
+shard, plus the rid → record map that resolves expired ids) and a
+disjoint subset of the *query* state. It answers a tiny
 request/response protocol over a shard channel; every data-bearing
 reply carries a fresh :class:`~repro.core.stats.OpCounters` snapshot
 so the coordinator can merge machine-independent work counts
@@ -10,15 +11,21 @@ additively.
 
 Protocol (``(command, payload)`` in, ``(status, payload)`` out)::
 
-    register_many [TopKQuery]   -> ok ({qid: [ResultEntry]}, counters)
+    register_many [TopKQuery]   -> ok ((qids, counts, scores, rids), counters)
     unregister    qid           -> ok (None, counters)
-    update        (qid, k, fn)  -> ok ([ResultEntry], counters)
-    cycle         snapshot      -> ok ({qid: ResultChange}, counters,
+    update        (qid, k, fn)  -> ok ((scores, rids), counters)
+    cycle         snapshot      -> ok (change_columns, counters,
                                        metrics_delta_or_None)
     stats         None          -> ok ((state_sizes, il_entries), counters)
     space         None          -> ok SpaceBreakdown
     ping          None          -> ok "pong"
     stop          None          -> ok None, then the loop exits
+
+A ``cycle`` snapshot is arrival records plus expired ids
+(:mod:`repro.transport.snapshot`). No reply carries a record: entries
+travel as ``(score, rid)`` columns, best-first, for the coordinator to
+resolve against its own window and rebuild each change's ``top``
+(:func:`repro.parallel.sharded.resolve_changes`).
 
 ``ping`` is a pure round trip: because a worker serves requests
 strictly in channel order, a ``pong`` proves every previously sent
@@ -36,7 +43,10 @@ dies on channel EOF or ``stop``.
 from __future__ import annotations
 
 import traceback
+from typing import Dict, Sequence
 
+from repro.core.results import ResultChange, ResultEntry
+from repro.core.tuples import StreamRecord
 from repro.transport.base import ChannelClosed
 from repro.transport.pipe import PipeServerChannel
 from repro.transport.snapshot import decode_cycle
@@ -114,6 +124,7 @@ def serve_shard(channel, algo) -> None:
     process, :class:`~repro.transport.tcp.TcpServerChannel` in a
     remote host session) — the loop itself never sees the transport.
     """
+    replica: Dict[int, StreamRecord] = {}
     while True:
         try:
             command, payload = channel.receive()
@@ -123,7 +134,9 @@ def serve_shard(channel, algo) -> None:
             if command == "stop":
                 channel.reply_ok(None)
                 break
-            channel.reply_ok(dispatch_command(algo, command, payload))
+            channel.reply_ok(
+                dispatch_command(algo, command, payload, replica)
+            )
         except ChannelClosed:  # pragma: no cover - reply raced a close
             break
         except Exception:
@@ -133,10 +146,33 @@ def serve_shard(channel, algo) -> None:
                 break
 
 
-def dispatch_command(algo, command: str, payload):
-    """Execute one shard command against the local algorithm."""
+def entry_columns(entries: Sequence[ResultEntry]):
+    """``(scores, rids)`` of a list of result entries."""
+    return [entry[0] for entry in entries], [entry[1].rid for entry in entries]
+
+
+def change_columns(changes: Dict[int, ResultChange]):
+    """A cycle's ``{qid: ResultChange}`` → the six reply columns
+    ``(qids, added_counts, removed_counts, added_scores, added_rids,
+    removed_rids)``."""
+    changed = changes.values()
+    added = [entry for change in changed for entry in change.added]
+    return (
+        list(changes),
+        [len(change.added) for change in changed],
+        [len(change.removed) for change in changed],
+        *entry_columns(added),
+        [entry[1].rid for change in changed for entry in change.removed],
+    )
+
+
+def dispatch_command(
+    algo, command: str, payload, replica: Dict[int, StreamRecord]
+):
+    """Execute one shard command against the local algorithm;
+    ``replica`` is the worker's rid → record map of its window."""
     if command == "cycle":
-        arrivals, expirations = decode_cycle(payload)
+        arrivals, expirations = decode_cycle(payload, replica)
         tracer = getattr(algo, "tracer", None)
         if tracer is not None:
             tracer.begin_cycle(
@@ -145,17 +181,25 @@ def dispatch_command(algo, command: str, payload):
         changes = algo.process_cycle(arrivals, expirations)
         if tracer is not None:
             tracer.end_cycle(changes=len(changes))
-        return changes, algo.counters.as_dict(), cycle_metrics_delta(algo)
+        return (
+            change_columns(changes),
+            algo.counters.as_dict(),
+            cycle_metrics_delta(algo),
+        )
     if command == "register_many":
         results = algo.register_many(payload)
-        return results, algo.counters.as_dict()
+        scores, rids = entry_columns(
+            [entry for entries in results.values() for entry in entries]
+        )
+        counts = [len(entries) for entries in results.values()]
+        return (list(results), counts, scores, rids), algo.counters.as_dict()
     if command == "unregister":
         algo.unregister(payload)
         return None, algo.counters.as_dict()
     if command == "update":
         qid, k, function = payload
         entries = algo.update_query(qid, k=k, function=function)
-        return entries, algo.counters.as_dict()
+        return entry_columns(entries), algo.counters.as_dict()
     if command == "stats":
         entries = getattr(algo, "influence_list_entries", None)
         return (

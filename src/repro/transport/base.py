@@ -101,9 +101,10 @@ class ShardChannel(abc.ABC):
     def encode_cycle(
         cls,
         arrivals: Sequence[StreamRecord],
-        expirations: Sequence[StreamRecord],
+        expired_rids: Sequence[int],
     ) -> Tuple[Any, Any, int]:
-        """Encode one cycle for this transport.
+        """Encode one cycle (its arrival records, the ids of the
+        records it expires) for this transport.
 
         Returns ``(payload, handle, shared_bytes)``: a payload every
         channel of this kind can :meth:`send_cycle`, a release handle
@@ -178,19 +179,22 @@ class PreparedCycle:
     and is idempotent.
     """
 
-    __slots__ = ("_payloads", "_handles", "shared_bytes")
+    __slots__ = ("_payloads", "_handles", "shared_bytes", "expired")
 
     def __init__(
         self,
         payloads: Dict[str, Any],
         handles: List[Any],
         shared_bytes: int,
+        expired: List[int],
     ) -> None:
         self._payloads = payloads
         self._handles = handles
         #: bytes carried via shared memory instead of the wire this
         #: cycle (pipe transport fast path; 0 otherwise).
         self.shared_bytes = shared_bytes
+        #: ids of the records this cycle expires.
+        self.expired = expired
 
     def payload_for(self, kind: str) -> Any:
         return self._payloads[kind]
@@ -204,7 +208,7 @@ class PreparedCycle:
 def prepare_cycle(
     channels: Sequence[ShardChannel],
     arrivals: Sequence[StreamRecord],
-    expirations: Sequence[StreamRecord],
+    expired_rids: List[int],
 ) -> PreparedCycle:
     """Encode one cycle for every transport kind present in the pool."""
     encoders = {}
@@ -215,12 +219,12 @@ def prepare_cycle(
     shared_bytes = 0
     for kind in sorted(encoders):
         payload, handle, nbytes = encoders[kind].encode_cycle(
-            arrivals, expirations
+            arrivals, expired_rids
         )
         payloads[kind] = payload
         handles.append(handle)
         shared_bytes += nbytes
-    return PreparedCycle(payloads, handles, shared_bytes)
+    return PreparedCycle(payloads, handles, shared_bytes, expired_rids)
 
 
 def publish_channel_metrics(registry, channels: Sequence[ShardChannel]) -> None:

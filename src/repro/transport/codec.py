@@ -1,4 +1,4 @@
-"""Binary columnar wire format of the TCP shard channel (revision 5).
+"""Binary columnar wire format of the TCP shard channel (revision 6).
 
 Every message, in both directions, is one frame::
 
@@ -13,13 +13,13 @@ anything. Control messages are header-only frames of the same format.
 
 Record and entry columns (ids, timestamps, attribute rows, scores)
 travel **only** as blocks: IEEE-754 doubles cross the wire as their own
-eight bytes, so a remote shard rebuilds records and entries identical
-to the coordinator's by construction (the precondition for bitwise
-parity between remote-sharded and single-process runs). Non-finite
-floats are refused on both ends. The header carries what is small and
-irregular: the op, query specs, per-change rows, counters, the metrics
-delta. ``docs/ARCHITECTURE.md`` ("Shard wire format") lists each op's
-header keys and block order.
+eight bytes, so a remote shard rebuilds records identical to the
+coordinator's by construction (the precondition for bitwise parity
+between remote-sharded and single-process runs). Non-finite floats are
+refused on both ends. The header carries what is small and irregular:
+the op, query specs, counters, the metrics delta.
+``docs/ARCHITECTURE.md`` ("Shard wire format") lists each op's header
+keys and block order.
 
 Built on :mod:`array`, :mod:`struct` and :class:`memoryview` alone, so
 both batch backends run the same path.
@@ -31,8 +31,12 @@ where ``txt`` is the remote traceback. Reply payload shapes depend on
 the request's op, so decoding takes the pending command. In this module
 a *message* is the decoded pair ``(header, blocks)``.
 
-**Cycle deltas.** The ``cycle`` request ships only the cycle's *new*
-and *expired* records — never the full window.
+**No record travels to a process that already holds it.** The
+``cycle`` request ships the cycle's *new* records and the *ids* of the
+records it expires — never the full window. Every entry-bearing reply
+(``cycle``, ``register_many``, ``update``) carries ``(score, rid)``
+columns only (:data:`_REPLY_BLOCKS`), which the coordinator resolves
+against its own window map (:mod:`repro.parallel.sharded`).
 
 Only wire-serialisable queries cross this codec: plain linear top-k
 and threshold specs, exactly the kinds
@@ -50,10 +54,8 @@ import sys
 from array import array
 from itertools import chain
 from math import isfinite
-from operator import eq
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.core.results import ResultChange, ResultEntry
 from repro.core.scoring import LinearFunction
 from repro.core.tuples import StreamRecord
 from repro.service.protocol import (
@@ -71,8 +73,10 @@ from repro.transport.snapshot import record_columns
 #: Revision 4 replaced the JSON body with the binary columnar frame
 #: described above. Revision 5 dropped the sketch delta blocks of
 #: ``cycle`` requests and the ``sketch`` op: a ``cycle`` header carries
-#: ``op`` and ``dims`` only.
-SHARD_PROTOCOL_VERSION = 5
+#: ``op`` and ``dims`` only. Revision 6 sends expirations as ids and
+#: replies as ``(score, rid)`` columns (no record time or attributes,
+#: no ``top``, ``cause``, ``bound`` or ``dims`` in any reply).
+SHARD_PROTOCOL_VERSION = 6
 
 #: hard per-frame ceiling — a length header beyond this is treated as
 #: stream corruption, not an allocation request.
@@ -87,9 +91,13 @@ _BIG_ENDIAN = sys.byteorder == "big"
 #: requests that carry no payload at all.
 _BARE_OPS = ("stats", "space", "ping", "stop")
 
-#: block layout of one record batch / of the entry table.
-_RECORD_BLOCKS = "qdd"  # rids, times, attrs
-_ENTRY_BLOCKS = "dqdd"  # scores, rids, times, attrs
+#: cycle request blocks: arrival rids, times, attribute rows; expired rids.
+_CYCLE_BLOCKS = "qddq"
+
+#: block layout of each entry-bearing reply: ``cycle`` qids, added
+#: counts, removed counts, added scores, added rids, removed rids;
+#: ``register_many`` qids, counts, scores, rids; ``update`` scores, rids.
+_REPLY_BLOCKS = {"cycle": "qqqdqq", "register_many": "qqdq", "update": "dq"}
 
 Message = Tuple[Dict[str, Any], List[array]]
 
@@ -277,44 +285,19 @@ def _rows_of(attrs: array, count: int, dims: int) -> List[Tuple[float, ...]]:
 
 
 # ----------------------------------------------------------------------
-# Record batches (cycle deltas)
+# Cycle requests (arrival records + expired ids)
 # ----------------------------------------------------------------------
 
 
-def _records_to_blocks(columns) -> Tuple[int, List[array]]:
-    rids, times, rows = columns
-    if not (len(rids) == len(times) == len(rows)):
-        raise ProtocolError(
-            f"ragged record columns: {len(rids)} rids, "
-            f"{len(times)} times, {len(rows)} rows"
-        )
-    dims = _uniform_width(rows)
-    return dims, [
-        _int_block(rids, "record ids"),
-        _float_block(times, "record times"),
-        _float_block(chain.from_iterable(rows), "record attributes"),
-    ]
-
-
-def _records_from_blocks(blocks: Sequence[array], dims: int):
-    rids, times, attrs = blocks
-    if len(rids) != len(times):
-        raise ProtocolError(
-            f"ragged record columns: {len(rids)} rids, {len(times)} times"
-        )
-    return rids.tolist(), times.tolist(), _rows_of(attrs, len(rids), dims)
-
-
 def encode_cycle_request(
-    arrivals: Sequence[StreamRecord],
-    expirations: Sequence[StreamRecord],
+    arrivals: Sequence[StreamRecord], expired_rids: Sequence[int]
 ) -> bytes:
     """One cycle's deltas → a ready-to-send ``cycle`` request frame.
 
     Encoded once per cycle regardless of how many TCP channels will
     broadcast it (the TCP transport's :meth:`encode_cycle`).
     """
-    payload = ("cols", record_columns(arrivals), record_columns(expirations))
+    payload = ("cols", record_columns(arrivals), expired_rids)
     return frame_message(encode_request("cycle", payload))
 
 
@@ -324,26 +307,31 @@ def _encode_cycle(payload) -> Message:
         raise ProtocolError(
             f"cycle payload kind {kind!r} is not wire-serialisable"
         )
-    dims_in, blocks = _records_to_blocks(payload[1])
-    dims_out, expired = _records_to_blocks(payload[2])
-    if dims_in and dims_out and dims_in != dims_out:
+    _, (rids, times, rows), expired = payload
+    if not (len(rids) == len(times) == len(rows)):
         raise ProtocolError(
-            f"arrivals have {dims_in} attributes, expirations {dims_out}"
+            f"ragged record columns: {len(rids)} rids, "
+            f"{len(times)} times, {len(rows)} rows"
         )
-    return {"op": "cycle", "dims": dims_in or dims_out}, blocks + expired
+    return {"op": "cycle", "dims": _uniform_width(rows)}, [
+        _int_block(rids, "record ids"),
+        _float_block(times, "record times"),
+        _float_block(chain.from_iterable(rows), "record attributes"),
+        _int_block(expired, "expired record ids"),
+    ]
 
 
 def _decode_cycle(header: Dict[str, Any], blocks: Sequence[array]):
     extra = sorted(set(header) - {"op", "dims"})
     if extra:
         raise ProtocolError(f"unknown cycle header keys {extra}")
-    _take(blocks, _RECORD_BLOCKS * 2, "cycle request")
-    dims = header["dims"]
-    return (
-        "cols",
-        _records_from_blocks(blocks[0:3], dims),
-        _records_from_blocks(blocks[3:6], dims),
-    )
+    rids, times, attrs, expired = _take(blocks, _CYCLE_BLOCKS, "cycle request")
+    if len(rids) != len(times):
+        raise ProtocolError(
+            f"ragged record columns: {len(rids)} rids, {len(times)} times"
+        )
+    rows = _rows_of(attrs, len(rids), header["dims"])
+    return "cols", (rids.tolist(), times.tolist(), rows), expired.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -462,98 +450,41 @@ def _counters_from_wire(payload: Any) -> Dict[str, int]:
         raise ProtocolError(f"malformed wire counters: {exc}") from None
 
 
-def _entries_to_blocks(entries: List[ResultEntry]) -> Tuple[int, List[array]]:
-    """One entry table: scores, rids, times, flat attribute rows."""
-    records = [entry[1] for entry in entries]
-    rows = [record.attrs for record in records]
-    return _uniform_width(rows), [
-        _float_block([entry[0] for entry in entries], "entry scores"),
-        _int_block([record.rid for record in records], "entry ids"),
-        _float_block([record.time for record in records], "entry times"),
-        _float_block(chain.from_iterable(rows), "entry attributes"),
-    ]
+def _same_length(what: str, *blocks: array) -> None:
+    lengths = [len(block) for block in blocks]
+    if len(set(lengths)) > 1:
+        raise ProtocolError(f"ragged {what}: block lengths {lengths}")
 
 
-def _entries_from_blocks(
-    blocks: Sequence[array], dims: Any
-) -> List[ResultEntry]:
-    scores, rids, times, attrs = _take(blocks, _ENTRY_BLOCKS, "entry table")
-    if not (len(scores) == len(rids) == len(times)):
+def _counted(counts: array, *columns: array) -> None:
+    """``counts`` holds no negative count and sums to the length of
+    each of the ``columns`` it cuts."""
+    if counts and min(counts) < 0:
+        raise ProtocolError(f"negative entry count {min(counts)}")
+    total = sum(counts)
+    if any(len(column) != total for column in columns):
         raise ProtocolError(
-            f"ragged entry table: {len(scores)} scores, "
-            f"{len(rids)} rids, {len(times)} times"
+            f"entry counts sum to {total}, the columns they cut hold "
+            f"{[len(column) for column in columns]}"
         )
-    rows = _rows_of(attrs, len(rids), dims)
-    # A record in many results is built once: top lists overlap heavily
-    # (and every added entry is also in its top), so distinct records
-    # are a small fraction of the rows. A repeated rid must repeat its
-    # row and time too, or one of them would be silently rewritten.
-    distinct = dict(zip(rids, zip(rows, times)))
-    if not all(map(eq, map(distinct.__getitem__, rids), zip(rows, times))):
-        raise ProtocolError(
-            "entry table repeats a record id with a different row or time"
-        )
-    records = {
-        rid: StreamRecord(rid, row, time)
-        for rid, (row, time) in distinct.items()
-    }
-    return list(map(ResultEntry, scores, map(records.__getitem__, rids)))
 
 
-def _changes_to_wire(changes_by_qid: Dict[int, ResultChange]):
-    rows = []
-    entries: List[ResultEntry] = []
-    for qid in sorted(changes_by_qid):
-        change = changes_by_qid[qid]
-        rows.append(
-            [
-                _wire_int(change.qid, "qid"),
-                change.cause,
-                len(change.added),
-                len(change.removed),
-                len(change.top),
-                change.bound,
-            ]
-        )
-        entries += change.added
-        entries += change.removed
-        entries += change.top
-    return rows, entries
-
-
-def _cut(entries: List[ResultEntry], counts: Any) -> List[List[ResultEntry]]:
-    """Consecutive slices of ``entries``, one per count; the counts
-    must account for every row of the table."""
-    pieces = []
-    start = 0
-    for count in counts:
-        if _wire_int(count, "entry count") < 0:
-            raise ProtocolError(f"negative entry count {count}")
-        pieces.append(entries[start : start + count])
-        start += count
-    if start != len(entries):
-        raise ProtocolError(
-            f"header rows claim {start} entries, the entry table "
-            f"holds {len(entries)}"
-        )
-    return pieces
-
-
-def _changes_from_wire(
-    rows: Any, entries: List[ResultEntry]
-) -> Dict[int, ResultChange]:
-    pieces = iter(_cut(entries, [n for row in rows for n in row[2:5]]))
-    changes: Dict[int, ResultChange] = {}
-    for qid, cause, _, _, _, bound in rows:
-        changes[qid] = ResultChange(
-            qid=_wire_int(qid, "qid"),
-            added=next(pieces),
-            removed=next(pieces),
-            top=next(pieces),
-            cause=str(cause),
-            bound=None if bound is None else float(bound),
-        )
-    return changes
+def _reply_columns(command: str, blocks: Sequence[array]):
+    """The column blocks of an entry-bearing reply, once their dtypes,
+    lengths and counts agree."""
+    columns = _take(blocks, _REPLY_BLOCKS[command], f"{command!r} reply")
+    if command == "cycle":
+        qids, added_counts, removed_counts, scores, added, removed = columns
+        _same_length("change rows", qids, added_counts, removed_counts)
+        _counted(added_counts, scores, added)
+        _counted(removed_counts, removed)
+    elif command == "register_many":
+        qids, counts, scores, rids = columns
+        _same_length("result rows", qids, counts)
+        _counted(counts, scores, rids)
+    else:
+        _same_length("result entries", *columns)
+    return tuple(columns)
 
 
 def encode_reply(command: str, payload: Any) -> Message:
@@ -561,33 +492,23 @@ def encode_reply(command: str, payload: Any) -> Message:
 
     ``payload`` is exactly what
     :func:`repro.parallel.worker.dispatch_command` returned for
-    ``command``.
+    ``command``; entry-bearing replies hold their columns in
+    :data:`_REPLY_BLOCKS` order.
     """
     header: Dict[str, Any] = {"ok": True}
-    entries: Optional[List[ResultEntry]] = None
+    columns: Sequence[Sequence] = ()
     if command == "cycle":
-        changes_by_qid, counters, metrics_delta = payload
-        header["changes"], entries = _changes_to_wire(changes_by_qid)
+        columns, counters, metrics_delta = payload
         header["counters"] = counters
         if metrics_delta is not None:
             # Snapshot-shaped dicts (MetricsRegistry.delta) are plain
             # JSON already: counters/gauges are flat name→number maps,
             # histograms carry bounds + tallies.
             header["metrics"] = metrics_delta
-    elif command == "register_many":
-        per_qid, counters = payload
-        entries = []
-        header["results"] = []
-        for qid in sorted(per_qid):
-            header["results"].append(
-                [_wire_int(qid, "qid"), len(per_qid[qid])]
-            )
-            entries += per_qid[qid]
-        header["counters"] = counters
+    elif command in ("register_many", "update"):
+        columns, header["counters"] = payload
     elif command == "unregister":
         header["counters"] = payload[1]
-    elif command == "update":
-        entries, header["counters"] = payload
     elif command == "stats":
         (sizes, il_entries), counters = payload
         header["sizes"] = [[qid, sizes[qid]] for qid in sorted(sizes)]
@@ -599,10 +520,12 @@ def encode_reply(command: str, payload: Any) -> Message:
         header.update(payload)
     elif command not in ("ping", "stop"):
         raise ProtocolError(f"unknown shard command {command!r}")
-    if entries is None:
-        return header, []
-    header["dims"], blocks = _entries_to_blocks(entries)
-    return header, blocks
+    return header, [
+        _float_block(column, "entry scores")
+        if typecode == "d"
+        else _int_block(column, "entry ids and counts")
+        for typecode, column in zip(_REPLY_BLOCKS.get(command, ""), columns)
+    ]
 
 
 def encode_error_reply(traceback_text: str) -> Message:
@@ -616,24 +539,12 @@ def decode_reply(command: str, message: Message) -> Tuple[str, Any]:
     if not header.get("ok", False):
         return "error", str(header.get("error", "unknown shard error"))
     try:
-        if command in ("cycle", "register_many", "update"):
-            entries = _entries_from_blocks(blocks, header["dims"])
+        if command in _REPLY_BLOCKS:
+            columns = _reply_columns(command, blocks)
             counters = _counters_from_wire(header["counters"])
             if command == "cycle":
-                return "ok", (
-                    _changes_from_wire(header["changes"], entries),
-                    counters,
-                    header.get("metrics"),
-                )
-            if command == "update":
-                return "ok", (entries, counters)
-            rows = header["results"]
-            pieces = _cut(entries, [count for _, count in rows])
-            per_qid = {
-                _wire_int(qid, "qid"): piece
-                for (qid, _), piece in zip(rows, pieces)
-            }
-            return "ok", (per_qid, counters)
+                return "ok", (columns, counters, header.get("metrics"))
+            return "ok", (columns, counters)
         _take(blocks, "", f"{command!r} reply")
         if command == "unregister":
             return "ok", (None, _counters_from_wire(header["counters"]))

@@ -8,11 +8,13 @@ with ``send_bytes``/``recv_bytes`` — byte-identical to what
 can report wire volume per cycle for pipes and sockets alike.
 
 Cycle broadcasts use the columnar snapshot codec of
-:mod:`repro.transport.snapshot` unchanged: above the shared-memory
-threshold (NumPy backend) the attribute block rides one
-``SharedMemory`` segment and only the header crosses the pipe —
-the fast path is preserved bit-for-bit. The segment's bytes are
-reported as ``shared_bytes``, never as wire bytes.
+:mod:`repro.transport.snapshot`: arrival columns plus expired record
+ids. Above the shared-memory threshold (NumPy backend) the arrivals'
+attribute block rides one ``SharedMemory`` segment and only the
+header crosses the pipe. The segment's bytes are reported as
+``shared_bytes``, never as wire bytes. Replies are the worker
+protocol's own compact shapes (``(score, rid)`` columns, never
+records), pickled as they are.
 
 :class:`PipeServerChannel` is the worker-side half of the link; the
 shard serve loop (:func:`repro.parallel.worker.serve_shard`) speaks to
@@ -94,9 +96,9 @@ class PipeChannel(ShardChannel):
     def encode_cycle(
         cls,
         arrivals: Sequence[StreamRecord],
-        expirations: Sequence[StreamRecord],
+        expired_rids: Sequence[int],
     ) -> Tuple[Any, Any, int]:
-        snapshot, handle = snapshot_encode_cycle(arrivals, expirations)
+        snapshot, handle = snapshot_encode_cycle(arrivals, expired_rids)
         shared_bytes = 0
         if snapshot[0] == "shm":
             rows, dims = snapshot[2]

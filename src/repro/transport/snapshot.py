@@ -3,25 +3,36 @@
 This is the *pipe transport's* cycle encoding (the TCP transport
 sends the same columns as binary blocks — see
 :mod:`repro.transport.codec`). Each processing cycle the coordinator
-must hand every worker the same ``P_ins`` / ``P_del`` batches. Records
-are decomposed into columns —
-ids, timestamps, and one attribute block packed the same way the batch
-kernels pack theirs (:func:`repro.core.batch.as_matrix`):
+must hand every worker the same ``P_ins`` / ``P_del`` batches. Only
+arrivals travel as records — ids, timestamps, and one attribute block
+packed the same way the batch kernels pack theirs
+(:func:`repro.core.batch.as_matrix`); every worker already holds the
+records it expires, so expirations travel as a list of ids:
 
-- **NumPy backend**: arrivals and expirations share one ``(n, d)``
-  float64 matrix placed in a :mod:`multiprocessing.shared_memory`
-  segment, so N workers read the attribute payload without N pickled
-  copies travelling through pipes. Ids and times (small, one int/float
-  per record) ride along in the pickled header.
+- **NumPy backend**: the arrivals' ``(n, d)`` float64 attribute matrix
+  is placed in a :mod:`multiprocessing.shared_memory` segment, so N
+  workers read the attribute payload without N pickled copies
+  travelling through pipes. Ids and times (small, one int/float per
+  record) and the expired ids ride along in the pickled header.
 - **Pure-Python backend** (``REPRO_BATCH_BACKEND=python``): the block
   is a plain list of attribute tuples, pickled with the header —
   exactly the fallback contract of :mod:`repro.core.batch`.
+
+Payloads::
+
+    ("cols", (rids, times, rows), expired_rids)
+    ("shm", segment_name, (rows, dims), rids, times, expired_rids)
 
 **Exactness.** Attributes are Python floats, i.e. IEEE-754 doubles;
 the float64 round trip through the matrix is lossless, so a worker
 rebuilds records bit-for-bit identical to the coordinator's — the
 precondition for sharded results matching single-process results under
 the canonical ``(score, rid)`` order.
+
+**The replica map.** :func:`decode_cycle` keeps a worker's rid →
+record map: arrivals enter it first (the update model may delete a
+record in the batch that inserted it), then expired ids are resolved
+and dropped — the algorithm expires the very objects it ingested.
 
 Lifecycle: :func:`encode_cycle` returns ``(payload, handle)``; the
 coordinator broadcasts the payload, waits for every worker's reply
@@ -31,10 +42,11 @@ replying), then calls ``handle.close()`` which unlinks the segment.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core import batch
 from repro.core.tuples import StreamRecord
+from repro.service.protocol import ProtocolError
 
 Batches = Tuple[List[StreamRecord], List[StreamRecord]]
 
@@ -73,7 +85,7 @@ class _SharedBlockHandle:
 
 def record_columns(records: Sequence[StreamRecord]):
     """``(rids, times, attribute rows)`` of a batch — the ``"cols"``
-    payload's column triple."""
+    payload's arrival columns."""
     rids = [record.rid for record in records]
     times = [record.time for record in records]
     rows = [record.attrs for record in records]
@@ -82,34 +94,28 @@ def record_columns(records: Sequence[StreamRecord]):
 
 def encode_cycle(
     arrivals: Sequence[StreamRecord],
-    expirations: Sequence[StreamRecord],
+    expired_rids: Sequence[int],
 ):
-    """Encode one cycle's batches; returns ``(payload, handle)``.
+    """Encode one cycle's arrivals and expired ids; returns
+    ``(payload, handle)``.
 
     The payload is picklable and may be broadcast to any number of
     workers; call ``handle.close()`` only after every worker replied.
     """
-    rids_a, times_a, rows_a = record_columns(arrivals)
-    rids_e, times_e, rows_e = record_columns(expirations)
-    rows = rows_a + rows_e
+    rids, times, rows = record_columns(arrivals)
+    expired = list(expired_rids)
     if (
         batch.np is not None
         and rows
         and len(rows) * len(rows[0]) * 8 >= SHM_MIN_BYTES
     ):
-        payload, shm = _encode_shared(
-            rows, rids_a, times_a, rids_e, times_e
-        )
+        name, shape, shm = _encode_shared(rows)
+        payload = ("shm", name, shape, rids, times, expired)
         return payload, _SharedBlockHandle(shm)
-    payload = (
-        "cols",
-        (rids_a, times_a, rows_a),
-        (rids_e, times_e, rows_e),
-    )
-    return payload, _NullHandle()
+    return ("cols", (rids, times, rows), expired), _NullHandle()
 
 
-def _encode_shared(rows, rids_a, times_a, rids_e, times_e):
+def _encode_shared(rows):
     from multiprocessing import shared_memory
 
     np = batch.np
@@ -119,36 +125,36 @@ def _encode_shared(rows, rids_a, times_a, rids_e, times_e):
     shm = shared_memory.SharedMemory(create=True, size=max(1, matrix.nbytes))
     view = np.ndarray(matrix.shape, dtype=np.float64, buffer=shm.buf)
     view[:] = matrix
-    payload = (
-        "shm",
-        shm.name,
-        matrix.shape,
-        rids_a,
-        times_a,
-        rids_e,
-        times_e,
-    )
-    return payload, shm
+    return shm.name, matrix.shape, shm
 
 
-def decode_cycle(payload) -> Batches:
-    """Rebuild ``(arrivals, expirations)`` from an encoded payload."""
+def decode_cycle(payload, replica: Dict[int, StreamRecord]) -> Batches:
+    """Rebuild ``(arrivals, expirations)`` from an encoded payload
+    against the worker's ``replica`` map, which it updates: arrivals
+    enter it, expirations leave it. An expired id the replica does not
+    hold is a :class:`~repro.service.protocol.ProtocolError` naming it.
+    """
     kind = payload[0]
     if kind == "cols":
-        _, (rids_a, times_a, rows_a), (rids_e, times_e, rows_e) = payload
-        return (
-            _build(rids_a, times_a, rows_a),
-            _build(rids_e, times_e, rows_e),
-        )
-    if kind != "shm":  # pragma: no cover - protocol guard
+        _, (rids, times, rows), expired = payload
+    elif kind == "shm":
+        _, name, shape, rids, times, expired = payload
+        rows = _read_shared(name, shape)
+    else:  # pragma: no cover - protocol guard
         raise ValueError(f"unknown snapshot payload kind {kind!r}")
-    _, name, shape, rids_a, times_a, rids_e, times_e = payload
-    rows = _read_shared(name, shape)
-    split = len(rids_a)
-    return (
-        _build(rids_a, times_a, rows[:split]),
-        _build(rids_e, times_e, rows[split:]),
-    )
+    arrivals = [
+        StreamRecord(rid, tuple(row), time)
+        for rid, row, time in zip(rids, rows, times)
+    ]
+    replica.update(zip(rids, arrivals))
+    try:
+        expirations = list(map(replica.pop, expired))
+    except KeyError as exc:
+        raise ProtocolError(
+            f"expired record id {exc.args[0]} is not in this shard's "
+            "replica"
+        ) from None
+    return arrivals, expirations
 
 
 def _read_shared(name: str, shape) -> List[Sequence[float]]:
@@ -188,9 +194,3 @@ def _attach_untracked(name: str):
     finally:
         resource_tracker.register = original
 
-
-def _build(rids, times, rows) -> List[StreamRecord]:
-    return [
-        StreamRecord(rid, tuple(row), time)
-        for rid, row, time in zip(rids, rows, times)
-    ]

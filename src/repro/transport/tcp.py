@@ -10,11 +10,11 @@ granularity, factory options). ``TCP_NODELAY`` is set on both ends:
 shard RPCs are strict request/reply, so Nagle batching would only add
 latency.
 
-Cycle broadcasts are columnar *deltas* — the cycle's new and expired
-records only, never the full window — encoded once per cycle
-(:meth:`TcpChannel.encode_cycle`) and reused by every TCP channel in
-the pool. Bytes are counted in both directions; the coordinator
-surfaces them per cycle through ``stats()``.
+Cycle broadcasts are columnar *deltas* — the cycle's new records and
+the ids of the records it expires, never the full window — encoded
+once per cycle (:meth:`TcpChannel.encode_cycle`) and reused by every
+TCP channel in the pool. Bytes are counted in both directions; the
+coordinator surfaces them per cycle through ``stats()``.
 
 The raw socket doubles as the channel's waitable
 (:func:`multiprocessing.connection.wait` accepts sockets, and mixes
@@ -181,7 +181,12 @@ class TcpChannel(ShardChannel):
                     "options": dict(options),
                 },
             )
-            channel.response(timeout)
+            revision = channel.response(timeout).get("protocol")
+            if revision != codec.SHARD_PROTOCOL_VERSION:
+                raise WorkerFailure(
+                    f"ProtocolError: shard host speaks shard protocol "
+                    f"{revision!r}, not {codec.SHARD_PROTOCOL_VERSION}"
+                )
         except BaseException:
             channel.terminate()
             raise
@@ -202,9 +207,9 @@ class TcpChannel(ShardChannel):
     def encode_cycle(
         cls,
         arrivals: Sequence[StreamRecord],
-        expirations: Sequence[StreamRecord],
+        expired_rids: Sequence[int],
     ) -> Tuple[Any, Any, int]:
-        frame = codec.encode_cycle_request(arrivals, expirations)
+        frame = codec.encode_cycle_request(arrivals, expired_rids)
         return frame, _NullHandle(), 0
 
     def _send_frame(self, frame: bytes) -> None:

@@ -27,6 +27,8 @@ from repro.core.results import ResultChange, ResultEntry
 from repro.core.scoring import LinearFunction, ProductFunction
 from repro.core.tuples import RecordFactory
 from repro.core.window import CountBasedWindow
+from repro.parallel.sharded import resolve_changes
+from repro.parallel.worker import change_columns
 from repro.service import MonitorClient, MonitorServer
 from repro.service.protocol import (
     change_from_wire,
@@ -419,23 +421,29 @@ class TestWire:
         assert back.qid == 7
         assert back.accuracy == query.accuracy
 
-    def test_shard_cycle_reply_keeps_a_zero_bound(self):
+    def test_shard_cycle_reply_leaves_the_bound_to_the_engine(self):
+        """A shard reply carries ``(score, rid)`` columns and no bound;
+        the coordinator's changes come back uncertified and
+        ``StreamMonitor`` certifies them (the sharded runs of
+        ``test_contract_is_met_exactly`` check the 0.0 that results)."""
         entry = self.entry()
         changes = {
-            1: ResultChange(qid=1, top=[entry], bound=0.0),
-            2: ResultChange(qid=2, top=[entry]),
+            1: ResultChange(qid=1, added=[entry], top=[entry], bound=0.0)
         }
-        message = codec.encode_reply("cycle", (changes, {}, None))
-        _, (decoded, _, _) = codec.decode_reply("cycle", message)
-        assert decoded[1].bound == 0.0
-        assert decoded[2].bound is None
+        header, blocks = codec.encode_reply(
+            "cycle", (change_columns(changes), {}, None)
+        )
+        assert header == {"ok": True, "counters": {}}
+        _, (columns, _, _) = codec.decode_reply("cycle", (header, blocks))
+        window = {entry.rid: entry.record}
+        resolved = resolve_changes(columns, window, {1: []})
+        assert resolved[1].bound is None
+        assert resolved[1].top == [entry]
 
     def test_shard_cycle_request_carries_records_only(self):
-        frame = codec.encode_cycle_request(
-            make_records([(0.1, 0.9)]), make_records([(0.4, 0.2)], 5)
-        )
+        frame = codec.encode_cycle_request(make_records([(0.1, 0.9)]), [5])
         header, blocks = codec.decode_body(
             memoryview(frame)[codec.HEADER_BYTES:]
         )
         assert set(header) == {"op", "dims"}
-        assert len(blocks) == 6
+        assert len(blocks) == 4

@@ -1,9 +1,12 @@
-"""Round-trip tests for the columnar cycle snapshot."""
+"""Round-trip tests for the columnar cycle snapshot: arrival records
+travel, expirations travel as ids and resolve against the worker's
+replica map."""
 
 import pytest
 
 from repro.core import batch
 from repro.core.tuples import StreamRecord
+from repro.service.protocol import ProtocolError
 from repro.transport import snapshot
 
 
@@ -25,19 +28,25 @@ def assert_bitwise_equal(rebuilt, originals):
             assert a.hex() == b.hex()
 
 
+def decode(payload, replica=None):
+    return snapshot.decode_cycle(payload, {} if replica is None else replica)
+
+
 class TestRoundTrip:
     def test_roundtrip_default_backend(self):
         arrivals = make_records(
             [[0.1, 0.2], [0.7071067811865476, 1e-300], [0.0, 1.0]]
         )
-        expirations = make_records([[0.5, 0.5]], start_rid=100)
-        payload, handle = snapshot.encode_cycle(arrivals, expirations)
+        old = make_records([[0.5, 0.5]], start_rid=100)
+        replica = {record.rid: record for record in old}
+        payload, handle = snapshot.encode_cycle(arrivals, [100])
         try:
-            got_arrivals, got_expirations = snapshot.decode_cycle(payload)
+            got_arrivals, got_expirations = decode(payload, replica)
         finally:
             handle.close()
         assert_bitwise_equal(got_arrivals, arrivals)
-        assert_bitwise_equal(got_expirations, expirations)
+        assert got_expirations[0] is old[0]
+        assert replica == {record.rid: record for record in arrivals}
 
     def test_roundtrip_pickled_columns(self, monkeypatch):
         """The pure-Python payload path, forced regardless of backend."""
@@ -45,31 +54,53 @@ class TestRoundTrip:
         arrivals = make_records([[0.25, 0.75], [1.0, 0.0]])
         payload, handle = snapshot.encode_cycle(arrivals, [])
         assert payload[0] == "cols"
-        got_arrivals, got_expirations = snapshot.decode_cycle(payload)
+        got_arrivals, got_expirations = decode(payload)
         handle.close()
         assert_bitwise_equal(got_arrivals, arrivals)
         assert got_expirations == []
 
     def test_empty_cycle_uses_plain_payload(self):
         payload, handle = snapshot.encode_cycle([], [])
-        assert payload[0] == "cols"
-        arrivals, expirations = snapshot.decode_cycle(payload)
+        assert payload == ("cols", ([], [], []), [])
+        arrivals, expirations = decode(payload)
         handle.close()
         assert arrivals == [] and expirations == []
 
-    def test_expirations_only(self):
-        expirations = make_records([[0.9, 0.1], [0.3, 0.3]])
-        payload, handle = snapshot.encode_cycle([], expirations)
+    def test_expirations_travel_as_ids(self):
+        old = make_records([[0.9, 0.1], [0.3, 0.3]])
+        replica = {record.rid: record for record in old}
+        payload, handle = snapshot.encode_cycle([], [1, 0])
         try:
-            got_arrivals, got_expirations = snapshot.decode_cycle(payload)
+            assert payload == ("cols", ([], [], []), [1, 0])
+            got_arrivals, got_expirations = decode(payload, replica)
         finally:
             handle.close()
         assert got_arrivals == []
-        assert_bitwise_equal(got_expirations, expirations)
+        assert got_expirations == [old[1], old[0]]
+        assert replica == {}
+
+    def test_a_record_may_expire_in_the_cycle_that_inserts_it(self):
+        """The update model can delete a record in its inserting batch:
+        arrivals enter the replica before expirations resolve, and the
+        expired object is the ingested one."""
+        arrivals = make_records([[0.5, 0.5], [0.25, 0.75]], start_rid=7)
+        replica = {}
+        payload, handle = snapshot.encode_cycle(arrivals, [8])
+        got_arrivals, got_expirations = decode(payload, replica)
+        handle.close()
+        assert got_expirations[0] is got_arrivals[1]
+        assert list(replica) == [7]
+
+    @pytest.mark.parametrize("expired", [[5], [0, 0]])
+    def test_an_unknown_expired_id_names_the_rid(self, expired):
+        replica = {0: make_records([[0.5, 0.5]])[0]}
+        payload, _ = snapshot.encode_cycle([], expired)
+        with pytest.raises(ProtocolError, match=f"record id {expired[-1]} "):
+            decode(payload, replica)
 
     def test_unknown_payload_rejected(self):
         with pytest.raises(ValueError):
-            snapshot.decode_cycle(("garbage",))
+            decode(("garbage",))
 
 
 @pytest.mark.skipif(batch.np is None, reason="NumPy backend only")
@@ -81,9 +112,11 @@ class TestSharedMemory:
 
     def test_shared_payload_selected(self):
         arrivals = make_records([[0.1, 0.9]])
-        payload, handle = snapshot.encode_cycle(arrivals, [])
+        payload, handle = snapshot.encode_cycle(arrivals, [3])
         try:
+            # the segment holds arrival rows only; ids ride the header
             assert payload[0] == "shm"
+            assert payload[2:] == ((1, 2), [0], [0.0], [3])
         finally:
             handle.close()
 
@@ -93,7 +126,7 @@ class TestSharedMemory:
         arrivals = make_records([[0.1, 0.9]])
         payload, handle = snapshot.encode_cycle(arrivals, [])
         assert payload[0] == "cols"
-        got, _ = snapshot.decode_cycle(payload)
+        got, _ = decode(payload)
         handle.close()
         assert_bitwise_equal(got, arrivals)
 
@@ -103,7 +136,7 @@ class TestSharedMemory:
         payload, handle = snapshot.encode_cycle(arrivals, [])
         try:
             assert payload[0] == "shm"
-            got, _ = snapshot.decode_cycle(payload)
+            got, _ = decode(payload)
             assert_bitwise_equal(got, arrivals)
         finally:
             handle.close()
@@ -114,7 +147,7 @@ class TestSharedMemory:
         arrivals = make_records([[0.1, 0.9], [0.2, 0.8]])
         payload, handle = snapshot.encode_cycle(arrivals, [])
         name = payload[1]
-        snapshot.decode_cycle(payload)  # reader attach/detach
+        decode(payload)  # reader attach/detach
         handle.close()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -125,7 +158,7 @@ class TestSharedMemory:
         payload, handle = snapshot.encode_cycle(arrivals, [])
         try:
             for _ in range(4):
-                got, _ = snapshot.decode_cycle(payload)
+                got, _ = decode(payload)
                 assert_bitwise_equal(got, arrivals)
         finally:
             handle.close()

@@ -53,7 +53,7 @@ class _Recorder:
     calls = 0
 
     @classmethod
-    def encode_cycle(cls, arrivals, expirations):
+    def encode_cycle(cls, arrivals, expired_rids):
         cls.calls += 1
         return ("payload", cls.calls), _Handle(), 7
 
@@ -69,14 +69,15 @@ class _Handle:
 class TestPreparedCycle:
     def test_encode_once_per_kind(self):
         _Recorder.calls = 0
-        prepared = prepare_cycle([_Recorder(), _Recorder()], [], [])
+        prepared = prepare_cycle([_Recorder(), _Recorder()], [], [4, 2])
         assert _Recorder.calls == 1
         assert prepared.payload_for("fake") == ("payload", 1)
         assert prepared.shared_bytes == 7
+        assert prepared.expired == [4, 2]
 
     def test_close_is_idempotent(self):
         handle = _Handle()
-        prepared = PreparedCycle({"fake": None}, [handle], 0)
+        prepared = PreparedCycle({"fake": None}, [handle], 0, [])
         prepared.close()
         prepared.close()
         assert handle.closed == 1
@@ -149,6 +150,13 @@ def handshake_then_silence(conn):
         channel.receive()
 
 
+def answer_as_revision_5(conn):
+    """A rev-5 host that accepts the handshake it was sent."""
+    channel = TcpServerChannel(conn)
+    channel.receive()
+    channel.reply_ok({"protocol": 5, "algorithm": "tma", "pid": 0})
+
+
 def reject_handshake(conn):
     channel = TcpServerChannel(conn)
     channel.receive()
@@ -183,6 +191,13 @@ class TestTcpChannelFailures:
     def test_handshake_rejection_carries_remote_error(self):
         with fake_host(reject_handshake) as address:
             with pytest.raises(WorkerFailure, match="no such algorithm"):
+                connect(address)
+
+    def test_a_rev5_host_is_refused_at_configure(self):
+        with fake_host(answer_as_revision_5) as address:
+            with pytest.raises(
+                WorkerFailure, match="host speaks shard protocol 5"
+            ):
                 connect(address)
 
     def test_peer_death_mid_request_is_channel_closed(self):
@@ -228,12 +243,14 @@ class TestTcpChannelFailures:
 
 
 class TestHostRefusesBadPeers:
-    """A real ``serve_session`` against a peer that is not a rev-5
+    """A real ``serve_session`` against a peer that is not a rev-6
     coordinator: the refusal is a typed error reply, within the call."""
 
-    def test_older_revision_refused_at_configure(self):
-        """Rev 4 still framed sketch blocks on cycles; a host refuses
-        it at the handshake, before any cycle can arrive."""
+    @pytest.mark.parametrize("revision", [4, 5])
+    def test_older_revision_refused_at_configure(self, revision):
+        """Rev 4 still framed sketch blocks on cycles, rev 5 full
+        records in expirations and replies; a host refuses both at the
+        handshake, before any cycle can arrive."""
         with fake_host(real_shard) as address:
             sock = socket.create_connection(parse_address(address), timeout=10)
             channel = TcpChannel(sock, address)
@@ -241,7 +258,7 @@ class TestHostRefusesBadPeers:
                 channel.request(
                     "configure",
                     {
-                        "protocol": 4,
+                        "protocol": revision,
                         "algorithm": "tma",
                         "dims": 2,
                         "cells_per_axis": 4,
@@ -249,7 +266,7 @@ class TestHostRefusesBadPeers:
                     },
                 )
                 with pytest.raises(
-                    WorkerFailure, match="speaks shard protocol 4"
+                    WorkerFailure, match=f"speaks shard protocol {revision}"
                 ):
                     channel.response(timeout=10.0)
             finally:

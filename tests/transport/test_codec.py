@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.memory import SpaceBreakdown
-from repro.core.results import ResultChange, ResultEntry
 from repro.core.scoring import LinearFunction, QuadraticFunction
 from repro.core.tuples import StreamRecord
 from repro.service.protocol import ProtocolError
@@ -57,9 +56,9 @@ def raw_body(header, blocks=b""):
 
 class TestFraming:
     def test_protocol_revision(self):
-        # Revision 5 is the binary columnar frame without sketch
-        # blocks; hosts refuse others.
-        assert codec.SHARD_PROTOCOL_VERSION == 5
+        # Revision 6 is the binary columnar frame with expired ids and
+        # (score, rid) reply columns; hosts refuse others.
+        assert codec.SHARD_PROTOCOL_VERSION == 6
 
     def test_frame_grammar(self):
         frame = codec.frame_message(({"op": "ping"}, []))
@@ -106,30 +105,30 @@ class TestCycleRequests:
         arrivals = make_records(
             [[0.1, 0.2], [0.7071067811865476, 1e-300], [0.0, 1.0]]
         )
-        expirations = make_records([[0.5, 0.5]], start_rid=100)
-        frame = codec.encode_cycle_request(arrivals, expirations)
+        old = make_records([[0.5, 0.5]], start_rid=100)
+        frame = codec.encode_cycle_request(arrivals, [100])
         command, payload = codec.decode_request(
             codec.decode_body(body_of(frame))
         )
         assert command == "cycle"
-        got_arrivals, got_expirations = decode_cycle(payload)
+        got_arrivals, got_expirations = decode_cycle(payload, {100: old[0]})
         for got, want in zip(got_arrivals, arrivals):
             assert got.rid == want.rid
             assert got.time == want.time
             for a, b in zip(got.attrs, want.attrs):
                 assert a.hex() == b.hex()
-        assert [r.rid for r in got_expirations] == [100]
+        assert got_expirations[0] is old[0]
 
     def test_one_cycle_encoder(self):
         """``encode_cycle_request`` is the ``cycle`` arm of
-        ``encode_request`` applied to the records' columns."""
+        ``encode_request`` applied to the arrivals' columns."""
         arrivals = make_records([[0.25, 0.75], [1.0, 0.0]])
         payload = (
             "cols",
             ([0, 1], [0.0, 1.0], [(0.25, 0.75), (1.0, 0.0)]),
-            ([], [], []),
+            [9],
         )
-        assert codec.encode_cycle_request(arrivals, []) == (
+        assert codec.encode_cycle_request(arrivals, [9]) == (
             codec.frame_message(codec.encode_request("cycle", payload))
         )
 
@@ -137,28 +136,38 @@ class TestCycleRequests:
         payload = (
             "cols",
             ([0, 1], [0.0, 1.0], [[0.25, 0.75], [1.0, 0.0]]),
-            ([], [], []),
+            [],
         )
         command, decoded = roundtrip_request("cycle", payload)
         assert command == "cycle"
         assert decoded[0] == "cols"
-        arrivals, expirations = decode_cycle(decoded)
+        arrivals, expirations = decode_cycle(decoded, {})
         assert [r.rid for r in arrivals] == [0, 1]
         assert expirations == []
 
+    def test_expirations_are_one_id_block(self):
+        """An expired record's time and attributes never travel: the
+        request is the arrival columns plus one int64 id block."""
+        header, blocks = codec.encode_request(
+            "cycle", ("cols", ([], [], []), [5, 3])
+        )
+        assert header == {"op": "cycle", "dims": 0}
+        assert [block.typecode for block in blocks] == list("qddq")
+        assert [list(block) for block in blocks] == [[], [], [], [5, 3]]
+
     def test_record_columns_never_travel_as_json(self):
         frame = codec.encode_cycle_request(
-            make_records([[0.123456789, 0.5]], start_rid=424242), []
+            make_records([[0.123456789, 0.5]], start_rid=424242), [515151]
         )
         header_len = struct.unpack_from("<I", frame, 4)[0]
         header = frame[8 : 8 + header_len]
         assert b"424242" not in header and b"0.123456789" not in header
+        assert b"515151" not in header
 
     def test_shm_snapshot_payload_never_crosses_the_wire(self):
         with pytest.raises(ProtocolError):
             codec.encode_request(
-                "cycle", ("shm", "psm_name", (2, 2), [0, 1], [0.0, 1.0],
-                          [], [])
+                "cycle", ("shm", "psm_name", (2, 2), [0, 1], [0.0, 1.0], [])
             )
 
     @pytest.mark.parametrize(
@@ -171,18 +180,14 @@ class TestCycleRequests:
     )
     def test_ragged_columns_rejected_on_encode(self, columns):
         with pytest.raises(ProtocolError, match="ragged"):
-            codec.encode_request("cycle", ("cols", columns, ([], [], [])))
-
-    def test_mixed_widths_between_batches_rejected(self):
-        with pytest.raises(ProtocolError):
-            codec.encode_cycle_request(
-                make_records([[0.5, 0.5]]), make_records([[0.5]])
-            )
+            codec.encode_request("cycle", ("cols", columns, []))
 
     def test_rid_outside_int64_is_a_protocol_error(self):
         record = StreamRecord(2**63, (0.5,), 0.0)
         with pytest.raises(ProtocolError, match="int64"):
             codec.encode_cycle_request([record], [])
+        with pytest.raises(ProtocolError, match="int64"):
+            codec.encode_cycle_request([], [2**63])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_attribute_refused_at_encode(self, bad):
@@ -195,7 +200,7 @@ class TestCycleRequests:
         records = make_records([[1.7e308, 1.7e308, -1.7e308]])
         frame = codec.encode_cycle_request(records, [])
         _, payload = codec.decode_request(codec.decode_body(body_of(frame)))
-        assert decode_cycle(payload)[0] == records
+        assert decode_cycle(payload, {})[0] == records
 
 
 class TestQueryRequests:
@@ -274,52 +279,38 @@ class TestQueryRequests:
             )
 
 
-def make_entry(rid, score):
-    return ResultEntry(score, StreamRecord(rid, (score, 1.0 - score), 0.0))
+def listed(columns):
+    return [list(column) for column in columns]
+
+
+#: a cycle reply's six columns with nothing in them.
+NO_CHANGES = ([], [], [], [], [], [])
 
 
 class TestReplies:
     def test_cycle_reply_roundtrip(self):
-        entry = make_entry(5, 0.123456789012345678)
-        change = ResultChange(
-            qid=2, added=[entry], removed=[], top=[entry]
-        )
+        columns = ([2, 9], [1, 0], [0, 2], [0.123456789012345678], [5], [3, 4])
         status, payload = roundtrip_reply(
-            "cycle", ({2: change}, {"arrivals": 4}, None)
+            "cycle", (columns, {"arrivals": 4}, None)
         )
         assert status == "ok"
-        changes, counters, metrics = payload
+        decoded, counters, metrics = payload
         assert counters == {"arrivals": 4}
         assert metrics is None
-        got = changes[2].top[0]
-        assert got.rid == 5
-        assert got.score.hex() == entry.score.hex()
-        assert got.record.attrs == entry.record.attrs
-        assert changes[2].added == [entry] and changes[2].removed == []
+        assert listed(decoded) == listed(columns)
+        assert decoded[3][0].hex() == columns[3][0].hex()
 
-    def test_cycle_reply_is_one_entry_table(self):
-        first, second = make_entry(1, 0.75), make_entry(2, 0.5)
-        changes = {
-            4: ResultChange(qid=4, added=[first], removed=[second],
-                            top=[first]),
-            3: ResultChange(qid=3, top=[first, second], bound=0.0125),
-        }
-        header, blocks = codec.encode_reply("cycle", (changes, {}, None))
-        assert header["changes"] == [
-            [3, "cycle", 0, 0, 2, 0.0125],
-            [4, "cycle", 1, 1, 1, None],
-        ]
-        assert [block.typecode for block in blocks] == list("dqdd")
-        assert list(blocks[1]) == [1, 2, 1, 2, 1]  # rids, row per entry
-        _, (decoded, _, _) = codec.decode_reply("cycle", (header, blocks))
-        assert list(decoded) == [3, 4]
-        assert decoded[3].bound == 0.0125 and decoded[3].cause == "cycle"
-        assert decoded[4].bound is None
-        assert decoded[4].removed == [second]
+    def test_cycle_reply_is_six_columns(self):
+        """int blocks of qids, added counts and removed counts, plus
+        added scores, added rids and removed rids: no top, no record
+        time or attributes, no cause, bound or dims."""
+        columns = ([4, 3], [1, 0], [1, 0], [0.75], [1], [2])
+        header, blocks = codec.encode_reply("cycle", (columns, {}, None))
+        assert header == {"ok": True, "counters": {}}
+        assert [block.typecode for block in blocks] == list("qqqdqq")
+        assert listed(blocks) == listed(columns)
 
     def test_cycle_reply_carries_metrics_delta(self):
-        entry = make_entry(7, 0.5)
-        change = ResultChange(qid=1, added=[entry], removed=[], top=[entry])
         delta = {
             "counters": {"repro_delivery_dropped_total": 2},
             "gauges": {"repro_transport_inflight_cycles": 0.125},
@@ -333,7 +324,7 @@ class TestReplies:
             },
         }
         status, payload = roundtrip_reply(
-            "cycle", ({1: change}, {"arrivals": 1}, delta)
+            "cycle", (NO_CHANGES, {"arrivals": 1}, delta)
         )
         assert status == "ok"
         _, counters, metrics = payload
@@ -341,24 +332,34 @@ class TestReplies:
         assert metrics == delta
 
     def test_register_many_reply_roundtrip(self):
-        per_qid = {
-            3: [make_entry(1, 0.25)],
-            1: [make_entry(2, 1e-300), make_entry(4, 0.5)],
-            2: [],
-        }
+        columns = ([3, 1, 2], [1, 2, 0], [0.25, 1e-300, 0.5], [1, 2, 4])
         status, payload = roundtrip_reply(
-            "register_many", (per_qid, {"topk_computations": 2})
+            "register_many", (columns, {"topk_computations": 2})
         )
         assert status == "ok"
         decoded, counters = payload
-        assert decoded == per_qid
-        assert decoded[1][0].score.hex() == (1e-300).hex()
+        assert listed(decoded) == listed(columns)
+        assert decoded[2][1].hex() == (1e-300).hex()
         assert counters == {"topk_computations": 2}
 
     def test_update_reply_roundtrip(self):
-        entries = [make_entry(2, 0.75), make_entry(4, 0.5)]
-        status, payload = roundtrip_reply("update", (entries, {"a": 1}))
-        assert (status, payload) == ("ok", (entries, {"a": 1}))
+        columns = ([0.75, 0.5], [2, 4])
+        status, (decoded, counters) = roundtrip_reply(
+            "update", (columns, {"a": 1})
+        )
+        assert status == "ok" and counters == {"a": 1}
+        assert listed(decoded) == listed(columns)
+
+    def test_entry_replies_carry_no_record_contents(self):
+        """Only ``(score, rid)`` pairs: every block of an entry-bearing
+        reply is a count, an id or a score."""
+        for command, columns in [
+            ("register_many", ([1], [1], [0.5], [7])),
+            ("update", ([0.5], [7])),
+        ]:
+            header, blocks = codec.encode_reply(command, (columns, {}))
+            assert header == {"ok": True, "counters": {}}
+            assert listed(blocks) == listed(columns)
 
     def test_stats_reply_roundtrip(self):
         status, payload = roundtrip_reply(
@@ -397,15 +398,18 @@ class TestReplies:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nan_never_crosses_the_wire(self, bad):
-        scored = ResultChange(
-            qid=2, top=[make_entry(5, 0.5)._replace(score=bad)]
-        )
-        bounded = ResultChange(qid=2, bound=bad)
-        for change in (scored, bounded):
+        for command, payload in [
+            ("cycle", (([2], [1], [0], [bad], [5], []), {}, None)),
+            ("register_many", (([2], [1], [bad], [5]), {})),
+            ("update", (([bad], [5]), {})),
+        ]:
             with pytest.raises(ProtocolError):
-                codec.frame_message(
-                    codec.encode_reply("cycle", ({2: change}, {}, None))
-                )
+                codec.frame_message(codec.encode_reply(command, payload))
+
+    def test_a_column_short_of_the_layout_is_refused_at_decode(self):
+        message = codec.encode_reply("cycle", (([], [], [], [], []), {}, None))
+        with pytest.raises(ProtocolError, match="expected 'qqqdqq'"):
+            codec.decode_reply("cycle", message)
 
 
 # ----------------------------------------------------------------------
@@ -445,8 +449,11 @@ def hexed(record):
     )
 
 
-def entry_hexed(entry):
-    return (entry.score.hex(), hexed(entry.record))
+def hexed_columns(columns):
+    return [
+        [getattr(value, "hex", lambda: value)() for value in column]
+        for column in columns
+    ]
 
 
 class TestRoundTripProperty:
@@ -454,56 +461,46 @@ class TestRoundTripProperty:
     @given(record_batches())
     def test_cycle_request_is_bitwise(self, batches):
         _, arrivals, expirations = batches
-        frame = codec.encode_cycle_request(arrivals, expirations)
+        frame = codec.encode_cycle_request(
+            arrivals, [record.rid for record in expirations]
+        )
         command, payload = codec.decode_request(
             codec.decode_body(memoryview(frame)[codec.HEADER_BYTES:])
         )
         assert command == "cycle"
-        got_arrivals, got_expirations = decode_cycle(payload)
+        replica = {record.rid: record for record in expirations}
+        got_arrivals, got_expirations = decode_cycle(payload, replica)
         assert list(map(hexed, got_arrivals)) == list(map(hexed, arrivals))
-        assert list(map(hexed, got_expirations)) == list(
-            map(hexed, expirations)
-        )
+        assert [record.rid for record in got_expirations] == [
+            record.rid for record in expirations
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_cycle_reply_is_bitwise(self, data):
-        _, pool, _ = data.draw(record_batches())
-        entries = (
+        changes = data.draw(
             st.lists(
-                st.builds(ResultEntry, finite, st.sampled_from(pool)),
-                max_size=5,
+                st.tuples(
+                    st.integers(min_value=0, max_value=2**40),
+                    st.lists(st.tuples(finite, rid_values), max_size=5),
+                    st.lists(rid_values, max_size=5),
+                ),
+                max_size=4,
             )
-            if pool
-            else st.just([])
         )
-        change = st.builds(
-            ResultChange,
-            qid=st.integers(min_value=0, max_value=2**40),
-            added=entries,
-            removed=entries,
-            top=entries,
-            cause=st.sampled_from(["cycle", "update", "resync"]),
-            bound=st.one_of(st.none(), finite),
+        columns = (
+            [qid for qid, _, _ in changes],
+            [len(added) for _, added, _ in changes],
+            [len(removed) for _, _, removed in changes],
+            [score for _, added, _ in changes for score, _ in added],
+            [rid for _, added, _ in changes for _, rid in added],
+            [rid for _, _, removed in changes for rid in removed],
         )
-        changes = {
-            item.qid: item for item in data.draw(st.lists(change, max_size=4))
-        }
         status, (decoded, counters, _) = roundtrip_reply(
-            "cycle", (changes, {"arrivals": 3}, None)
+            "cycle", (columns, {"arrivals": 3}, None)
         )
         assert status == "ok" and counters == {"arrivals": 3}
-        assert list(decoded) == sorted(changes)
-        for qid, want in changes.items():
-            got = decoded[qid]
-            assert (got.qid, got.cause) == (want.qid, want.cause)
-            assert (got.bound is None) == (want.bound is None)
-            if want.bound is not None:
-                assert got.bound.hex() == want.bound.hex()
-            for name in ("added", "removed", "top"):
-                assert list(map(entry_hexed, getattr(got, name))) == list(
-                    map(entry_hexed, getattr(want, name))
-                )
+        assert hexed_columns(decoded) == hexed_columns(columns)
 
 
 # ----------------------------------------------------------------------
@@ -521,34 +518,55 @@ def longs(*values):
 
 def cycle_body(ins=1, **overrides):
     """A well-formed cycle request body of ``ins`` two-attribute
-    arrivals, spelled field by field; ``overrides`` corrupt its header."""
+    arrivals and no expirations, spelled field by field; ``overrides``
+    corrupt its header."""
     header = {
         "op": "cycle",
         "dims": 2,
-        "blocks": [["q", ins], ["d", ins], ["d", ins * 2],
-                   ["q", 0], ["d", 0], ["d", 0]],
+        "blocks": [["q", ins], ["d", ins], ["d", ins * 2], ["q", 0]],
     }
     header.update(overrides)
     return raw_body(header, longs(*[7] * ins) + doubles(*[0.5] * (ins * 3)))
 
 
-def reply_body(rows, scores=(0.5,), **overrides):
-    count = len(scores)
+def reply_body(
+    qids=(1,), added=(1,), removed=(0,), scores=(0.5,), rids=(7,),
+    gone=(), **overrides,
+):
+    """A well-formed cycle reply body (one change adding rid 7 by
+    default), spelled column by column; ``overrides`` corrupt its
+    header."""
+    columns = [qids, added, removed, scores, rids, gone]
     header = {
         "ok": True,
-        "dims": 1,
         "counters": {},
-        "changes": rows,
-        "blocks": [["d", count], ["q", count], ["d", count], ["d", count]],
+        "blocks": [
+            [typecode, len(column)]
+            for typecode, column in zip("qqqdqq", columns)
+        ],
     }
     header.update(overrides)
-    blocks = (
-        doubles(*scores)
-        + longs(*range(count))
-        + doubles(*[0.0] * count)
-        + doubles(*[0.25] * count)
+    return raw_body(
+        header,
+        longs(*qids) + longs(*added) + longs(*removed)
+        + doubles(*scores) + longs(*rids) + longs(*gone),
     )
-    return raw_body(header, blocks)
+
+
+def register_body(qids=(1,), counts=(1,), scores=(0.5,), rids=(7,)):
+    columns = [qids, counts, scores, rids]
+    header = {
+        "ok": True,
+        "counters": {},
+        "blocks": [
+            [typecode, len(column)]
+            for typecode, column in zip("qqdq", columns)
+        ],
+    }
+    return raw_body(
+        header,
+        longs(*qids) + longs(*counts) + doubles(*scores) + longs(*rids),
+    )
 
 
 class TestHostileFrames:
@@ -557,12 +575,15 @@ class TestHostileFrames:
             codec.decode_body(cycle_body())
         )
         assert command == "cycle"
-        assert decode_cycle(payload)[0] == [StreamRecord(7, (0.5, 0.5), 0.5)]
-        rows = [[1, "cycle", 0, 0, 1, None]]
-        status, _ = codec.decode_reply(
-            "cycle", codec.decode_body(reply_body(rows))
-        )
-        assert status == "ok"
+        assert decode_cycle(payload, {})[0] == [
+            StreamRecord(7, (0.5, 0.5), 0.5)
+        ]
+        for command, body in [
+            ("cycle", reply_body()),
+            ("register_many", register_body()),
+        ]:
+            status, _ = codec.decode_reply(command, codec.decode_body(body))
+            assert status == "ok"
 
     @pytest.mark.parametrize(
         "body",
@@ -621,13 +642,11 @@ class TestHostileFrames:
     @pytest.mark.parametrize(
         "header",
         [
-            '{"ok":true,"dims":1,"counters":{},'
-            '"changes":[[1,"cycle",0,0,0,BAD]]}',  # a change's bound
+            '{"ok":true,"counters":{"arrivals":BAD}}',
             '{"op":"update","qid":1,"k":null,"weights":[BAD,1.0]}',
             '{"op":"register_many","queries":[{"kind":"topk","k":1,'
             '"weights":[0.5,BAD],"qid":1}]}',
-            '{"ok":true,"dims":1,"counters":{},"changes":[],'
-            '"metrics":{"gauges":{"g":BAD}}}',
+            '{"ok":true,"counters":{},"metrics":{"gauges":{"g":BAD}}}',
         ],
     )
     def test_non_finite_header_floats_refused_at_decode(self, header, bad):
@@ -652,15 +671,19 @@ class TestHostileFrames:
             cycle_body(dims=-2),
             cycle_body(dims=2.0),
             cycle_body(dims=None),
-            cycle_body(blocks=[["q", 1], ["d", 1], ["d", 2]]),  # 3 of 6
+            cycle_body(blocks=[["q", 1], ["d", 1], ["d", 2]]),  # 3 of 4
             cycle_body(  # dtypes out of order
-                blocks=[["d", 1], ["q", 1], ["d", 2],
-                        ["q", 0], ["d", 0], ["d", 0]]
+                blocks=[["d", 1], ["q", 1], ["d", 2], ["q", 0]]
             ),
             cycle_body(  # two rids, one time
-                ins=2,
-                blocks=[["q", 2], ["d", 1], ["d", 5],
-                        ["q", 0], ["d", 0], ["d", 0]],
+                ins=2, blocks=[["q", 2], ["d", 1], ["d", 5], ["q", 0]]
+            ),
+            cycle_body(  # the rev-5 expiration columns (ids, times, attrs)
+                blocks=[["q", 1], ["d", 1], ["d", 2],
+                        ["q", 0], ["d", 0], ["d", 0]]
+            ),
+            cycle_body(  # expired ids as floats
+                blocks=[["q", 1], ["d", 1], ["d", 1], ["d", 1]]
             ),
             raw_body({"op": "fork_bomb"}),
             raw_body({"dims": 2}),
@@ -679,7 +702,7 @@ class TestHostileFrames:
             cycle_body(sketch=4),  # the rev-4 sketch tick, no blocks
             raw_body(  # the rev-4 sketch tick with its four int blocks
                 {"op": "cycle", "dims": 2, "sketch": 5,
-                 "blocks": [["q", 0], ["d", 0], ["d", 0]] * 2
+                 "blocks": [["q", 0], ["d", 0], ["d", 0], ["q", 0]]
                  + [["q", 1]] * 4},
                 longs(1, 1, 1, 1),
             ),
@@ -695,54 +718,52 @@ class TestHostileFrames:
             codec.encode_request("sketch", None)
 
     @pytest.mark.parametrize(
-        "rows",
+        "columns",
         [
-            [[1, "cycle", 0, 0, 2, None]],  # claims more than the table
-            [[1, "cycle", 0, 0, 0, None]],  # claims fewer
-            [[1, "cycle", 1, 1, -1, None]],  # sums right, negative count
-            [[1, "cycle", 0, 0, 1.0, None]],
-            [[1, "cycle", 0, 0, "1", None]],
-            [["1", "cycle", 0, 0, 1, None]],
-            [[1.5, "cycle", 0, 0, 1, None]],
-            [[1, "cycle", 0, 0, 1]],  # short row
-            [[1, "cycle", 0, 0, 1, "tight"]],
-            "nope",
-            None,
+            {"added": (2,)},  # counts claim more than the columns hold
+            {"added": (0,)},  # counts claim fewer
+            {"removed": (1,)},  # a removal the rid column lacks
+            {"removed": (0,), "gone": (3,)},  # a rid no count claims
+            {  # sums right, negative count
+                "qids": (1, 2), "added": (2, -1),
+                "removed": (0, 0),
+            },
+            {"removed": (-1,), "gone": ()},
+            {"qids": (1, 2)},  # two qids, one count row
+            {"scores": (0.5, 0.25)},  # two scores, one added rid
         ],
     )
-    def test_change_rows_must_match_the_entry_table(self, rows):
+    def test_change_counts_must_match_the_columns(self, columns):
         with pytest.raises(ProtocolError):
-            codec.decode_reply("cycle", codec.decode_body(reply_body(rows)))
+            codec.decode_reply(
+                "cycle", codec.decode_body(reply_body(**columns))
+            )
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"dims": 2},
-            {"dims": 0},
-            {"dims": "1"},
             {"counters": [1, 2]},
             {"counters": {"arrivals": "many"}},
-            {"blocks": [["d", 1], ["q", 1], ["d", 2]]},  # 3 of 4 blocks
-            {"blocks": [["q", 1], ["d", 1], ["d", 1], ["d", 1]]},
-            {"blocks": [["d", 2], ["q", 1], ["d", 1], ["d", 0]]},  # ragged
+            {"blocks": [["q", 1], ["q", 1], ["q", 1], ["d", 1], ["q", 1]]},
+            {  # qids as floats
+                "blocks": [["d", 1], ["q", 1], ["q", 1],
+                           ["d", 1], ["q", 1], ["q", 0]]
+            },
+            {  # added rids as floats
+                "blocks": [["q", 1], ["q", 1], ["q", 1],
+                           ["d", 1], ["d", 1], ["q", 0]]
+            },
         ],
     )
-    def test_entry_table_corruption(self, overrides):
-        body = reply_body([[1, "cycle", 0, 0, 1, None]], **overrides)
+    def test_reply_column_corruption(self, overrides):
         with pytest.raises(ProtocolError):
-            codec.decode_reply("cycle", codec.decode_body(body))
+            codec.decode_reply(
+                "cycle", codec.decode_body(reply_body(**overrides))
+            )
 
-    @pytest.mark.parametrize(
-        "times, attrs, ok",
-        [
-            ((1.0, 1.0), (0.25, 0.25), True),
-            ((1.0, 2.0), (0.25, 0.25), False),  # same rid, another time
-            ((1.0, 1.0), (0.25, 0.75), False),  # same rid, another row
-        ],
-    )
-    def test_a_repeated_rid_must_repeat_its_record(self, times, attrs, ok):
-        """Records are rebuilt once per rid, so a table that gives one
-        rid two contents would have one of them silently rewritten."""
+    def test_a_rev5_entry_table_is_refused(self):
+        """Rev 5 sent each entry's score, rid, time and attributes and
+        the change rows in the header; rev 6 refuses that reply."""
         header = {
             "ok": True, "dims": 1, "counters": {},
             "changes": [[1, "cycle", 1, 0, 1, None]],
@@ -750,24 +771,35 @@ class TestHostileFrames:
         }
         body = raw_body(
             header,
-            doubles(0.5, 0.5) + longs(7, 7) + doubles(*times) + doubles(*attrs),
+            doubles(0.5, 0.5) + longs(7, 7) + doubles(1.0, 1.0)
+            + doubles(0.25, 0.25),
         )
-        if not ok:
-            with pytest.raises(ProtocolError, match="repeats a record id"):
-                codec.decode_reply("cycle", codec.decode_body(body))
-            return
-        _, (changes, _, _) = codec.decode_reply(
-            "cycle", codec.decode_body(body)
-        )
-        assert changes[1].added[0].record is changes[1].top[0].record
+        with pytest.raises(ProtocolError, match="expected 'qqqdqq'"):
+            codec.decode_reply("cycle", codec.decode_body(body))
 
-    def test_register_many_rows_must_match_the_entry_table(self):
-        for results in ([[1, 2]], [[1, 0]], [[1, -1], [2, 2]], [[1.0, 1]]):
-            body = reply_body(None, results=results)
-            with pytest.raises(ProtocolError):
-                codec.decode_reply(
-                    "register_many", codec.decode_body(body)
-                )
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"counts": (2,)},
+            {"counts": (0,)},
+            {"qids": (1, 2), "counts": (-1, 2), "scores": (0.5,)},
+            {"qids": (1, 2)},
+            {"rids": (7, 8)},
+        ],
+    )
+    def test_register_many_counts_must_match_the_columns(self, columns):
+        with pytest.raises(ProtocolError):
+            codec.decode_reply(
+                "register_many", codec.decode_body(register_body(**columns))
+            )
+
+    def test_update_columns_must_pair_up(self):
+        body = raw_body(
+            {"ok": True, "counters": {}, "blocks": [["d", 2], ["q", 1]]},
+            doubles(0.5, 0.25) + longs(7),
+        )
+        with pytest.raises(ProtocolError, match="ragged"):
+            codec.decode_reply("update", codec.decode_body(body))
 
     def test_header_only_replies_refuse_blocks(self):
         body = raw_body(
@@ -795,7 +827,7 @@ class TestHostileFrames:
                 codec.encode_reply(
                     "cycle",
                     (
-                        {2: ResultChange(qid=2, top=[make_entry(5, 0.5)])},
+                        ([2, 3], [1, 0], [1, 1], [0.5], [5], [4, 6]),
                         {"arrivals": 1},
                         None,
                     ),

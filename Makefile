@@ -34,12 +34,12 @@ selfcheck:
 
 # The perf-PR gate: tier-1 tests, the parity oracle, and three short
 # micro-benches that exercise every batched hot path end to end —
-# the similarity-grouped recomputation variants (cross-checked against
-# the per-query paths) and the sharded worker-pool engine.
+# similarity-grouped SMA (cross-checked against the per-query paths)
+# and the sharded worker-pool engine.
 bench-smoke: test selfcheck
 	$(PY) -m repro.bench run --n 4000 --rate 40 --queries 10 --cycles 5
 	$(PY) -m repro.bench run --n 4000 --rate 200 --queries 24 --cycles 5 \
-		--similarity 0.9 --algorithms tma,tma-grouped,sma,sma-grouped
+		--similarity 0.9 --algorithms tma,sma,sma-grouped
 	$(PY) -m repro.bench run --n 4000 --rate 40 --queries 12 --cycles 5 \
 		--shards 2 --algorithms tma,sma
 	$(PY) -m repro.bench run --n 4000 --rate 40 --queries 12 --cycles 8 \

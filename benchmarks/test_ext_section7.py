@@ -56,9 +56,8 @@ def test_constrained_queries_stay_inside_their_region(benchmark):
             monitor.process(batch)
         grid = monitor.algorithm.grid
         influence_cells = [
-            cell
-            for cell in grid.cells()
-            if qid in cell.influence
+            grid.bounds_of(coords)
+            for coords in monitor.algorithm.influence_region(qid)
         ]
         return query, influence_cells, monitor.counters.cells_processed
 
@@ -70,9 +69,9 @@ def test_constrained_queries_stay_inside_their_region(benchmark):
         f"{cells_processed} cells processed over 10 cycles"
     )
     assert influence_cells, "query should influence at least one cell"
-    for cell in influence_cells:
-        assert query.constraint.intersects(cell.lower, cell.upper), (
-            f"influence entry outside the constraint region: {cell}"
+    for lower, upper in influence_cells:
+        assert query.constraint.intersects(lower, upper), (
+            f"influence cell outside the constraint region: {lower}"
         )
 
 

@@ -5,6 +5,10 @@ fine a grid wastes heap operations on empty cells, too coarse a grid
 scans points outside influence regions; space grows monotonically with
 granularity (book-keeping). The same trade-off appears at our scaled N
 with the optimum shifted to the occupancy-equivalent granularity.
+
+The time trade-off is asserted on its two operation counts, not on
+seconds: cells en-heaped (the fine grid's cost) rise with granularity
+while points scored (the coarse grid's cost) fall.
 """
 
 import pytest
@@ -21,6 +25,7 @@ def sweep():
     spec = scaled_defaults(cycles=8)
     results = {"tma": [], "sma": []}
     spaces = {"tma": [], "sma": []}
+    counters = {"tma": [], "sma": []}
     for per_axis in GRANULARITIES:
         for algorithm in ("tma", "sma"):
             run = run_workload(
@@ -28,11 +33,12 @@ def sweep():
             )
             results[algorithm].append(run.total_seconds)
             spaces[algorithm].append(run.space.total_mb)
-    return results, spaces
+            counters[algorithm].append(run.counters)
+    return results, spaces, counters
 
 
 def test_fig14a_cpu_vs_granularity(benchmark, sweep):
-    results, _ = sweep
+    results, _, counters = sweep
     benchmark.pedantic(
         lambda: run_workload(
             scaled_defaults(cycles=8).with_(cells_per_axis=4), "sma"
@@ -46,18 +52,22 @@ def test_fig14a_cpu_vs_granularity(benchmark, sweep):
         GRANULARITIES,
         {"TMA": results["tma"], "SMA": results["sma"]},
     )
-    # The finest grid must not be the optimum (heap overhead on empty
-    # cells) — the paper's interior-optimum shape.
+    # The two sides of the paper's interior optimum: a finer grid
+    # pushes more cells through the heap (overhead on empty cells) and
+    # scores fewer points outside influence regions.
     for algorithm in ("tma", "sma"):
-        series = results[algorithm]
-        best = min(range(len(series)), key=series.__getitem__)
-        assert best != len(GRANULARITIES) - 1, (
-            f"{algorithm}: finest grid unexpectedly optimal: {series}"
+        enheaped = [c.cells_enheaped for c in counters[algorithm]]
+        scored = [c.points_scored for c in counters[algorithm]]
+        assert all(a < b for a, b in zip(enheaped, enheaped[1:])), (
+            f"{algorithm}: cells_enheaped not rising: {enheaped}"
+        )
+        assert all(a > b for a, b in zip(scored, scored[1:])), (
+            f"{algorithm}: points_scored not falling: {scored}"
         )
 
 
 def test_fig14b_space_vs_granularity(benchmark, sweep):
-    _, spaces = sweep
+    _, spaces, _ = sweep
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print_series(
         "Figure 14(b): space vs grid granularity (IND, d=4)",

@@ -89,12 +89,8 @@ def main() -> None:
         )
 
     grid = monitor.algorithm.grid
-    band_cells = sum(
-        1 for cell in grid.cells() if q_band in cell.influence
-    )
-    alarm_cells = sum(
-        1 for cell in grid.cells() if q_alarm in cell.influence
-    )
+    band_cells = len(monitor.algorithm.influence_region(q_band))
+    alarm_cells = len(monitor.algorithm.influence_region(q_alarm))
     print(
         "\nbook-keeping stays local: constrained query in "
         f"{band_cells} influence cells, threshold query in "

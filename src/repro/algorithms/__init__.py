@@ -21,10 +21,9 @@ ALGORITHMS = {
     "sma": SkybandMonitoringAlgorithm,
     "tsl": ThresholdSortedListAlgorithm,
     "brute": BruteForceAlgorithm,
-    # Similarity-grouped recomputation variants: identical results,
-    # shared grid sweeps per group (sugar for grouped=True, so bench
-    # runs can compare grouped vs per-query side by side).
-    "tma-grouped": TopKMonitoringAlgorithm,
+    # SMA with similarity-grouped refills and registration bursts:
+    # identical results, shared grid sweeps per group (sugar for
+    # grouped=True, so bench runs can compare it with plain SMA).
     "sma-grouped": SkybandMonitoringAlgorithm,
 }
 
@@ -45,9 +44,8 @@ def make_algorithm(
     """Construct a monitoring algorithm by name.
 
     Args:
-        name: one of ``tma``, ``sma``, ``tsl``, ``brute``, or a
-            grouped-recomputation variant ``tma-grouped`` /
-            ``sma-grouped``.
+        name: one of ``tma``, ``sma``, ``tsl``, ``brute``, or
+            ``sma-grouped`` (SMA with ``grouped=True``).
         dims: data dimensionality.
         cells_per_axis: grid granularity for the grid-based methods
             (ignored by ``tsl``/``brute``); defaults to the paper's
@@ -55,7 +53,7 @@ def make_algorithm(
             :func:`repro.bench.workloads.default_cells_per_axis` when
             omitted.
         **kwargs: algorithm-specific options (e.g. ``kmax_for`` for
-            TSL, ``grouped`` for TMA/SMA).
+            TSL, ``grouped`` for SMA, ``eager_cleanup`` for TMA).
     """
     key = name.lower()
     if key not in ALGORITHMS:

@@ -16,12 +16,18 @@ queries** (paper Section 7: monitor all points with score above a
 user-set threshold) through the same registration / cycle / change
 machinery — the support lives here so the unified
 :class:`~repro.core.engine.StreamMonitor` facade can mix query kinds
-freely. Grid-based algorithms register threshold queries in the
-influence lists of exactly the cells whose maxscore exceeds the
-threshold (the paper's method); maintenance batch-scores each cycle's
-arrivals per threshold query with the vector kernel, which is exact
-for any algorithm (a record scoring above the threshold necessarily
-lies inside the query's static influence region).
+freely. Grid-based algorithms give a threshold query the influence
+region of exactly the cells whose maxscore exceeds the threshold (the
+paper's method); maintenance batch-scores each cycle's arrivals per
+threshold query with the vector kernel, which is exact for any
+algorithm (a record scoring above the threshold necessarily lies
+inside the query's static influence region).
+
+**Influence regions belong to the queries**: a grid query's state
+holds ``cells``, the frozenset of cells its region covers, where the
+paper lists the queries in each cell (see
+:mod:`repro.algorithms.topk_computation`). :func:`influence_hits`
+meets the regions with a batch's cells query-major.
 
 **In-flight mutation**: :meth:`MonitorAlgorithm.update_query` changes
 a running query's ``k`` and/or preference function while *reusing* the
@@ -35,9 +41,12 @@ the grid).
 from __future__ import annotations
 
 import abc
+from itertools import chain, compress
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -49,50 +58,62 @@ from typing import (
 from repro.core import batch
 from repro.core.batch import ArrivalScorer
 from repro.core.errors import QueryError
-from repro.core.queries import ThresholdQuery, TopKQuery
+from repro.core.queries import ThresholdQuery, TopKQuery, check_k
 from repro.core.results import ResultChange, ResultEntry, diff_results
 from repro.core.scoring import LinearFunction, linear_scores
 from repro.core.stats import OpCounters
 from repro.core.tuples import StreamRecord
 from repro.obs.trace import NULL_TRACER
 
+_CELLS = attrgetter("cells")
+_COORDS = attrgetter("coords")
+
 
 def influence_hits(
     cells: Sequence, states: Dict, counters: OpCounters
-) -> Dict[int, List[List[int]]]:
+) -> Dict[int, List[int]]:
     """Which records of a batch each query must look at, query-major.
 
     ``cells[i]`` is the grid cell record ``i`` of the batch lies in
-    (None where the grid never materialised it). The batch is grouped
-    by cell once; a query listed in a cell's influence list gets that
-    cell's batch positions as one run. Returns ``qid -> runs`` for the
-    queries of ``states``, and counts ``influence_checks`` as the
-    record-by-record scan would: records in the cell × its listed
-    queries. An empty query table costs nothing.
+    (None where the grid never materialised it). Each distinct query
+    region (``states[qid].cells``) meets the batch's cells in one
+    C-level set intersection, and the batch positions inside the cells
+    it covers are gathered once per distinct region. Returns
+    ``qid -> positions`` for the queries of ``states`` whose region
+    covers a batch record, in the order of ``states``; queries with
+    equal regions share one list, which callers must not mutate.
+    Counts ``influence_checks`` as the record-by-record scan of
+    per-cell lists would: records in the cell × the queries covering
+    it. An empty query table costs nothing.
     """
     if not states:
         return {}
-    by_cell: Dict = {}
+    distinct = set(cells)
+    distinct.discard(None)
+    present = dict(zip(map(_COORDS, distinct), distinct))
+    batch_cells = frozenset(present)
+    # Equal regions are mostly one shared object (RegionTable), so the
+    # intersections and the gathering are paid per distinct region.
+    regions = list(map(_CELLS, states.values()))
+    covers = {
+        region: batch_cells.intersection(region) for region in set(regions)
+    }
+    # Batch positions, for the cells some region covers only.
+    by_cell: Dict = {
+        present[coords]: [] for coords in frozenset().union(*covers.values())
+    }
     for position, cell in enumerate(cells):
-        if cell is not None and cell.influence:
-            run = by_cell.get(cell)
-            if run is None:
-                by_cell[cell] = [position]
-            else:
-                run.append(position)
-    hits: Dict[int, List[List[int]]] = {}
-    checks = 0
-    for cell, run in by_cell.items():
-        for qid in cell.influence:
-            if qid in states:
-                checks += len(run)
-                runs = hits.get(qid)
-                if runs is None:
-                    hits[qid] = [run]
-                else:
-                    runs.append(run)
-    counters.influence_checks += checks
-    return hits
+        run = by_cell.get(cell)
+        if run is not None:
+            run.append(position)
+    runs = {cell.coords: run for cell, run in by_cell.items()}
+    gathered = {
+        region: list(chain.from_iterable(map(runs.__getitem__, cover)))
+        for region, cover in covers.items()
+    }
+    positions = list(map(gathered.__getitem__, regions))
+    counters.influence_checks += sum(map(len, positions))
+    return dict(compress(zip(states, positions), positions))
 
 
 def gated_arrivals(
@@ -136,10 +157,8 @@ def gated_arrivals(
         positions: List[int] = []
         sizes = []
         for qid in stacked:
-            before = len(positions)
-            for run in hits[qid]:
-                positions += run
-            sizes.append(len(positions) - before)
+            positions += hits[qid]
+            sizes.append(len(hits[qid]))
         rows = np.array(positions)
         columns = np.repeat(np.arange(len(stacked)), sizes)
         weights = np.array(
@@ -156,11 +175,10 @@ def gated_arrivals(
             columns[kept].tolist(), rows[kept].tolist(), scores[kept].tolist()
         ):
             passed[stacked[column]].append((position, score))
-    for qid, runs in hits.items():
+    for qid, indices in hits.items():
         state = states[qid]
         survivors = passed.get(qid)
         if survivors is None:
-            indices = [position for run in runs for position in run]
             picked, values = batch.take_at_least(
                 state.query.function.score_batch(
                     batch.take_rows(matrix, indices)
@@ -175,7 +193,7 @@ def gated_arrivals(
 
 
 class _ThresholdState:
-    """Per-threshold-query state: spec, members, and (grid) cells."""
+    """Per-threshold-query state: spec, members, and (grid) region."""
 
     __slots__ = ("query", "members", "cells")
 
@@ -183,8 +201,8 @@ class _ThresholdState:
         self.query = query
         #: rid -> ResultEntry of every valid point above the threshold.
         self.members: Dict[int, ResultEntry] = {}
-        #: influence-cell coords (grid-based algorithms only).
-        self.cells: List = []
+        #: influence-region cell coords (grid-based algorithms only).
+        self.cells: FrozenSet = frozenset()
 
     def result_entries(self) -> List[ResultEntry]:
         return sorted(
@@ -246,7 +264,7 @@ class MonitorAlgorithm(abc.ABC):
 
     @abc.abstractmethod
     def unregister(self, qid: int) -> None:
-        """Remove a query and every trace of it (influence lists etc.)."""
+        """Remove a query and every trace of it."""
 
     @abc.abstractmethod
     def current_result(self, qid: int) -> List[ResultEntry]:
@@ -278,8 +296,8 @@ class MonitorAlgorithm(abc.ABC):
         query = self._find_query(qid)
         if k is None and function is None:
             return self.current_result(qid)
-        if k is not None and k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
+        if k is not None:
+            check_k(k)
         old_k, old_function = query.k, query.function
         self.unregister(qid)
         if k is not None:
@@ -349,12 +367,11 @@ class MonitorAlgorithm(abc.ABC):
     def _register_threshold(self, query: ThresholdQuery) -> List[ResultEntry]:
         """Install a threshold query; return its initial matches.
 
-        Grid-based algorithms (anything exposing ``self.grid``) add the
-        query to the influence lists of exactly the cells whose
-        maxscore exceeds the threshold and seed the result from those
-        cells' points; others scan the valid set once. The influence
-        region of a threshold query is static, so registration-time
-        lists need no lazy-cleanup machinery.
+        Grid-based algorithms (anything exposing ``self.grid``) give
+        the query the region of exactly the cells whose maxscore
+        exceeds the threshold and seed the result from those cells'
+        points; others scan the valid set once. The influence region
+        of a threshold query is static.
         """
         if query.dims != self.dims:
             raise QueryError(
@@ -362,41 +379,33 @@ class MonitorAlgorithm(abc.ABC):
             )
         state = _ThresholdState(query)
         grid = getattr(self, "grid", None)
-        if grid is not None:
+        if grid is None:
+            candidates = self._valid_records()
+        else:
             from repro.grid.traversal import collect_cells_above_threshold
 
-            for coords in collect_cells_above_threshold(
-                grid, query.function, query.threshold, self.counters
-            ):
-                cell = grid.get_cell(coords)
-                cell.influence.add(query.qid)
-                self.counters.influence_list_updates += 1
-                state.cells.append(coords)
-                for record in cell.iter_points():
-                    score = query.score(record.attrs)
-                    self.counters.points_scored += 1
-                    if score > query.threshold:
-                        state.members[record.rid] = ResultEntry(score, record)
-        else:
-            for record in self._valid_records():
-                score = query.score(record.attrs)
-                self.counters.points_scored += 1
-                if score > query.threshold:
-                    state.members[record.rid] = ResultEntry(score, record)
+            state.cells = frozenset(
+                collect_cells_above_threshold(
+                    grid, query.function, query.threshold, self.counters
+                )
+            )
+            self.counters.influence_list_updates += len(state.cells)
+            cells = filter(None, map(grid.peek_cell, state.cells))
+            candidates = [
+                record for cell in cells for record in cell.iter_points()
+            ]
+        for record in candidates:
+            score = query.score(record.attrs)
+            self.counters.points_scored += 1
+            if score > query.threshold:
+                state.members[record.rid] = ResultEntry(score, record)
         self._threshold_states[query.qid] = state
         return state.result_entries()
 
     def _unregister_threshold(self, qid: int) -> None:
-        """Remove a threshold query and scrub its influence entries."""
-        state = self._threshold_states.pop(qid, None)
-        if state is None:
+        """Remove a threshold query."""
+        if self._threshold_states.pop(qid, None) is None:
             raise self._unknown_query(qid)
-        grid = getattr(self, "grid", None)
-        if grid is not None:
-            for coords in state.cells:
-                cell = grid.peek_cell(coords)
-                if cell is not None:
-                    cell.influence.discard(qid)
 
     def _maintain_thresholds(
         self,
@@ -406,7 +415,7 @@ class MonitorAlgorithm(abc.ABC):
         """Apply one cycle to every threshold query's member set.
 
         Grid-based algorithms narrow arrivals through the influence
-        lists (a threshold query lives in exactly the cells whose
+        regions (a threshold query covers exactly the cells whose
         maxscore exceeds its threshold, so only arrivals landing in
         those cells are even scored — the paper's Section-7 win over
         the naive check-every-query strategy). Non-grid algorithms

@@ -16,7 +16,7 @@ for far fewer from-scratch recomputations:
 - only when the skyband underflows k entries — all pre-computed
   replacements were consumed — does SMA fall back to the top-k
   computation module and rebuild the skyband (lines 20–22), with the
-  same lazy influence-list discipline as TMA.
+  same lazy influence regions as TMA.
 
 Under uniform data, arrivals and expirations inside the influence
 region balance and the skyband hovers at ~k entries; the paper's
@@ -26,43 +26,35 @@ SMA storing far fewer extras than TSL's kmax-sized views.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from repro.algorithms.base import (
-    MonitorAlgorithm,
-    gated_arrivals,
-    influence_hits,
-)
-from repro.core.errors import QueryError
+from repro.algorithms.base import gated_arrivals, influence_hits
 from repro.algorithms.topk_computation import (
+    GridMonitorAlgorithm,
+    RegionState,
+    RegionTable,
     compute_and_install,
     compute_and_install_burst,
     compute_and_install_group,
-    query_region,
-    remove_query_everywhere,
 )
-from repro.core.queries import QueryGroupRegistry, TopKQuery
+from repro.core.queries import QueryGroupRegistry, TopKQuery, check_k
 from repro.core.results import ResultEntry
 from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
-from repro.grid.grid import Grid
-from repro.grid.traversal import SweepOrder, TraversalOutcome
+from repro.grid.traversal import TraversalOutcome
 from repro.skyband.skyband import ScoreTimeSkyband
 
 
-class _SmaQueryState:
-    """Per-query state: spec, skyband, and the frozen admission gate."""
+class _SmaQueryState(RegionState):
+    """Per-query state: region, skyband, and the frozen admission gate."""
 
-    __slots__ = ("query", "region", "skyband", "gate", "order")
+    __slots__ = ("skyband", "gate")
 
-    def __init__(self, query: TopKQuery) -> None:
-        self.query = query
-        self.region = query_region(query)
+    def __init__(self, query: TopKQuery, table: RegionTable) -> None:
+        super().__init__(query, table)
         self.skyband = ScoreTimeSkyband(query.k)
         #: kth key at the last from-scratch computation — NOT updated
         #: incrementally (Figure 11, line 7 comment).
         self.gate: RankKey = MIN_RANK_KEY
-        #: the query's sweep order, once a solo computation walked one.
-        self.order: Optional[SweepOrder] = None
 
     def rebuild_from(self, outcome: TraversalOutcome, counters) -> None:
         entries = outcome.entries
@@ -72,14 +64,12 @@ class _SmaQueryState:
             self.gate = (worst.score, worst.record.rid)
         else:
             self.gate = MIN_RANK_KEY
-        if outcome.order is not None:
-            self.order = outcome.order
 
     def result_entries(self) -> List[ResultEntry]:
         return self.skyband.top()
 
 
-class SkybandMonitoringAlgorithm(MonitorAlgorithm):
+class SkybandMonitoringAlgorithm(GridMonitorAlgorithm):
     """Grid-based monitoring via score–time skybands (Figure 11)."""
 
     name = "sma"
@@ -89,10 +79,12 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
     ) -> None:
         """``grouped=True`` batches each cycle's skyband refills by
         preference-vector similarity, sharing one grid sweep per group
-        (see :class:`~repro.algorithms.tma.TopKMonitoringAlgorithm`);
-        results are bitwise identical to the per-query path."""
-        super().__init__(dims)
-        self.grid = Grid(dims, cells_per_axis)
+        (:class:`~repro.core.queries.QueryGroupRegistry`): queries in
+        one group share a single grid sweep that packs and scores each
+        cell block once for the whole group. Registration bursts are
+        grouped the same way. Results are bitwise identical to the
+        per-query path; only maintenance cost changes."""
+        super().__init__(dims, cells_per_axis)
         self.groups = QueryGroupRegistry() if grouped else None
         self._states: Dict[int, _SmaQueryState] = {}
 
@@ -103,9 +95,9 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
     def register(self, query: TopKQuery) -> List[ResultEntry]:
         if not isinstance(query, TopKQuery):
             return self._register_threshold(query)
-        state = _SmaQueryState(query)
+        state = _SmaQueryState(query, self.regions)
         state.rebuild_from(
-            compute_and_install(self.grid, query, self.counters),
+            compute_and_install(self.grid, state, self.counters),
             self.counters,
         )
         self._states[query.qid] = state
@@ -116,9 +108,15 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
     def register_many(
         self, queries: List[TopKQuery]
     ) -> Dict[int, List[ResultEntry]]:
-        """Install a registration burst, sharing grid sweeps per group
-        (see :meth:`~repro.algorithms.tma.TopKMonitoringAlgorithm.register_many`);
-        each member's skyband is seeded from its exact solo outcome."""
+        """Install a registration burst, sharing grid sweeps per group.
+
+        With ``grouped=True``, similar members of the burst get their
+        *initial* top-k through shared sweeps
+        (:func:`~repro.algorithms.topk_computation.compute_and_install_burst`)
+        instead of one solo traversal each — results and influence
+        regions are identical either way, and each member's skyband is
+        seeded from its exact solo outcome.
+        """
         topk = [query for query in queries if isinstance(query, TopKQuery)]
         if self.groups is None or len(topk) < 2:
             return super().register_many(queries)
@@ -126,40 +124,21 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         for query in queries:
             if not isinstance(query, TopKQuery):
                 results[query.qid] = self._register_threshold(query)
-        for query, outcome in compute_and_install_burst(
-            self.grid, self.groups, topk, self.counters
+        for state, outcome in compute_and_install_burst(
+            self.grid,
+            self.groups,
+            [_SmaQueryState(query, self.regions) for query in topk],
+            self.counters,
         ):
-            state = _SmaQueryState(query)
             state.rebuild_from(outcome, self.counters)
-            self._states[query.qid] = state
-            results[query.qid] = state.result_entries()
+            self._states[state.query.qid] = state
+            results[state.query.qid] = state.result_entries()
         return results
 
     def unregister(self, qid: int) -> None:
-        if qid in self._threshold_states:
-            self._unregister_threshold(qid)
-            return
-        state = self._states.pop(qid, None)
-        if state is None:
-            raise self._unknown_query(qid)
+        super().unregister(qid)
         if self.groups is not None:
             self.groups.discard(qid)
-        remove_query_everywhere(
-            self.grid, state.query, self.counters, state.order
-        )
-
-    def current_result(self, qid: int) -> List[ResultEntry]:
-        state = self._states.get(qid)
-        if state is None:
-            if qid in self._threshold_states:
-                return self._threshold_result(qid)
-            raise self._unknown_query(qid)
-        return state.result_entries()
-
-    def queries(self) -> Iterable[TopKQuery]:
-        return [
-            state.query for state in self._states.values()
-        ] + self._threshold_queries()
 
     def update_query(
         self,
@@ -171,24 +150,20 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         from the current grid (one traversal — the same work a cycle's
         skyband refill performs) without touching the query's
         registration; a preference change takes the base
-        unregister/register path so the influence region moves
-        wholesale. Either way the result is identical to cancelling
-        and re-registering the modified query."""
+        unregister/register path. Either way the result is identical
+        to cancelling and re-registering the modified query."""
         state = self._states.get(qid)
         if state is None or function is not None:
             return super().update_query(qid, k=k, function=function)
         query = state.query
         if k is None or k == query.k:
             return state.result_entries()
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
+        check_k(k)
         old_k = query.k
         query.k = k
         self.counters.recomputations += 1
         try:
-            outcome = compute_and_install(
-                self.grid, query, self.counters, order=state.order
-            )
+            outcome = compute_and_install(self.grid, state, self.counters)
         except BaseException:
             query.k = old_k  # old skyband untouched: query still runs
             raise
@@ -255,15 +230,20 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         gate = state.gate
         outcome = compute_and_install(
             self.grid,
-            state.query,
+            state,
             self.counters,
-            order=state.order,
             at_most=gate[0] if gate != MIN_RANK_KEY else None,
         )
         state.rebuild_from(outcome, self.counters)
 
     def _refill_grouped(self, refills: List[_SmaQueryState]) -> None:
-        """Skyband refills batched by similarity group (see TMA)."""
+        """Skyband refills batched by similarity group.
+
+        Groups of two or more share one grid sweep
+        (:func:`~repro.algorithms.topk_computation.compute_and_install_group`);
+        ungroupable queries and singleton buckets take the solo path.
+        Either way each query's skyband and influence region end up
+        identical to a query-by-query refill loop."""
         states = {state.query.qid: state for state in refills}
         for group in self.groups.partition(
             [state.query for state in refills]
@@ -276,7 +256,7 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
             gates = [states[query.qid].gate for query in group]
             outcomes = compute_and_install_group(
                 self.grid,
-                group,
+                [states[query.qid] for query in group],
                 self.counters,
                 at_most=None if MIN_RANK_KEY in gates else min(gates)[0],
             )
@@ -294,7 +274,3 @@ class SkybandMonitoringAlgorithm(MonitorAlgorithm):
         }
         sizes.update(self._threshold_state_sizes())
         return sizes
-
-    def influence_list_entries(self) -> int:
-        """Total IL entries across cells (space accounting, Section 6)."""
-        return sum(len(cell.influence) for cell in self.grid.cells())

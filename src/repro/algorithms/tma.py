@@ -3,7 +3,8 @@
 Maintenance policy: keep *exactly* the current top-k per query.
 
 - **Arrivals first.** Each arrival lands in its grid cell; for every
-  query in that cell's influence list whose gate it beats, it enters
+  query whose influence region covers that cell and whose gate it
+  beats, it enters
   the top list and displaces the kth entry. Processing ``P_ins``
   before ``P_del`` means an arrival can save a query whose result
   member expires in the same cycle (the Figure 8(a) walk-through,
@@ -13,10 +14,11 @@ Maintenance policy: keep *exactly* the current top-k per query.
   and, once the whole batch is applied, recomputed from scratch via
   the top-k computation module — this is the only from-scratch path,
   and its frequency is the paper's ``Pr_rec``.
-- **Lazy influence lists.** When arrivals shrink an influence region
-  the lists are *not* updated; stale entries are filtered by the gate
-  comparison and cleaned up only after the next from-scratch
-  computation (see :mod:`repro.algorithms.topk_computation`).
+- **Lazy influence regions.** When arrivals shrink an influence
+  region the query's cell set is *not* updated; the extra cells are
+  filtered by the gate comparison and replaced by the next
+  from-scratch computation (see
+  :mod:`repro.algorithms.topk_computation`).
 
 Top lists are plain ascending-sorted lists of ``(key, record)`` pairs:
 k is small (≤ a few hundred), so a bisect + C-level memmove beats any
@@ -27,48 +29,32 @@ O(log k) accounting.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.algorithms.base import (
-    MonitorAlgorithm,
-    gated_arrivals,
-    influence_hits,
-)
+from repro.algorithms.base import gated_arrivals, influence_hits
 from repro.algorithms.topk_computation import (
+    GridMonitorAlgorithm,
+    RegionState,
+    RegionTable,
     compute_and_install,
-    compute_and_install_burst,
-    compute_and_install_group,
-    eager_trim_influence,
-    query_region,
-    remove_query_everywhere,
 )
-from repro.core.queries import QueryGroupRegistry, TopKQuery
+from repro.core.errors import DimensionalityError
+from repro.core.queries import TopKQuery, check_k
 from repro.core.results import ResultEntry
 from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
-from repro.grid.grid import Grid
-from repro.grid.traversal import SweepOrder, TraversalOutcome
+from repro.grid.traversal import TraversalOutcome
 
 
-class _TmaQueryState:
-    """Per-query state: spec, exact top-k, and membership index."""
+class _TmaQueryState(RegionState):
+    """Per-query state: region, exact top-k, and membership index."""
 
-    __slots__ = (
-        "query",
-        "region",
-        "top",
-        "member_ids",
-        "order",
-        "_entries",
-    )
+    __slots__ = ("top", "member_ids", "_entries")
 
-    def __init__(self, query: TopKQuery) -> None:
-        self.query = query
-        self.region = query_region(query)
+    def __init__(self, query: TopKQuery, table: RegionTable) -> None:
+        super().__init__(query, table)
         #: ascending (key, record): element 0 is the kth (worst) result.
         self.top: List[Tuple[RankKey, StreamRecord]] = []
         self.member_ids: Set[int] = set()
-        #: the query's sweep order, once a solo computation walked one.
-        self.order: Optional[SweepOrder] = None
         #: memoised best-first result; None after any change to ``top``.
         self._entries: Optional[List[ResultEntry]] = None
 
@@ -86,8 +72,6 @@ class _TmaQueryState:
         ]
         self.member_ids = {record.rid for _, record in self.top}
         self._entries = outcome.entries
-        if outcome.order is not None:
-            self.order = outcome.order
 
     def admit(self, key: RankKey, record: StreamRecord) -> None:
         """Insert a better arrival, displacing the kth entry if full."""
@@ -116,7 +100,7 @@ class _TmaQueryState:
         return list(self._entries)
 
 
-class TopKMonitoringAlgorithm(MonitorAlgorithm):
+class TopKMonitoringAlgorithm(GridMonitorAlgorithm):
     """Grid-based monitoring with exact top-k per query (Figure 9)."""
 
     name = "tma"
@@ -126,24 +110,13 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         dims: int,
         cells_per_axis: int,
         eager_cleanup: bool = False,
-        grouped: bool = False,
     ) -> None:
-        """``eager_cleanup=True`` trims influence lists on every gate
+        """``eager_cleanup=True`` trims influence regions on every gate
         rise instead of lazily (ablation of the paper's Section 4.3
         design choice; results are identical, maintenance is not —
-        see ``benchmarks/test_ablation_design_choices.py``).
-
-        ``grouped=True`` batches each cycle's from-scratch
-        recomputations by preference-vector similarity
-        (:class:`~repro.core.queries.QueryGroupRegistry`): queries in
-        one group share a single grid sweep that packs and scores each
-        cell block once for the whole group. Results are bitwise
-        identical to the per-query path; only maintenance cost
-        changes."""
-        super().__init__(dims)
-        self.grid = Grid(dims, cells_per_axis)
+        see ``benchmarks/test_ablation_design_choices.py``)."""
+        super().__init__(dims, cells_per_axis)
         self.eager_cleanup = eager_cleanup
-        self.groups = QueryGroupRegistry() if grouped else None
         self._states: Dict[int, _TmaQueryState] = {}
 
     # ------------------------------------------------------------------
@@ -154,71 +127,14 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         if not isinstance(query, TopKQuery):
             return self._register_threshold(query)
         if query.dims != self.dims:
-            raise self._unknown_dimensionality(query)
-        state = _TmaQueryState(query)
-        state.set_result(
-            compute_and_install(self.grid, query, self.counters)
-        )
+            raise DimensionalityError(
+                f"query function has {query.dims} dims, "
+                f"algorithm has {self.dims}"
+            )
+        state = _TmaQueryState(query, self.regions)
+        state.set_result(compute_and_install(self.grid, state, self.counters))
         self._states[query.qid] = state
-        if self.groups is not None:
-            self.groups.add(query)
         return state.result_entries()
-
-    def register_many(
-        self, queries: List[TopKQuery]
-    ) -> Dict[int, List[ResultEntry]]:
-        """Install a registration burst, sharing grid sweeps per group.
-
-        With ``grouped=True``, similar members of the burst get their
-        *initial* top-k through shared sweeps
-        (:func:`~repro.algorithms.topk_computation.compute_and_install_burst`)
-        instead of one solo traversal each — results and influence
-        lists are identical either way.
-        """
-        topk = [query for query in queries if isinstance(query, TopKQuery)]
-        if self.groups is None or len(topk) < 2:
-            return super().register_many(queries)
-        for query in topk:
-            if query.dims != self.dims:
-                raise self._unknown_dimensionality(query)
-        results: Dict[int, List[ResultEntry]] = {}
-        for query in queries:
-            if not isinstance(query, TopKQuery):
-                results[query.qid] = self._register_threshold(query)
-        for query, outcome in compute_and_install_burst(
-            self.grid, self.groups, topk, self.counters
-        ):
-            state = _TmaQueryState(query)
-            state.set_result(outcome)
-            self._states[query.qid] = state
-            results[query.qid] = state.result_entries()
-        return results
-
-    def unregister(self, qid: int) -> None:
-        if qid in self._threshold_states:
-            self._unregister_threshold(qid)
-            return
-        state = self._states.pop(qid, None)
-        if state is None:
-            raise self._unknown_query(qid)
-        if self.groups is not None:
-            self.groups.discard(qid)
-        remove_query_everywhere(
-            self.grid, state.query, self.counters, state.order
-        )
-
-    def current_result(self, qid: int) -> List[ResultEntry]:
-        state = self._states.get(qid)
-        if state is None:
-            if qid in self._threshold_states:
-                return self._threshold_result(qid)
-            raise self._unknown_query(qid)
-        return state.result_entries()
-
-    def queries(self) -> Iterable[TopKQuery]:
-        return [
-            state.query for state in self._states.values()
-        ] + self._threshold_queries()
 
     def update_query(
         self,
@@ -230,8 +146,8 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
 
         TMA keeps the exact top-k, so shrinking k only trims the worst
         entries off the top list — no grid traversal at all. The
-        influence lists keep their (now slightly too wide) entries and
-        are cleaned by the usual lazy discipline; results are identical
+        influence region keeps its (now slightly too wide) cells until
+        the next computation replaces it; results are identical
         to a from-scratch re-registration. Any other mutation (k
         increase, new preference function) recomputes from the grid
         via the base path.
@@ -240,7 +156,9 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         if state is None:
             return super().update_query(qid, k=k, function=function)
         query = state.query
-        if function is None and k is not None and 1 <= k <= query.k:
+        if k is not None:
+            check_k(k)
+        if function is None and k is not None and k <= query.k:
             if k != query.k:
                 query.k = k
                 state.trim(k)
@@ -284,12 +202,7 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
                 state.admit(key, record)
 
         for state in gate_rose:
-            eager_trim_influence(
-                self.grid,
-                state.query,
-                state.gate_key()[0],
-                counters,
-            )
+            state.trim_region(self.grid, state.gate_key()[0], counters)
 
         cells = self.grid.delete_many(expirations)
         expired = {record.rid for record in expirations}
@@ -300,11 +213,8 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         ]
 
         with self.tracer.span("traversal"):
-            if self.groups is not None and len(affected) > 1:
-                self._recompute_grouped(affected)
-            else:
-                for state in affected:
-                    self._recompute(state)
+            for state in affected:
+                self._recompute(state)
 
     def _recompute(self, state: _TmaQueryState) -> None:
         """From-scratch recomputation of one query (Figure 9, line 13).
@@ -319,47 +229,10 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         state.set_result(
             compute_and_install(
                 self.grid,
-                state.query,
+                state,
                 self.counters,
-                order=state.order,
                 at_most=state.top[0][0][0] if full else None,
             )
-        )
-
-    def _recompute_grouped(self, affected: List[_TmaQueryState]) -> None:
-        """From-scratch recomputation batched by similarity group.
-
-        Groups of two or more share one grid sweep
-        (:func:`~repro.algorithms.topk_computation.compute_and_install_group`);
-        ungroupable queries and singleton buckets take the solo path
-        unchanged. Either way each query's result and influence-list
-        state end up identical to a qid-by-qid recomputation loop."""
-        states = {state.query.qid: state for state in affected}
-        for group in self.groups.partition(
-            [state.query for state in affected]
-        ):
-            if len(group) == 1:
-                self._recompute(states[group[0].qid])
-                continue
-            for query in group:
-                self._touch(query.qid)
-                self.counters.recomputations += 1
-            # As in _recompute: the pre-expiry kth scores are bounds.
-            gates = [states[query.qid].gate_key() for query in group]
-            outcomes = compute_and_install_group(
-                self.grid,
-                group,
-                self.counters,
-                at_most=None if MIN_RANK_KEY in gates else min(gates)[0],
-            )
-            for query, outcome in zip(group, outcomes):
-                states[query.qid].set_result(outcome)
-
-    def _unknown_dimensionality(self, query: TopKQuery):
-        from repro.core.errors import DimensionalityError
-
-        return DimensionalityError(
-            f"query function has {query.dims} dims, algorithm has {self.dims}"
         )
 
     # ------------------------------------------------------------------
@@ -370,7 +243,3 @@ class TopKMonitoringAlgorithm(MonitorAlgorithm):
         sizes = {qid: len(state.top) for qid, state in self._states.items()}
         sizes.update(self._threshold_state_sizes())
         return sizes
-
-    def influence_list_entries(self) -> int:
-        """Total IL entries across cells (space accounting, Section 6)."""
-        return sum(len(cell.influence) for cell in self.grid.cells())

@@ -1,56 +1,50 @@
-"""Shared from-scratch computation + influence-list bookkeeping.
+"""Shared from-scratch computation and the query-owned influence region.
 
 TMA and SMA both delegate from-scratch result computation to the
 traversal of Figure 6 (:func:`repro.grid.traversal.compute_top_k`, or
 :func:`~repro.grid.traversal.compute_top_k_group` for a similarity
-group) and then perform the same two pieces of influence-list (IL)
-bookkeeping:
+group). The cells a computation processes are the query's *influence
+region*: ``{c : maxscore(c) >= s}`` for the kth score ``s`` it found
+(every cell, when fewer than k records are eligible) — the only cells
+a record able to enter the result can land in.
 
-1. every *processed* cell receives an entry for the query (Figure 6,
-   line 13);
-2. cells that referenced the query under an older, larger influence
-   region lose it (Figure 9, lines 14–21) — lazily, only now.
+The paper stores that region in the cells: each cell keeps a hash set
+of the queries whose region covers it (Section 4.1), a computation
+adds the query to every processed cell, and stale entries are removed
+lazily by a flood from the traversal's leftover heap (Figure 9, lines
+14–21). Here the region belongs to the query instead.
+:attr:`RegionState.cells` is the frozenset of the cells the query's
+last from-scratch computation processed, and the next computation
+*replaces* it, so no entry can go stale and unregistering drops
+nothing but the state. A cycle asks the question the other way round
+— which of this batch's cells does each region cover — with one set
+intersection per distinct region
+(:func:`repro.algorithms.base.influence_hits`); a :class:`RegionTable`
+makes equal regions one object, so similar queries share it.
 
-The set of cells holding the query in their IL is always a *threshold
-set* ``{c : maxscore(c) >= s}`` for the threshold ``s`` in effect at
-the last from-scratch computation, whichever path installed it. A
-:class:`~repro.grid.traversal.SweepOrder` lists cells in descending
-maxscore, so a threshold set is a *prefix* of the query's order, and
-for a solo computation that is all of step 2
-(:func:`drop_stale_influence`): the stale cells are those that follow
-the processed prefix for as long as they still list the query.
-:func:`remove_query_everywhere` is the same walk from position 0.
-
-A group sweep follows the *group key's* order, not any member's, and
-its members carry no order of their own; step 2 there is the paper's
-flood (:func:`cleanup_influence`) from the cells left in the traversal
-heap — looked at once for the whole group, since most list no member —
-and from the member's own swept-but-below cells. Why that flood is
-complete and safe — the argument the paper leaves implicit, spelled
-out because the tests assert it:
-
-- Threshold sets are closed "upward" along the preference order.
-- At termination the heap contains exactly the one-step-worse
-  neighbours of processed cells that were not processed — every
-  boundary cell of the new region, each with ``maxscore`` below the
-  new threshold.
-- Stepping from a boundary cell strictly down the preference order
-  never re-enters the new region (maxscore is monotone along steps),
-  so the flood cannot delete fresh IL entries.
-- Any stale cell (old region minus new region) is reachable from some
-  boundary cell through a monotone descending path that stays inside
-  the old region, and every cell on that path still holds the query —
-  so conditioning propagation on "query found here" (as the paper
-  does) loses nothing and stops the flood at the old region's edge.
+Counters keep the paper's list accounting: an install adds
+``len(old ^ new)`` to ``influence_list_updates`` (the entries the
+lists would gain plus the stale entries the flood would remove), and
+an unregister adds ``len(cells)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.algorithms.base import MonitorAlgorithm
 from repro.core.queries import ConstrainedTopKQuery, TopKQuery
 from repro.core.regions import Rectangle
-from repro.core.scoring import PreferenceFunction
+from repro.core.results import ResultEntry
 from repro.core.stats import OpCounters
 from repro.grid.grid import Coords, Grid
 from repro.grid.traversal import (
@@ -58,7 +52,7 @@ from repro.grid.traversal import (
     TraversalOutcome,
     compute_top_k,
     compute_top_k_group,
-    start_coords,
+    maxscore_fn,
 )
 
 
@@ -69,115 +63,165 @@ def query_region(query: TopKQuery) -> Optional[Rectangle]:
     return None
 
 
-def _install(
-    grid: Grid,
-    query: TopKQuery,
-    outcome: TraversalOutcome,
-    counters: Optional[OpCounters],
-) -> None:
-    """Make the influence lists say what ``outcome`` found for ``query``.
+class RegionTable:
+    """One shared frozenset per distinct influence region, refcounted.
 
-    Adds the query to the IL of every processed cell (materialising
-    cells as needed so later arrivals into currently-empty cells still
-    find the query), then removes its stale entries: past the
-    processed prefix of the outcome's order or, after a group sweep,
-    by the flood from its swept cells below the kth score (the shared
-    frontier is :func:`compute_and_install_group`'s).
+    Similar queries often have identical regions — a subscription
+    workload of 400 similar queries holds 5 distinct ones. Handing
+    every such query the same object lets a cycle intersect each
+    distinct region with the batch once, finding it by identity
+    (:func:`repro.algorithms.base.influence_hits`).
     """
-    qid = query.qid
-    added = 0
-    for coords in outcome.processed:
-        influence = grid.get_cell(coords).influence
-        if qid not in influence:
-            influence.add(qid)
-            added += 1
-    if counters is not None:
-        counters.influence_list_updates += added
-    if outcome.order is not None:
-        drop_stale_influence(
-            grid, qid, outcome.order, len(outcome.processed), counters
+
+    __slots__ = ("_shared", "_holders")
+
+    def __init__(self) -> None:
+        #: region -> the shared object equal to it
+        self._shared: Dict[FrozenSet[Coords], FrozenSet[Coords]] = {}
+        #: shared object -> number of states holding it
+        self._holders: Dict[FrozenSet[Coords], int] = {}
+
+    def acquire(self, cells: FrozenSet[Coords]) -> FrozenSet[Coords]:
+        """The shared object equal to ``cells``, with one more holder."""
+        shared = self._shared.setdefault(cells, cells)
+        self._holders[shared] = self._holders.get(shared, 0) + 1
+        return shared
+
+    def release(self, cells: FrozenSet[Coords]) -> None:
+        """One holder fewer; forget the region when none is left."""
+        left = self._holders.pop(cells) - 1
+        if left:
+            self._holders[cells] = left
+        else:
+            del self._shared[cells]
+
+    def __len__(self) -> int:
+        return len(self._shared)
+
+
+class RegionState:
+    """Spec, sweep order and influence region of one grid top-k query.
+
+    TMA's and SMA's per-query states extend it with their result
+    structures. The region is held through ``table`` (a fresh one when
+    none is given), so equal regions are one object.
+    """
+
+    __slots__ = ("query", "region", "order", "cells", "table")
+
+    def __init__(
+        self, query: TopKQuery, table: Optional[RegionTable] = None
+    ) -> None:
+        self.query = query
+        self.region = query_region(query)
+        #: the query's sweep order, once a solo computation walked one.
+        self.order: Optional[SweepOrder] = None
+        self.table = RegionTable() if table is None else table
+        #: the influence region: cells the last computation processed.
+        self.cells: FrozenSet[Coords] = self.table.acquire(frozenset())
+
+    def _replace(
+        self, cells: FrozenSet[Coords], counters: OpCounters
+    ) -> None:
+        """Hold ``cells`` instead; count the entries gained and lost."""
+        old, self.cells = self.cells, self.table.acquire(cells)
+        self.table.release(old)
+        if self.cells is not old:
+            counters.influence_list_updates += len(old ^ self.cells)
+
+    def install(self, outcome: TraversalOutcome, counters: OpCounters) -> None:
+        """Make the influence region what ``outcome`` processed."""
+        self._replace(frozenset(outcome.processed), counters)
+        if outcome.order is not None:
+            self.order = outcome.order
+
+    def release(self) -> None:
+        """Give the region up (the query is unregistered)."""
+        self.table.release(self.cells)
+
+    def trim_region(
+        self, grid: Grid, threshold: float, counters: OpCounters
+    ) -> None:
+        """Eagerly shrink the region to the cells reaching ``threshold``.
+
+        The paper deliberately does *not* do this ("this 'lazy' approach
+        does not affect the correctness"): a region wider than needed
+        only costs gate comparisons until the next computation replaces
+        it. This eager variant exists for the design-choice ablation;
+        it examines every cell of the region on each gate rise
+        (``influence_trim_visits``), keyed exactly as the traversal
+        keys them. Cells whose maxscore *equals* the threshold stay:
+        they may hold records that outrank the kth on rid.
+        """
+        maxscore_of = maxscore_fn(grid, self.query.function, self.region)
+        kept = frozenset(
+            coords for coords in self.cells if maxscore_of(coords) >= threshold
         )
-    else:
-        cleanup_influence(
-            grid, qid, query.function, outcome.remaining, counters
-        )
+        counters.influence_trim_visits += len(self.cells)
+        self._replace(kept, counters)
 
 
 def compute_and_install(
     grid: Grid,
-    query: TopKQuery,
-    counters: Optional[OpCounters] = None,
-    order: Optional[SweepOrder] = None,
+    state: RegionState,
+    counters: OpCounters,
     at_most: Optional[float] = None,
 ) -> TraversalOutcome:
-    """Run the top-k computation module and register influence entries.
+    """Run the top-k computation module and install its region.
 
-    ``order`` is the query's sweep order from an earlier call (the
-    outcome's ``order`` is the one to keep for the next) and
-    ``at_most`` an upper bound on the kth score about to be found;
-    both only make :func:`~repro.grid.traversal.compute_top_k` cheaper.
+    The sweep replays the state's kept order; ``at_most`` is an upper
+    bound on the kth score about to be found, if the caller holds one.
+    Both only make :func:`~repro.grid.traversal.compute_top_k` cheaper.
     """
+    query = state.query
     outcome = compute_top_k(
         grid,
         query.function,
         query.k,
         counters=counters,
-        region=query_region(query),
-        order=order,
+        region=state.region,
+        order=state.order,
         at_most=at_most,
     )
-    _install(grid, query, outcome, counters)
+    state.install(outcome, counters)
     return outcome
 
 
 def compute_and_install_group(
     grid: Grid,
-    queries: Sequence[TopKQuery],
-    counters: Optional[OpCounters] = None,
+    states: Sequence[RegionState],
+    counters: OpCounters,
     at_most: Optional[float] = None,
 ) -> List[TraversalOutcome]:
     """Grouped :func:`compute_and_install`: one sweep, many queries.
 
-    Runs :func:`repro.grid.traversal.compute_top_k_group` over the
-    whole group, then performs per query the influence-list
-    bookkeeping of the solo path — the grouped outcome's ``processed``
-    is the same cell set a solo traversal would install, and its
-    ``remaining`` seeds the cleanup flood. The sweep's ``frontier``
-    lies outside every member's region, so each of its cells is
-    tested against the whole group once and seeds a flood for the
-    members it still lists. ``at_most`` is the least of the members'
-    upper bounds on the kth score about to be found, if each has one.
+    Each grouped outcome's ``processed`` is the cell set a solo
+    traversal would process, so the regions installed are the solo
+    path's. ``at_most`` is the least of the members' upper bounds on
+    the kth score about to be found, if each has one.
 
     Callers must pass plain unconstrained linear queries (what
     :meth:`repro.core.queries.QueryGroupRegistry.partition` groups).
-    Returns one outcome per query, in input order.
+    Returns one outcome per state, in input order.
     """
     outcomes = compute_top_k_group(
         grid,
-        [query.function for query in queries],
-        [query.k for query in queries],
+        [state.query.function for state in states],
+        [state.query.k for state in states],
         counters=counters,
         at_most=at_most,
     )
-    for query, outcome in zip(queries, outcomes):
-        _install(grid, query, outcome, counters)
-    members = {query.qid: query.function for query in queries}
-    qids = set(members)
-    # One list for the whole group (empty when it was swept solo).
-    for coords in outcomes[0].frontier if outcomes else ():
-        cell = grid.peek_cell(coords)
-        if cell is not None:
-            for qid in cell.influence & qids:
-                cleanup_influence(grid, qid, members[qid], [coords], counters)
+    for state, outcome in zip(states, outcomes):
+        state.install(outcome, counters)
     return outcomes
 
 
 def compute_and_install_burst(
     grid: Grid,
     registry,
-    queries: Sequence[TopKQuery],
-    counters: Optional[OpCounters] = None,
-):
+    states: Sequence[RegionState],
+    counters: OpCounters,
+) -> Iterator[Tuple[RegionState, TraversalOutcome]]:
     """Initial computations for a registration burst, grouped.
 
     Adds every query to ``registry`` (a
@@ -186,149 +230,68 @@ def compute_and_install_burst(
     through one shared sweep — ungroupable queries and singleton
     buckets take the solo path. ``counters.grouped_registrations``
     counts the queries served through a shared sweep. Yields
-    ``(query, outcome)`` pairs; outcomes are identical to solo
-    :func:`compute_and_install` calls in any order (the traversal
-    never reads influence state, so burst order cannot matter).
+    ``(state, outcome)`` pairs; outcomes are identical to solo
+    :func:`compute_and_install` calls in any order.
     """
-    for query in queries:
-        registry.add(query)
-    for group in registry.partition(list(queries)):
-        if len(group) == 1:
-            outcomes = [compute_and_install(grid, group[0], counters)]
+    by_qid: Dict[int, RegionState] = {}
+    for state in states:
+        registry.add(state.query)
+        by_qid[state.query.qid] = state
+    for group in registry.partition([state.query for state in states]):
+        members = [by_qid[query.qid] for query in group]
+        if len(members) == 1:
+            outcomes = [compute_and_install(grid, members[0], counters)]
         else:
-            outcomes = compute_and_install_group(grid, group, counters)
-            if counters is not None:
-                counters.grouped_registrations += len(group)
-        yield from zip(group, outcomes)
+            outcomes = compute_and_install_group(grid, members, counters)
+            counters.grouped_registrations += len(members)
+        yield from zip(members, outcomes)
 
 
-def drop_stale_influence(
-    grid: Grid,
-    qid: int,
-    order: SweepOrder,
-    start: int,
-    counters: Optional[OpCounters] = None,
-) -> int:
-    """Remove ``qid`` from the cells of ``order`` from ``start`` on.
+class GridMonitorAlgorithm(MonitorAlgorithm):
+    """What TMA and SMA share: a grid over the valid records and one
+    :class:`RegionState` (extended with the algorithm's result
+    structure) per registered top-k query."""
 
-    The cells listing a query are a prefix of its order (module
-    docstring), so the walk ends at the first cell that does not list
-    it. Returns the number of entries removed.
-    """
-    position = start
-    while order.reaches(position):
-        cell = grid.peek_cell(order.coords[position])
-        if cell is None or qid not in cell.influence:
-            break
-        cell.influence.discard(qid)
-        position += 1
-    if counters is not None:
-        counters.influence_list_updates += position - start
-    return position - start
+    def __init__(self, dims: int, cells_per_axis: int) -> None:
+        super().__init__(dims)
+        self.grid = Grid(dims, cells_per_axis)
+        #: the distinct regions of the top-k queries' states.
+        self.regions = RegionTable()
+        self._states: Dict = {}
 
+    def unregister(self, qid: int) -> None:
+        if qid in self._threshold_states:
+            self._unregister_threshold(qid)
+            return
+        state = self._states.pop(qid, None)
+        if state is None:
+            raise self._unknown_query(qid)
+        self.counters.influence_list_updates += len(state.cells)
+        state.release()
 
-def cleanup_influence(
-    grid: Grid,
-    qid: int,
-    function: PreferenceFunction,
-    seeds: Iterable[Coords],
-    counters: Optional[OpCounters] = None,
-) -> int:
-    """Flood-remove stale IL entries for ``qid`` (Figure 9, lines 14–21).
+    def current_result(self, qid: int) -> List[ResultEntry]:
+        state = self._states.get(qid)
+        if state is None:
+            if qid in self._threshold_states:
+                return self._threshold_result(qid)
+            raise self._unknown_query(qid)
+        return state.result_entries()
 
-    Starts from ``seeds`` and steps down the preference order, deleting
-    the query's entry wherever found and propagating only through
-    cells that held it. Returns the number of entries removed.
-    """
-    removed = 0
-    frontier: List[Coords] = list(seeds)
-    seen = set(frontier)
-    while frontier:
-        coords = frontier.pop()
-        cell = grid.peek_cell(coords)
-        if cell is None or qid not in cell.influence:
-            continue
-        cell.influence.discard(qid)
-        removed += 1
-        if counters is not None:
-            counters.influence_list_updates += 1
-        for neighbour in grid.steps_toward_worse(coords, function):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return removed
+    def queries(self) -> Iterable[TopKQuery]:
+        return [
+            state.query for state in self._states.values()
+        ] + self._threshold_queries()
 
+    def influence_region(self, qid: int) -> FrozenSet[Coords]:
+        """The cells of query ``qid``'s influence region (top-k or
+        threshold query)."""
+        state = self._states.get(qid) or self._threshold_states.get(qid)
+        if state is None:
+            raise self._unknown_query(qid)
+        return state.cells
 
-def eager_trim_influence(
-    grid: Grid,
-    query: TopKQuery,
-    threshold_score: float,
-    counters: Optional[OpCounters] = None,
-) -> int:
-    """Eagerly shrink a query's influence lists to the current gate.
-
-    The paper deliberately does *not* do this ("this 'lazy' approach
-    does not affect the correctness") — stale entries are filtered by
-    the gate comparison and cleaned only after the next from-scratch
-    computation. This eager variant exists for the design-choice
-    ablation: it walks the query's whole influence staircase from the
-    preference-optimal corner and deletes entries on cells whose
-    maxscore fell strictly below the new kth score, paying
-    O(|influence region|) on every gate rise.
-
-    Returns the number of entries removed.
-    """
-    function = query.function
-    region = query_region(query)
-    removed = 0
-    frontier: List[Coords] = [start_coords(grid, function, region)]
-    seen = set(frontier)
-    while frontier:
-        coords = frontier.pop()
-        cell = grid.peek_cell(coords)
-        if counters is not None:
-            counters.influence_trim_visits += 1
-        if cell is None or query.qid not in cell.influence:
-            continue
-        if region is None:
-            bound = grid.maxscore(coords, function)
-        else:
-            clipped = grid.maxscore_in_region(coords, function, region)
-            bound = clipped if clipped is not None else float("-inf")
-        # Strict comparison: equal-maxscore cells may hold records that
-        # outrank the kth under the canonical (score, rid) order.
-        if bound < threshold_score:
-            cell.influence.discard(query.qid)
-            removed += 1
-            if counters is not None:
-                counters.influence_list_updates += 1
-        for neighbour in grid.steps_toward_worse(coords, function):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return removed
-
-
-def remove_query_everywhere(
-    grid: Grid,
-    query: TopKQuery,
-    counters: Optional[OpCounters] = None,
-    order: Optional[SweepOrder] = None,
-) -> int:
-    """Drop a terminated query from all influence lists.
-
-    Its cells lead its ``order``. A query only ever installed by group
-    sweeps has none, and the paper's flood does it: the cleanup list
-    starts as "the corner cell with the maximum maxscore" (of the
-    constraint region, for a constrained query) and covers the whole
-    staircase the query influenced.
-    """
-    if order is not None:
-        return drop_stale_influence(grid, query.qid, order, 0, counters)
-    return cleanup_influence(
-        grid,
-        query.qid,
-        query.function,
-        [start_coords(grid, query.function, query_region(query))],
-        counters=counters,
-    )
+    def influence_list_entries(self) -> int:
+        """Entries the paper's per-cell influence lists would hold
+        (space accounting, Section 6)."""
+        states = [*self._states.values(), *self._threshold_states.values()]
+        return sum(len(state.cells) for state in states)

@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.algorithms.base import MonitorAlgorithm
 from repro.core.batch import ArrivalScorer, as_matrix, to_list
 from repro.core.errors import QueryError
-from repro.core.queries import TopKQuery
+from repro.core.queries import TopKQuery, check_k
 from repro.core.results import ResultEntry
 from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
 from repro.core import batch
@@ -240,8 +240,8 @@ class ThresholdSortedListAlgorithm(MonitorAlgorithm):
         query = state.query
         if k is None and function is None:
             return state.top_entries()
-        if k is not None and k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
+        if k is not None:
+            check_k(k)
         old_k, old_function, old_kmax = query.k, query.function, state.kmax
         if k is not None:
             query.k = k

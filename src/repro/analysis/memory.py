@@ -8,7 +8,9 @@ them with the paper's inventory:
 
 - every valid record: d attribute floats + id + arrival time;
 - every point-list entry: one pointer;
-- every influence-list entry: one query id;
+- every influence-list entry: one query id (the paper keeps one per
+  cell of each query's region; here the regions are held by the
+  queries, and ``influence_list_entries()`` sums their sizes);
 - TMA query state: function coefficients (d) + k × (id, score);
 - SMA query state: function coefficients (d) + |skyband| × (id, score,
   dominance counter) — the skyband's three columns, one word a cell;
@@ -104,14 +106,10 @@ def estimate_space(algorithm: MonitorAlgorithm) -> SpaceBreakdown:
 
 def _grid_space(algorithm) -> SpaceBreakdown:
     breakdown = SpaceBreakdown()
-    points = 0
-    influence_entries = 0
-    for cell in algorithm.grid.cells():
-        points += len(cell.points)
-        influence_entries += len(cell.influence)
+    points = algorithm.grid.point_count()
     breakdown.records = _record_bytes(points, algorithm.dims)
     breakdown.point_lists = points * WORD
-    breakdown.influence_lists = influence_entries * WORD
+    breakdown.influence_lists = algorithm.influence_list_entries() * WORD
     per_query_entry_words = (
         3 if isinstance(algorithm, SkybandMonitoringAlgorithm) else 2
     )  # SMA also stores the dominance counter (Section 6)

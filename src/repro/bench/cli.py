@@ -11,8 +11,8 @@ Two subcommands:
 
 ``selfcheck``
     A fast correctness sweep: replays randomized streams through every
-    maintained algorithm (including the grouped-recomputation
-    variants) and verifies cycle-by-cycle result equality against
+    maintained algorithm (including the similarity-grouped SMA
+    variant) and verifies cycle-by-cycle result equality against
     the brute-force oracle. Exit code 0 means every check passed — run
     it after any modification before trusting benchmark numbers.
 """
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "draw all Q preference vectors near one random base vector "
             "(S in [0,1]; 1.0 = identical queries). Exercises the "
-            "grouped-recomputation variants (tma-grouped/sma-grouped)"
+            "similarity-grouped SMA variant (sma-grouped)"
         ),
     )
     run.add_argument(
@@ -403,7 +403,7 @@ def command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-SELFCHECK_MAINTAINED = ("tsl", "tma", "sma", "tma-grouped", "sma-grouped")
+SELFCHECK_MAINTAINED = ("tsl", "tma", "sma", "sma-grouped")
 
 
 def command_selfcheck(args: argparse.Namespace) -> int:

@@ -63,7 +63,12 @@ from typing import (
 
 from repro.core.errors import QueryError, StreamError
 from repro.core.handles import ACTIVE, CANCELLED, CLOSED, PAUSED, QueryHandle
-from repro.core.queries import QueryTable, ThresholdQuery, TopKQuery
+from repro.core.queries import (
+    QueryTable,
+    ThresholdQuery,
+    TopKQuery,
+    check_k,
+)
 from repro.core.results import (
     CycleReport,
     ResultChange,
@@ -97,8 +102,8 @@ class StreamMonitor:
             ``stream_model="update"`` (explicit deletions define the
             valid set there).
         algorithm: algorithm name (``"tma"``, ``"sma"``, ``"tsl"``,
-            ``"brute"``, or the similarity-grouped variants
-            ``"tma-grouped"`` / ``"sma-grouped"``) or a pre-built
+            ``"brute"``, or ``"sma-grouped"``, SMA with similarity-
+            grouped refills) or a pre-built
             :class:`~repro.algorithms.base.MonitorAlgorithm`.
         cells_per_axis: grid granularity for grid-based algorithms.
         shards: ``None``/``1`` runs the algorithm in-process (the
@@ -131,10 +136,9 @@ class StreamMonitor:
             cycles slower than the threshold are appended as JSON
             lines to the path (surviving the ring buffer).
         **algorithm_options: forwarded to the algorithm factory —
-            e.g. ``grouped=True`` makes TMA/SMA batch each cycle's
-            from-scratch recomputations by preference-vector
-            similarity (bitwise-identical results, shared grid
-            sweeps).
+            e.g. ``grouped=True`` makes SMA batch each cycle's
+            skyband refills by preference-vector similarity
+            (bitwise-identical results, shared grid sweeps).
 
     Example:
         >>> from repro import LinearFunction, TopKQuery, CountBasedWindow
@@ -585,8 +589,8 @@ class StreamMonitor:
                 f"updated function has {function.dims} dims, "
                 f"monitor has {self.dims}"
             )
-        if k is not None and k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
+        if k is not None:
+            check_k(k)
         if k is None and function is None:
             return self.result(qid)
         if qid in self._paused:
@@ -784,9 +788,13 @@ class StreamMonitor:
 
     def _admit(self, arrivals: Sequence[StreamRecord]) -> None:
         """Refuse a batch holding a row of the wrong arity or with a
-        non-finite (or non-numeric) value, before the clock, the
-        window or any shard changes — so a refused batch leaves the
-        monitor exactly as it was."""
+        value that is not a number in the unit workspace ``[0, 1]``,
+        before the clock, the window or any shard changes — so a
+        refused batch leaves the monitor exactly as it was.
+
+        Cell maxscores bound only in-workspace rows: a row outside it
+        would sit in a clamped edge cell that no influence region
+        accounts for, and go missing from results it belongs to."""
         rows = [record.attrs for record in arrivals]
         if not set(map(len, rows)) <= {self.dims}:
             bad = next(r for r in arrivals if len(r.attrs) != self.dims)
@@ -794,22 +802,26 @@ class StreamMonitor:
                 f"batch refused: record {bad.rid} has {len(bad.attrs)} "
                 f"attributes, expected {self.dims}"
             )
+        values = list(chain.from_iterable(rows))
         try:
-            # A finite sum proves every value finite; only a failed
-            # sum (or an overflowing one) pays for the exact scan.
-            if isfinite(sum(chain.from_iterable(rows))):
+            # A finite sum proves every value finite (and numeric);
+            # only a failed check pays for the per-record scan.
+            if not values or (
+                isfinite(sum(values)) and min(values) >= 0 and max(values) <= 1
+            ):
                 return
         except (TypeError, OverflowError):
             pass
         for record in arrivals:
-            try:
-                finite = all(map(isfinite, record.attrs))
-            except (TypeError, OverflowError):  # text, or an int past float
-                finite = False
-            if not finite:
+            try:  # NaN and infinities fail the comparison too
+                inside = all(0 <= value <= 1 for value in record.attrs)
+            except TypeError:  # text
+                inside = False
+            if not inside:
                 raise StreamError(
-                    f"batch refused: record {record.rid} has a "
-                    f"non-finite or non-numeric value {record.attrs!r}"
+                    f"batch refused: record {record.rid} has a value "
+                    f"outside the unit workspace [0, 1] or a non-numeric "
+                    f"one: {record.attrs!r}"
                 )
 
     def process_many(

@@ -33,6 +33,16 @@ from repro.core.regions import Rectangle
 from repro.core.scoring import LinearFunction, PreferenceFunction
 
 
+def check_k(k) -> None:
+    """Refuse a result cardinality that is not an integer >= 1.
+
+    ``bool`` is refused although it subclasses ``int``: ``k=True`` is
+    a mistake, not a request for one result.
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise QueryError(f"k must be an integer >= 1, got {k!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Accuracy:
     """An (ε,δ) accuracy contract on a top-k query.
@@ -68,7 +78,7 @@ class TopKQuery:
 
     Attributes:
         function: per-dimension monotone preference function.
-        k: number of results to maintain (>= 1).
+        k: number of results to maintain, an ``int`` >= 1.
         label: optional human-readable name for reports.
         qid: assigned by :class:`QueryTable` at registration; -1 before.
         accuracy: optional (ε,δ) :class:`Accuracy` contract; the
@@ -83,8 +93,7 @@ class TopKQuery:
     accuracy: Optional[Accuracy] = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise QueryError(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
 
     @property
     def dims(self) -> int:

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import abc
 import itertools
+import math
 from typing import Callable, Sequence, Tuple
 
 from repro.core import batch
 from repro.core.errors import (
     DimensionalityError,
     NonMonotoneFunctionError,
+    QueryError,
 )
 
 #: Direction of monotonicity per dimension: +1 increasing, -1 decreasing.
@@ -154,6 +156,16 @@ def linear_scores(matrix, weights):
     return out
 
 
+def _finite(values: Sequence[float], what: str) -> Tuple[float, ...]:
+    """``values`` as a tuple; :class:`QueryError` if any is NaN or
+    infinite (a NaN weight would make every cell bound NaN, so every
+    region empty and every result silently ``[]``)."""
+    values = tuple(values)
+    if not all(map(math.isfinite, values)):
+        raise QueryError(f"{what} must be finite, got {values!r}")
+    return values
+
+
 class LinearFunction(PreferenceFunction):
     """``f(p) = Σ aᵢ·p.xᵢ`` — the paper's default query family.
 
@@ -167,9 +179,10 @@ class LinearFunction(PreferenceFunction):
     __slots__ = ("weights",)
 
     def __init__(self, weights: Sequence[float]) -> None:
+        weights = _finite(weights, "weights")
         directions = [1 if weight >= 0 else -1 for weight in weights]
         super().__init__(len(weights), directions)
-        self.weights = tuple(weights)
+        self.weights = weights
 
     def score(self, attrs: Sequence[float]) -> float:
         total = 0.0
@@ -200,13 +213,14 @@ class ProductFunction(PreferenceFunction):
     __slots__ = ("offsets",)
 
     def __init__(self, offsets: Sequence[float]) -> None:
+        offsets = _finite(offsets, "offsets")
         if any(offset < 0 for offset in offsets):
             raise NonMonotoneFunctionError(
                 "product offsets must be non-negative for monotonicity "
                 "over the unit workspace"
             )
         super().__init__(len(offsets), [1] * len(offsets))
-        self.offsets = tuple(offsets)
+        self.offsets = offsets
 
     def score(self, attrs: Sequence[float]) -> float:
         product = 1.0
@@ -241,9 +255,10 @@ class QuadraticFunction(PreferenceFunction):
     __slots__ = ("weights",)
 
     def __init__(self, weights: Sequence[float]) -> None:
+        weights = _finite(weights, "weights")
         directions = [1 if weight >= 0 else -1 for weight in weights]
         super().__init__(len(weights), directions)
-        self.weights = tuple(weights)
+        self.weights = weights
 
     def score(self, attrs: Sequence[float]) -> float:
         total = 0.0

@@ -37,8 +37,11 @@ class StreamRecord:
 
     Attributes:
         rid: unique identifier, assigned in arrival order.
-        attrs: the d attribute values (the paper's unit workspace uses
-            values in [0, 1], but nothing here requires that).
+        attrs: the d attribute values, in the paper's unit workspace
+            ``[0, 1]``. A record may be built with any values, but
+            :class:`~repro.core.engine.StreamMonitor` refuses a batch
+            holding one outside it: cell maxscores bound only
+            in-workspace rows.
         time: arrival timestamp (drives time-based windows).
     """
 

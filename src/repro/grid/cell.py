@@ -1,10 +1,13 @@
-"""A grid cell: geometry + point list + influence list.
+"""A grid cell: geometry + point list.
 
 Paper Section 4.1: each cell keeps (i) a list of pointers to the valid
-records it covers, maintained FIFO because window eviction is FIFO, and
-(ii) an *influence list* ILc with an entry for every query whose
-influence region intersects the cell, "organized as a hash-table on the
-query ids for supporting fast search, insertion and deletion".
+records it covers, maintained FIFO because window eviction is FIFO,
+and (ii) an *influence list* with an entry for every query whose
+influence region intersects the cell. Only (i) lives here. The
+influence regions belong to the queries — each query state holds the
+set of cells its region covers (see
+:mod:`repro.algorithms.topk_computation`), so a cell needs no upkeep
+when a region grows, shrinks or disappears.
 
 The point list here is an insertion-ordered dict keyed by record id:
 iteration order is FIFO (covering the sliding-window model) while
@@ -24,7 +27,7 @@ re-serves its block for free, to any number of queries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import batch
 from repro.core.tuples import StreamRecord
@@ -38,7 +41,6 @@ class Cell:
         "lower",
         "upper",
         "points",
-        "influence",
         "_col_records",
         "_col_matrix",
     )
@@ -54,8 +56,6 @@ class Cell:
         self.upper = upper
         #: record id -> record, insertion-ordered (FIFO iteration).
         self.points: Dict[int, StreamRecord] = {}
-        #: qids of queries whose influence region intersects this cell.
-        self.influence: Set[int] = set()
         #: cached columnar view (records list + packed attribute block);
         #: None whenever the point list changed since the last build.
         self._col_records: Optional[List[StreamRecord]] = None
@@ -65,10 +65,7 @@ class Cell:
         return len(self.points)
 
     def __repr__(self) -> str:
-        return (
-            f"Cell{self.coords}[{len(self.points)} pts, "
-            f"{len(self.influence)} queries]"
-        )
+        return f"Cell{self.coords}[{len(self.points)} pts]"
 
     def add_point(self, record: StreamRecord) -> None:
         self.points[record.rid] = record

@@ -9,13 +9,15 @@ hierarchical main-memory index under high update rates.
 Cells are materialised lazily: a 144-per-axis 2-D grid or a 5-per-axis
 6-D grid both stay cheap when queries only ever touch the cells near
 the preference-optimal corner. Geometry (bounds, neighbours) works for
-non-materialised cells; point/influence state forces materialisation.
+non-materialised cells; only a point forces materialisation.
 
-Attribute values outside [0, 1] are clamped into the boundary cells.
-The unit-workspace assumption is the paper's; domain adapters (e.g. the
-NetFlow example) normalise attributes before insertion, and clamping
-keeps a stray ``1.0`` or floating-point overshoot from crashing a
-long-running monitor.
+The workspace is the paper's unit cube: domain adapters (e.g. the
+NetFlow example) normalise attributes before insertion, and
+:class:`~repro.core.engine.StreamMonitor` refuses rows outside
+``[0, 1]``, because cell maxscores bound only in-workspace rows. The
+index itself still clamps an outside value into the boundary cell, so
+``1.0`` (the upper face) maps to the last cell and the grid never
+indexes out of range.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ class Grid:
         The batched entry point of the cycle hot path: one vectorized
         pass replaces per-record validation, tuple building and tuple
         hashing (cells resolve through the flat-int index), and callers
-        get the cells back so they can run their influence-list scans
+        get the cells back so they can run their influence-region tests
         without a second lookup.
         """
         cells = self._cells_of_many(records)

@@ -94,4 +94,4 @@ def compute_top_k_naive(
             candidates, key=lambda item: item[:2], reverse=True
         )
     ]
-    return TraversalOutcome(entries=entries, processed=processed, remaining=[])
+    return TraversalOutcome(entries=entries, processed=processed)

@@ -30,11 +30,12 @@ here because tests rely on them:
    on tied scores. With continuous-valued data (all benchmarks) the
    extra processed cells are measure-zero.
 2. **Neighbours are en-heaped unconditionally** (as the paper's code
-   also does — see its lines 9–12 and the remark below Figure 6). What
-   lies beyond the processed cells is how stale influence entries are
-   found (Figure 9 line 14): the next cells of the order for a solo
-   sweep, the cells en-heaped but not swept (``frontier``) for a group
-   sweep — see :mod:`repro.algorithms.topk_computation`.
+   also does — see its lines 9–12 and the remark below Figure 6), so
+   ``cells_enheaped`` counts what the paper's sweep would push. Nothing
+   reads the cells left in the heap: the paper seeds its stale-entry
+   cleanup from them (Figure 9 line 14), but here the influence region
+   belongs to the query and is replaced wholesale by ``processed``
+   (see :mod:`repro.algorithms.topk_computation`).
 
 The optional ``region`` argument implements constrained top-k
 computation (Section 7, Figure 12): the traversal is restricted to
@@ -54,6 +55,7 @@ table lookups are bitwise identical to their scalar counterparts.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -77,21 +79,14 @@ class TraversalOutcome:
     Attributes:
         entries: up to k results, best-first in canonical order.
         processed: coords of de-heaped (scanned) cells — exactly the
-            cells whose influence list must reference the query.
-        remaining: group sweeps only — swept cells below this query's
-            kth score, seeds for its influence-list cleanup flood.
-        frontier: group sweeps only — the cells en-heaped but not
-            swept, outside every member's region; one list shared by
-            the group's outcomes.
+            cells ``{c : maxscore(c) >= kth score}``, the query's
+            influence region.
         order: solo sweeps only — the :class:`SweepOrder` walked;
-            ``processed`` is its prefix, and stale influence entries
-            are the cells that follow it.
+            ``processed`` is its prefix.
     """
 
     entries: List[ResultEntry] = field(default_factory=list)
     processed: List[Coords] = field(default_factory=list)
-    remaining: List[Coords] = field(default_factory=list)
-    frontier: Sequence[Coords] = ()
     order: Optional["SweepOrder"] = None
 
     @property
@@ -124,20 +119,18 @@ def _region_start_coords(
 ) -> Coords:
     """Cell holding the preference-optimal corner of ``region``.
 
-    The optimal corner may lie exactly on a cell boundary (e.g. region
-    upper bound 0.5 on a 0.1-grid); on increasing dimensions the
-    boundary belongs to the *previous* cell because the region is
-    upper-open, so the index is pulled back to keep the start cell
-    intersecting the region.
+    The region is upper-open, so on an increasing dimension its best
+    point is the largest float below the upper bound, mapped to a cell
+    exactly as :meth:`~repro.grid.grid.Grid.coords_of` maps a record.
+    On a boundary (e.g. upper bound 0.5 on a 0.1-grid) that is the
+    *previous* cell; one ulp below a boundary that the product with
+    ``g`` rounds onto, it is the next one — where such a record lands.
     """
     g = grid.cells_per_axis
     coords: List[int] = []
     for dim, direction in enumerate(function.directions):
         if direction > 0:
-            scaled = region.upper[dim] * g
-            index = int(scaled)
-            if index == scaled:  # on a boundary: step back inside
-                index -= 1
+            index = int(math.nextafter(region.upper[dim], -math.inf) * g)
         else:
             index = int(region.lower[dim] * g)
         coords.append(min(g - 1, max(0, index)))
@@ -192,12 +185,22 @@ def _linear_maxscore_fn(
     return maxscore_of
 
 
-def _maxscore_fn(
-    grid: Grid, function: PreferenceFunction
-) -> Callable[[Coords], float]:
-    """Cell-maxscore evaluator: the corner tables for a plain linear
-    function, ``grid.maxscore`` otherwise (a subclass overriding
-    ``score`` included, to keep keys bitwise exact)."""
+def maxscore_fn(
+    grid: Grid,
+    function: PreferenceFunction,
+    region: Optional[Rectangle] = None,
+) -> Callable[[Coords], Optional[float]]:
+    """Cell-maxscore evaluator — the traversal's heap key.
+
+    The corner tables for a plain linear function, ``grid.maxscore``
+    otherwise (a subclass overriding ``score`` included, to keep keys
+    bitwise exact). With a constraint ``region`` the key is the
+    maxscore of the clipped cell, None for cells disjoint from it.
+    """
+    if region is not None:
+        return lambda coords: grid.maxscore_in_region(  # noqa: E731
+            coords, function, region
+        )
     if type(function) is LinearFunction:
         return _linear_maxscore_fn(grid, function)
     return lambda coords: grid.maxscore(coords, function)
@@ -243,14 +246,7 @@ class SweepOrder:
         self.pushed: List[int] = []
         self._grid = grid
         self._function = function
-        if price is not None:
-            self._price = price
-        elif region is None:
-            self._price = _maxscore_fn(grid, function)
-        else:  # None for cells disjoint from the constraint region
-            self._price = lambda coords: grid.maxscore_in_region(  # noqa: E731
-                coords, function, region
-            )
+        self._price = price or maxscore_fn(grid, function, region)
         self._heap: List[Tuple[float, int, Coords]] = []  # (-key, seq, coords)
         self._enheaped: Set[Coords] = set()
         self._push(start_coords(grid, function, region))
@@ -282,10 +278,6 @@ class SweepOrder:
     def enheaped_by(self, position: int) -> int:
         """Cells a sweep over the first ``position`` cells en-heaped."""
         return self.pushed[position - 1] if position else 0
-
-    def frontier(self, position: int) -> List[Coords]:
-        """The cells en-heaped so far, less the first ``position``."""
-        return self.coords[position:] + [item[2] for item in self._heap]
 
 
 def _admit(
@@ -333,7 +325,8 @@ def compute_top_k(
             from an earlier call, if the caller has one.
         at_most: an upper bound on the kth score this call will find,
             if the caller holds one. A bound that is too low costs
-            extra processed cells, never a wrong entry.
+            extra swept cells (``cells_processed``), never a wrong
+            entry or a wider ``processed``.
 
     Returns:
         A :class:`TraversalOutcome`; ``entries`` holds fewer than k
@@ -405,6 +398,11 @@ def compute_top_k(
         counters.cells_processed += position - start
 
     counters.cells_enheaped += order.enheaped_by(position)
+    if len(candidates) >= k:
+        # A bound below the kth score swept cells past it: they cost
+        # their counts, but are not part of the influence region.
+        while keys[position - 1] < candidates[0][0]:
+            position -= 1
     entries = [
         ResultEntry(score, record)
         for score, _, record in sorted(
@@ -544,28 +542,23 @@ def _trim_shared_outcome(
     least as large, so its best-first entries prefix to this member's
     exact top-k, and its processed set is a superset of this member's:
     re-classifying against the member's own kth score (the grouped
-    post-pass rule) recovers the solo processed set, with the below-
-    threshold leftovers joining the cleanup seeds — the same split
-    ``compute_top_k_group`` performs per member.
+    post-pass rule) recovers the solo processed set.
     """
     entries = outcome.entries[:k]
     if len(entries) >= k:
         kth_score = entries[-1].score
     else:
         kth_score = float("-inf")
-    maxscore_of = _maxscore_fn(grid, function)
-    keep = [maxscore_of(coords) >= kth_score for coords in outcome.processed]
-    stale_seeds = [
-        coords for coords, kept in zip(outcome.processed, keep) if not kept
-    ]
-    # A class swept solo carries its order instead of heap leftovers;
-    # the order is the member's too (same function), and the cells
-    # kept above are a prefix of it.
+    maxscore_of = maxscore_fn(grid, function)
+    # A class swept solo carries its order; the order is the member's
+    # too (same function), and the cells kept are a prefix of it.
     return TraversalOutcome(
         entries=entries,
-        processed=list(compress(outcome.processed, keep)),
-        remaining=outcome.remaining + stale_seeds,
-        frontier=outcome.frontier,
+        processed=[
+            coords
+            for coords in outcome.processed
+            if maxscore_of(coords) >= kth_score
+        ],
         order=outcome.order,
     )
 
@@ -615,11 +608,7 @@ def compute_top_k_group(
     solo traversal would process is processed here before its query
     deactivates. ``processed`` is also the same *set* of cells per
     query (cells with ``maxscore_q >= kth score``, recovered by a
-    post-pass), though visiting order follows the group key;
-    ``remaining`` and the shared ``frontier`` together seed the same
-    influence-cleanup flood but contain the group sweep's extra cells
-    too — a superset of boundary seeds, which the flood's "delete only
-    where found" rule makes harmless.
+    post-pass), though visiting order follows the group key.
 
     Returns one :class:`TraversalOutcome` per query, in input order.
     """
@@ -803,11 +792,10 @@ def compute_top_k_group(
 
     counters.cells_enheaped += order.enheaped_by(position)
     processed = order.coords[:position]
-    frontier = order.frontier(position)
     # Post-pass recovery of the solo traversal's processed set: exactly
     # the swept cells whose maxscore for q reaches its kth score (the
     # solo sweep processes a descending-key prefix that ends at that
-    # threshold). Swept-but-below cells seed q's cleanup flood instead.
+    # threshold).
     swept = scorer.maxscores_of_many(processed)  # one row per member
     if np is not None:
         reached = (swept >= cut[:, None]).tolist()
@@ -822,10 +810,6 @@ def compute_top_k_group(
                 for score, _, record in reversed(cand)
             ],
             processed=list(compress(processed, keep)),
-            remaining=[
-                coords for coords, kept in zip(processed, keep) if not kept
-            ],
-            frontier=frontier,
         )
         for cand, keep in zip(candidates, reached)
     ]
@@ -850,7 +834,7 @@ def collect_cells_above_threshold(
     result: List[Coords] = []
     seen: Set[Coords] = {start}
     frontier: List[Coords] = [start]
-    cell_maxscore = _maxscore_fn(grid, function)
+    cell_maxscore = maxscore_fn(grid, function)
     while frontier:
         coords = frontier.pop()
         if cell_maxscore(coords) <= threshold:

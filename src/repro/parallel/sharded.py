@@ -43,7 +43,7 @@ and surfaced via :meth:`transport_stats`.
 records, rebuilt bit-for-bit from the columnar snapshot — shared
 memory and raw wire blocks both carry the float64 bytes themselves)
 and on its own state — never on other queries. Sharding therefore
-yields *bitwise-identical* results and influence lists to a
+yields *bitwise-identical* results and influence regions to a
 single-process run regardless of transport; the parity suites
 (``tests/integration/test_sharded_parity.py``,
 ``tests/integration/test_remote_parity.py``) pin this across shard
@@ -217,7 +217,7 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
 
     Args:
         algorithm: factory name of the per-shard algorithm (``"tma"``,
-            ``"sma"``, grouped variants, ``"tsl"``, ``"brute"`` — any
+            ``"sma"``, ``"sma-grouped"``, ``"tsl"``, ``"brute"`` — any
             :func:`~repro.algorithms.make_algorithm` name).
         dims: data dimensionality.
         shards: number of worker processes (>= 1), or a sequence of
@@ -806,9 +806,9 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         return sizes
 
     def influence_list_entries(self) -> int:
-        """Total influence-list entries across all shard grids.
+        """Total influence-list entries across all shards.
 
-        Each query's entries live only on its owning shard, so the sum
+        Each query's region lives only on its owning shard, so the sum
         equals a single-process run's total.
         """
         total = 0

@@ -9,9 +9,9 @@ lives here with the exact interface the traversal needs:
 - ``push(key, item)`` / ``pop() -> (key, item)`` in O(log n);
 - ``peek_key()`` to test the paper's termination condition *"while next
   entry has key > q.top_score"* without removing the entry;
-- ``drain()`` to collect the entries that remain after termination —
-  TMA's lazy influence-list cleanup starts from exactly those cells
-  (Figure 9, line 14).
+- ``drain()`` to collect the entries that remain after termination
+  (the paper's lazy influence-list cleanup starts from those cells,
+  Figure 9, line 14).
 
 Keys may be any mutually-comparable values; ties are broken by insertion
 order so heap behaviour is deterministic even when items themselves are

@@ -5,9 +5,9 @@
   per-pair form — returns the scalar ``score`` bit for bit, the sign of
   a zero included;
 - :func:`repro.algorithms.base.gated_arrivals` yields exactly the
-  (arrival, query) pairs the influence lists name that reach the gate,
-  query by query and in arrival order, whatever families share the
-  table;
+  (arrival, query) pairs the influence regions name that reach the
+  gate, query by query in query-table order and in arrival order,
+  whatever families share the table;
 - a cycle of linear queries costs one kernel call on the arrival side.
 
 Re-run under the pure-Python batch backend by
@@ -129,8 +129,8 @@ def test_pair_and_block_forms_match_score_batch(data, dims):
 
 
 class FakeCell:
-    def __init__(self, influence):
-        self.influence = influence
+    def __init__(self, coords):
+        self.coords = coords
 
 
 def draw_family(data, dims):
@@ -150,6 +150,8 @@ def test_gate_yields_the_named_pairs_that_reach_it(data, dims):
     arrivals = [
         factory.make(row) for row in data.draw(table(dims, ATTR, 1, 12))
     ]
+    pool = [FakeCell((index,)) for index in range(3)] + [None]
+    region = st.frozensets(st.sampled_from([(0,), (1,), (2,), (7,)]))
     states = {}
     for qid in range(data.draw(st.integers(1, 6))):
         function = draw_family(data, dims)
@@ -161,10 +163,11 @@ def test_gate_yields_the_named_pairs_that_reach_it(data, dims):
             )
         )
         states[qid] = SimpleNamespace(
-            query=TopKQuery(function, 1), gate=gate, qid=qid
+            query=TopKQuery(function, 1),
+            gate=gate,
+            qid=qid,
+            cells=data.draw(region),
         )
-    listed = st.sets(st.sampled_from(sorted(states) + [99]))
-    pool = [FakeCell(data.draw(listed)) for _ in range(3)] + [None]
     cells = [data.draw(st.sampled_from(pool)) for _ in arrivals]
     counters = OpCounters()
     got = [
@@ -173,19 +176,20 @@ def test_gate_yields_the_named_pairs_that_reach_it(data, dims):
             arrivals, cells, states, counters, lambda state: state.gate
         )
     ]
-    # The record-major scan, regrouped by query in first-hit order —
-    # the order the hits are listed in — and arrival order within one.
-    expected = {}
+    # The record-major scan of the paper's per-cell lists, regrouped
+    # by query in query-table order, arrival order within one.
+    lists = {}
+    for qid, state in states.items():
+        for coords in state.cells:
+            lists.setdefault(coords, set()).add(qid)
+    expected = {qid: [] for qid in states}
     checks = 0
     for record, cell in zip(arrivals, cells):
-        for qid in cell.influence if cell is not None else ():
-            if qid not in states:
-                continue
+        for qid in lists.get(cell.coords, ()) if cell is not None else ():
             checks += 1
-            triples = expected.setdefault(qid, [])
             score = states[qid].query.function.score(record.attrs)
             if score >= states[qid].gate:
-                triples.append((qid, record.rid, score.hex()))
+                expected[qid].append((qid, record.rid, score.hex()))
     assert counters.influence_checks == checks
     assert got == [
         triple for triples in expected.values() for triple in triples
@@ -235,7 +239,7 @@ def test_one_kernel_call_per_cycle_on_the_arrival_side(family, monkeypatch):
     )
     assert calls["pairs"] == 1
     assert calls["score_batch"] == 0
-    # One row per (arrival, query) hit the influence lists name.
+    # One row per (arrival, query) hit the influence regions name.
     assert calls["rows"] == algorithm.counters.influence_checks - before
     assert 0 < calls["rows"] < 200 * 50
 

@@ -15,6 +15,8 @@ from repro.core.queries import TopKQuery
 from repro.core.scoring import LinearFunction, QuadraticFunction
 from repro.core.tuples import RecordFactory
 
+from tests.integration.test_grouped_parity import influence_map
+
 
 def fill_grid(algorithm, seed=11, count=60):
     rng = random.Random(seed)
@@ -40,23 +42,15 @@ def similar_queries(count, seed=5):
     return queries
 
 
-def influence_map(algorithm):
-    return {
-        cell.coords: frozenset(cell.influence)
-        for cell in algorithm.grid.cells()
-        if cell.influence
-    }
-
-
-@pytest.mark.parametrize("name", ["tma-grouped", "sma-grouped"])
-def test_burst_matches_solo_registration(name):
-    grouped = make_algorithm(name, 2, cells_per_axis=5)
-    solo = make_algorithm(name.split("-")[0], 2, cells_per_axis=5)
+@pytest.mark.parametrize("seed", [5, 6])
+def test_burst_matches_solo_registration(seed):
+    grouped = make_algorithm("sma-grouped", 2, cells_per_axis=5)
+    solo = make_algorithm("sma", 2, cells_per_axis=5)
     fill_grid(grouped)
     fill_grid(solo)
 
-    queries = similar_queries(8)
-    burst_results = grouped.register_many(similar_queries(8))
+    queries = similar_queries(8, seed)
+    burst_results = grouped.register_many(similar_queries(8, seed))
     solo_results = {
         query.qid: solo.register(query) for query in queries
     }
@@ -81,7 +75,7 @@ def test_ungrouped_burst_stays_solo(name):
 
 
 def test_mixed_family_burst_groups_only_linear_members():
-    algorithm = make_algorithm("tma-grouped", 2, cells_per_axis=5)
+    algorithm = make_algorithm("sma-grouped", 2, cells_per_axis=5)
     fill_grid(algorithm)
     queries = similar_queries(5)
     outlier = TopKQuery(QuadraticFunction([0.5, 0.5]), k=3)
@@ -90,7 +84,7 @@ def test_mixed_family_burst_groups_only_linear_members():
     assert algorithm.counters.grouped_registrations == 5
     assert set(results) == {0, 1, 2, 3, 4, 99}
     # The outlier got a correct solo computation.
-    reference = make_algorithm("tma", 2, cells_per_axis=5)
+    reference = make_algorithm("sma", 2, cells_per_axis=5)
     fill_grid(reference)
     twin = TopKQuery(QuadraticFunction([0.5, 0.5]), k=3)
     twin.qid = 99
@@ -100,7 +94,7 @@ def test_mixed_family_burst_groups_only_linear_members():
 
 
 def test_singleton_burst_takes_solo_path():
-    algorithm = make_algorithm("tma-grouped", 2, cells_per_axis=5)
+    algorithm = make_algorithm("sma-grouped", 2, cells_per_axis=5)
     fill_grid(algorithm)
     algorithm.register_many(similar_queries(1))
     assert algorithm.counters.grouped_registrations == 0
@@ -109,8 +103,8 @@ def test_singleton_burst_takes_solo_path():
 def test_burst_then_cycles_stay_consistent():
     """After a grouped burst, normal maintenance must behave exactly
     as if the queries had been registered one by one."""
-    grouped = make_algorithm("tma-grouped", 2, cells_per_axis=5)
-    solo = make_algorithm("tma", 2, cells_per_axis=5)
+    grouped = make_algorithm("sma-grouped", 2, cells_per_axis=5)
+    solo = make_algorithm("sma", 2, cells_per_axis=5)
     fill_grid(grouped, seed=3)
     fill_grid(solo, seed=3)
     grouped.register_many(similar_queries(6, seed=9))

@@ -142,7 +142,7 @@ class TestMaintenance:
         algo.unregister(0)
         with pytest.raises(QueryError):
             algo.current_result(0)
-        assert all(0 not in cell.influence for cell in algo.grid.cells())
+        assert algo.influence_list_entries() == 0
 
 
 class TestRandomizedAgainstOracle:

@@ -69,7 +69,7 @@ class TestPaperFigure8:
         assert [e.rid for e in self.algo.current_result(0)] == [self.p4.rid]
         assert [e.rid for e in changes[0].top] == [self.p4.rid]
 
-    def test_stale_influence_lists_cleaned_after_recomputation(self):
+    def test_stale_influence_cells_dropped_after_recomputation(self):
         """Figure 8(b): cells of the old (larger) region lose q."""
         self.algo.process_cycle([self.p3, self.p4], [self.p1, self.p2])
         self.algo.process_cycle([self.p5], [self.p3])
@@ -77,8 +77,7 @@ class TestPaperFigure8:
         grid = self.algo.grid
         for x in range(7):
             for y in range(7):
-                cell = grid.peek_cell((x, y))
-                has_query = cell is not None and 0 in cell.influence
+                has_query = (x, y) in self.algo.influence_region(0)
                 if grid.maxscore((x, y), self.f) > threshold:
                     assert has_query, (x, y)
                 elif grid.maxscore((x, y), self.f) < threshold:
@@ -108,9 +107,9 @@ class TestLifecycle:
         query.qid = 0
         algo.register(query)
         algo.unregister(0)
-        assert all(
-            0 not in cell.influence for cell in algo.grid.cells()
-        )
+        assert algo.influence_list_entries() == 0
+        with pytest.raises(QueryError):
+            algo.influence_region(0)
 
     def test_queries_listing(self, factory):
         algo = make_tma()

@@ -1,4 +1,4 @@
-"""Tests for TMA's eager influence-list cleanup variant (ablation)."""
+"""Tests for TMA's eager influence-region trim variant (ablation)."""
 
 import random
 
@@ -27,41 +27,29 @@ def test_eager_trims_after_gate_rise():
     query = TopKQuery(LinearFunction([1.0, 1.0]), k=1)
     query.qid = 0
     algo.register(query)
-    cells_before = sum(
-        1 for cell in algo.grid.cells() if 0 in cell.influence
-    )
+    cells_before = len(algo.influence_region(0))
     # A far better arrival raises the gate: the influence region
-    # shrinks, and eager mode trims the lists immediately.
+    # shrinks, and eager mode trims it immediately.
     high = factory.make((0.95, 0.95))
     algo.process_cycle([high], [])
-    cells_after = sum(
-        1 for cell in algo.grid.cells() if 0 in cell.influence
-    )
+    cells_after = len(algo.influence_region(0))
     assert cells_after < cells_before
     threshold = algo.current_result(0)[0].score
-    for cell in algo.grid.cells():
-        if 0 in cell.influence:
-            assert (
-                algo.grid.maxscore(cell.coords, query.function)
-                >= threshold
-            )
+    for coords in algo.influence_region(0):
+        assert algo.grid.maxscore(coords, query.function) >= threshold
 
 
 def test_lazy_keeps_stale_entries():
-    """The paper's default: the same scenario leaves the lists alone."""
+    """The paper's default: the same scenario leaves the region alone."""
     factory = RecordFactory()
     algo = TopKMonitoringAlgorithm(2, cells_per_axis=6, eager_cleanup=False)
     algo.process_cycle([factory.make((0.5, 0.5))], [])
     query = TopKQuery(LinearFunction([1.0, 1.0]), k=1)
     query.qid = 0
     algo.register(query)
-    cells_before = sum(
-        1 for cell in algo.grid.cells() if 0 in cell.influence
-    )
+    cells_before = len(algo.influence_region(0))
     algo.process_cycle([factory.make((0.95, 0.95))], [])
-    cells_after = sum(
-        1 for cell in algo.grid.cells() if 0 in cell.influence
-    )
+    cells_after = len(algo.influence_region(0))
     assert cells_after == cells_before
 
 

@@ -38,9 +38,7 @@ class TestGridAccounting:
         query.qid = 0
         algo.register(query)
         space = estimate_space(algo)
-        expected_entries = sum(
-            len(cell.influence) for cell in algo.grid.cells()
-        )
+        expected_entries = len(algo.influence_region(0))
         assert space.influence_lists == expected_entries * WORD
         assert expected_entries > 0
 

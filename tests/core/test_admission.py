@@ -1,7 +1,8 @@
-"""Batch admission: a row of the wrong arity or with a non-finite value
-is refused with a :class:`StreamError` before the clock, the window or
-any shard changes, so a refused batch leaves the monitor as it was and
-later, unrelated cycles run as if it had never been offered."""
+"""Batch admission: a row of the wrong arity or with a value that is
+not a number in the unit workspace ``[0, 1]`` is refused with a
+:class:`StreamError` before the clock, the window or any shard
+changes, so a refused batch leaves the monitor as it was and later,
+unrelated cycles run as if it had never been offered."""
 
 import math
 import random
@@ -66,6 +67,8 @@ BAD_ROWS = {
     "long": [0.5, 0.5, 0.5],
     "text": ["0.5", 0.5],
     "huge int": [10**400, 0.5],
+    "below": [-0.25, 0.5],
+    "above": [0.5, 1.5],
 }
 
 
@@ -88,6 +91,36 @@ def test_refused_batch_changes_nothing(algorithm, bad):
     for cycle in range(3, 9):
         monitor.process(monitor.make_records(rows(rng, 10), time_=cycle))
         check_against_oracle(monitor, queries, handles)
+
+
+@pytest.mark.parametrize("algorithm", ["tma", "sma", "tsl", "brute"])
+def test_row_outside_the_workspace_is_refused(algorithm):
+    """(-3, 7) scores 4.0 under x + y, above any in-workspace row. Cell
+    maxscores bound only in-workspace rows, so once admitted it was
+    missing from the TMA and SMA top-3 while TSL and brute ranked it
+    first; now every algorithm refuses it."""
+    rng = random.Random(12)
+    monitor = StreamMonitor(
+        DIMS, CountBasedWindow(31), algorithm=algorithm, cells_per_axis=4
+    )
+    query = TopKQuery(LinearFunction([1.0, 1.0]), k=3)
+    handle = monitor.add_query(query)
+    monitor.process(monitor.make_records(rows(rng, 30), time_=0.0))
+    before = state_of(monitor, [handle])
+    with pytest.raises(StreamError, match="unit workspace"):
+        monitor.process(monitor.make_records([[-3.0, 7.0]], time_=1.0))
+    assert state_of(monitor, [handle]) == before
+    check_against_oracle(monitor, [query], [handle])
+
+
+@pytest.mark.parametrize("algorithm", ["tma", "sma"])
+def test_workspace_faces_are_admitted(algorithm):
+    monitor, queries, handles = make_monitor(algorithm)
+    monitor.process(
+        monitor.make_records([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    )
+    check_against_oracle(monitor, queries, handles)
+    assert handles[0].result()[0].score == 1.5
 
 
 @pytest.mark.parametrize("pipelined", [False, True])

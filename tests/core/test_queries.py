@@ -1,7 +1,10 @@
 """Tests for query specifications and the query table."""
 
+import math
+
 import pytest
 
+from repro.core.engine import StreamMonitor
 from repro.core.errors import QueryError
 from repro.core.queries import (
     ConstrainedTopKQuery,
@@ -10,7 +13,12 @@ from repro.core.queries import (
     TopKQuery,
 )
 from repro.core.regions import Rectangle
-from repro.core.scoring import LinearFunction
+from repro.core.scoring import (
+    LinearFunction,
+    ProductFunction,
+    QuadraticFunction,
+)
+from repro.core.window import CountBasedWindow
 
 
 @pytest.fixture
@@ -30,6 +38,42 @@ class TestTopKQuery:
     def test_invalid_k(self, f2):
         with pytest.raises(QueryError):
             TopKQuery(f2, k=0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+    def test_k_must_be_an_integer(self, f2, k):
+        # 2.5 used to construct, and TMA/SMA then held 2.5 "results".
+        with pytest.raises(QueryError, match="integer"):
+            TopKQuery(f2, k=k)
+
+    def test_update_k_goes_through_the_same_rule(self, f2):
+        monitor = StreamMonitor(
+            2, CountBasedWindow(10), algorithm="tma", cells_per_axis=4
+        )
+        handle = monitor.add_query(TopKQuery(f2, k=3))
+        for k in (2.5, True, 0):
+            with pytest.raises(QueryError):
+                monitor.update_query(handle.qid, k=k)
+        assert handle.query.k == 3
+
+
+class TestWeights:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "family", [LinearFunction, QuadraticFunction, ProductFunction]
+    )
+    def test_non_finite_weight_is_refused(self, family, bad):
+        with pytest.raises(QueryError, match="finite"):
+            family([bad, 1.0])
+
+    def test_nan_weight_no_longer_gives_a_silent_empty_result(self):
+        # LinearFunction([nan, 1]) used to construct; every cell bound
+        # was NaN, so every region empty and the result silently [].
+        monitor = StreamMonitor(
+            2, CountBasedWindow(10), algorithm="tma", cells_per_axis=4
+        )
+        monitor.process(monitor.make_records([[0.5, 0.5]]))
+        with pytest.raises(QueryError):
+            monitor.add_query(TopKQuery(LinearFunction([math.nan, 1.0]), 2))
 
 
 class TestConstrainedQuery:

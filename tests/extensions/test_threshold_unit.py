@@ -87,10 +87,8 @@ class TestSemantics:
         )
         monitor.process([factory.make((0.9, 0.9))])
         assert monitor.result(qid) == []
-        # No cells carry the query either: nothing can exceed 5.
-        assert all(
-            qid not in cell.influence for cell in monitor.grid.cells()
-        )
+        # Its influence region is empty too: nothing can exceed 5.
+        assert monitor.monitor.algorithm.influence_region(qid) == set()
 
     def test_decreasing_direction_threshold(self, factory):
         monitor = make_monitor()

@@ -151,6 +151,5 @@ class TestStorage:
     def test_cell_repr(self, factory):
         grid = Grid(2, 4)
         cell = grid.insert(factory.make((0.1, 0.1)))
-        cell.influence.add(3)
         assert "1 pts" in repr(cell)
-        assert "1 queries" in repr(cell)
+        assert "(0, 0)" in repr(cell)

@@ -8,8 +8,8 @@ families, group sizes, ties, underfull grids and mixed-k groups. The
 group sweep takes its certain cells a wave at a time when the caller
 holds an upper bound on the kth scores (``at_most``): Hypothesis
 properties pin that any valid bound — and any invalid one — changes
-nothing a caller can see, and that the influence lists a group install
-leaves are each member's threshold set. The whole file is re-run under
+nothing a caller can see, and that the influence region a group
+install leaves each member is its threshold set. The whole file is re-run under
 the pure-Python batch backend by :func:`test_python_backend_subprocess`.
 """
 
@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 
 import repro.grid.traversal as traversal
 from repro.algorithms.sma import SkybandMonitoringAlgorithm
-from repro.algorithms.topk_computation import compute_and_install_group
+from repro.algorithms.topk_computation import (
+    RegionState,
+    compute_and_install_group,
+)
 from repro.core import batch
 from repro.core.queries import TopKQuery
 from repro.core.scoring import LinearFunction, ProductFunction
@@ -53,7 +56,7 @@ def assert_group_matches_solo(grid, functions, ks):
         assert [
             (entry.score, entry.record.rid) for entry in grouped.entries
         ] == [(entry.score, entry.record.rid) for entry in solo.entries]
-        # Same *set* of cells must carry the query's influence entry;
+        # Same *set* of cells must form the query's influence region;
         # visiting order follows the group key and may differ.
         assert set(grouped.processed) == set(solo.processed)
     return outcomes
@@ -308,7 +311,6 @@ def snapshot(outcomes):
         (
             [(entry.score.hex(), entry.rid) for entry in outcome.entries],
             set(outcome.processed),
-            set(outcome.remaining) | set(outcome.frontier),
         )
         for outcome in outcomes
     ]
@@ -341,7 +343,7 @@ def test_any_valid_bound_matches_the_cold_call(rng, dims, cells):
         cold = compute_top_k_group(churn.grid, functions, ks, cold_counters)
         for function, k, outcome in zip(functions, ks, cold):
             solo = compute_top_k(churn.grid, function, k)
-            assert snapshot([outcome])[0][:2] == snapshot([solo])[0][:2]
+            assert snapshot([outcome]) == snapshot([solo])
         found = kth_scores(cold, ks)
         # Anything from the smallest true kth score up is a valid bound
         # (with an underfull member every cell is certain anyway).
@@ -370,7 +372,7 @@ def test_a_bound_that_is_too_low_still_gives_exact_entries(rng, dims, cells):
     found = kth_scores(compute_top_k_group(churn.grid, functions, ks), ks)
     low = (min(found) if found else 0.0) - rng.choice(LATTICE[1:])
     warm = snapshot(compute_top_k_group(churn.grid, functions, ks, at_most=low))
-    for (entries, processed, _), (cold_entries, cold_processed, _) in zip(
+    for (entries, processed), (cold_entries, cold_processed) in zip(
         warm, cold
     ):
         assert entries == cold_entries
@@ -384,30 +386,24 @@ def test_a_bound_that_is_too_low_still_gives_exact_entries(rng, dims, cells):
     cells=st.integers(1, 6),
 )
 def test_group_install_leaves_each_member_its_threshold_set(rng, dims, cells):
-    """The invariant ``drop_stale_influence`` and the flood rely on: the
-    cells listing a query are the last processed set, whatever wave
-    shape, bound and frontier the installs before it had."""
+    """A member's influence region is its solo processed set, whatever
+    wave shape and bound the installs before it had."""
     churn = Churn(rng, dims, cells)
     functions, ks = draw_group(rng, dims)
-    queries = []
-    for qid, (function, k) in enumerate(zip(functions, ks)):
-        query = TopKQuery(function, k)
-        query.qid = qid
-        queries.append(query)
+    states = [
+        RegionState(TopKQuery(function, k))
+        for function, k in zip(functions, ks)
+    ]
     bound = None
     for _ in range(4):
         churn.step()
         outcomes = compute_and_install_group(
-            churn.grid, queries, OpCounters(), at_most=bound
+            churn.grid, states, OpCounters(), at_most=bound
         )
-        for query, outcome in zip(queries, outcomes):
+        for state, outcome in zip(states, outcomes):
+            query = state.query
             solo = compute_top_k(churn.grid, query.function, query.k)
-            listed = {
-                cell.coords
-                for cell in churn.grid.cells()
-                if query.qid in cell.influence
-            }
-            assert listed == set(solo.processed) == set(outcome.processed)
+            assert state.cells == set(solo.processed) == set(outcome.processed)
         # The next round's bound: sometimes valid, sometimes not, sometimes none.
         found = kth_scores(outcomes, ks)
         bound = rng.choice([None, rng.choice(LATTICE) * 3] + found[:1])

@@ -77,7 +77,10 @@ class TestCostProfile:
         compute_top_k(grid, f, 3, smart_counters)
         assert smart_counters.cells_enheaped < naive_counters.cells_enheaped
 
-    def test_naive_has_no_remaining_cells(self):
+    def test_naive_processes_the_influence_region(self):
         grid, _ = populated([(0.5, 0.5)], cells=4)
-        outcome = compute_top_k_naive(grid, LinearFunction([1.0, 1.0]), 1)
-        assert outcome.remaining == []
+        f = LinearFunction([1.0, 1.0])
+        outcome = compute_top_k_naive(grid, f, 1)
+        assert set(outcome.processed) == set(
+            compute_top_k(grid, f, 1).processed
+        )

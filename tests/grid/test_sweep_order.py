@@ -5,17 +5,22 @@ Three contracts, each against a reference kept here:
 - a *warm* :class:`~repro.grid.traversal.SweepOrder` (replayed across
   calls, with or without an ``at_most`` bound) is indistinguishable
   from a cold call — entries, processed cells and counter deltas;
-- the cells listing a query are always the last processed set, however
-  solo installs, group installs, k changes, eager trims and
-  pause/resume interleave;
+- a query's influence region is always the brute-force threshold set
+  ``{c : maxscore(c) >= s}`` over all g^d cells, ``s`` the kth score
+  at its last from-scratch computation (``>`` the threshold for a
+  threshold query), however solo installs, group installs, k changes,
+  eager trims and pause/resume interleave;
 - the query-major arrival/expiration gate of TMA, SMA and the
   threshold path decides what the record-major
-  ``for record: for qid in cell.influence`` loops decided — those
-  loops live on below as the oracle — with the same counters.
+  ``for record: for qid in cell.influence`` loops of the paper's
+  per-cell lists decided — those loops and a per-cell list model live
+  on below as the oracle — with the same counters.
 
 The whole file is re-run under the pure-Python batch backend by
 :func:`test_python_backend_subprocess`.
 """
+
+from itertools import product
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,10 +29,9 @@ from repro.algorithms.base import MonitorAlgorithm
 from repro.algorithms.sma import SkybandMonitoringAlgorithm
 from repro.algorithms.tma import TopKMonitoringAlgorithm
 from repro.algorithms.topk_computation import (
+    RegionState,
     compute_and_install,
     compute_and_install_group,
-    eager_trim_influence,
-    remove_query_everywhere,
 )
 from repro.core.queries import ConstrainedTopKQuery, ThresholdQuery, TopKQuery
 from repro.core.regions import Rectangle
@@ -199,16 +203,36 @@ def test_bound_below_the_kth_score_is_still_exact(rng, dims, cells):
             churn.grid, function, k, order=order, at_most=too_low
         )
         assert fingerprint(warm) == fingerprint(cold)
-        assert warm.processed[: len(cold.processed)] == cold.processed
+        assert warm.processed == cold.processed
 
 
 # ----------------------------------------------------------------------
-# Influence lists are the last processed set
+# Influence regions are brute-force threshold sets
 # ----------------------------------------------------------------------
 
 
-def listing(grid, qid):
-    return {cell.coords for cell in grid.cells() if qid in cell.influence}
+def brute_region(grid, function, threshold, region=None, strict=False):
+    """``{c : maxscore(c) >= threshold}`` (``>`` if ``strict``) over all
+    g^d cells, clipped to ``region``; no threshold means no region."""
+    if threshold is None:
+        return set()
+    cells = set()
+    for coords in product(range(grid.cells_per_axis), repeat=grid.dims):
+        if region is None:
+            bound = grid.maxscore(coords, function)
+        else:
+            bound = grid.maxscore_in_region(coords, function, region)
+            if bound is None:
+                continue
+        if bound > threshold or (not strict and bound == threshold):
+            cells.add(coords)
+    return cells
+
+
+def found_threshold(outcome, k):
+    """The kth score a computation found, -inf while underfull."""
+    score = kth_score(outcome, k)
+    return float("-inf") if score is None else score
 
 
 @PROPERTY
@@ -218,7 +242,7 @@ def listing(grid, qid):
     cells=st.integers(1, 6),
     constrained=st.booleans(),
 )
-def test_cells_listing_a_query_are_the_last_processed_set(
+def test_influence_region_is_the_brute_threshold_set(
     rng, dims, cells, constrained
 ):
     churn = Churn(rng, dims, cells)
@@ -229,68 +253,99 @@ def test_cells_listing_a_query_are_the_last_processed_set(
         )
     else:
         query = TopKQuery(function, 3)
-    query.qid = 0
     # A partner for group sweeps: same directions, nearby weights.
-    partner = TopKQuery(
-        LinearFunction(
-            [
-                weight + direction * 0.125
-                for weight, direction in zip(
-                    function.weights, function.directions
-                )
-            ]
-        ),
-        2,
+    partner = RegionState(
+        TopKQuery(
+            LinearFunction(
+                [
+                    weight + direction * 0.125
+                    for weight, direction in zip(
+                        function.weights, function.directions
+                    )
+                ]
+            ),
+            2,
+        )
     )
-    partner.qid = 1
-    counters = OpCounters()
-    order = None
-    installed = False
+    state = RegionState(query)
+    region = getattr(query, "constraint", None)
+    threshold = None  # s at the last computation; None: no region yet
     for _ in range(10):
         churn.step()
         step = rng.choice(["solo", "solo", "group", "k", "trim", "pause"])
+        before, partner_before = state.cells, partner.cells
+        counters = OpCounters()
         if step == "k":
             query.k = rng.choice([1, 2, 4, 6])
-            continue
-        if step == "trim":
-            if installed:
-                before = listing(churn.grid, 0)
-                threshold = rng.random() * 2 - 0.5
-                eager_trim_influence(churn.grid, query, threshold, counters)
-                whole = SweepOrder(
-                    churn.grid, function, getattr(query, "constraint", None)
-                )
-                while whole.reaches(len(whole.keys)):
-                    pass
-                keys = dict(zip(whole.coords, whole.keys))
-                assert listing(churn.grid, 0) == {
-                    coords for coords in before if keys[coords] >= threshold
-                }
-            continue
-        if step == "pause":
-            remove_query_everywhere(churn.grid, query, counters, order)
-            assert listing(churn.grid, 0) == set()
-            installed = False
-            continue
-        if step == "group" and not constrained:
-            outcome, _ = compute_and_install_group(
-                churn.grid, [query, partner], counters
-            )
-            assert outcome.order is None
+        elif step == "trim":
+            if threshold is not None:
+                rise = rng.random() * 2 - 0.5
+                state.trim_region(churn.grid, rise, counters)
+                threshold = max(threshold, rise)
+                assert counters.influence_trim_visits == len(before)
+        elif step == "pause":  # unregister, then resume with a new state
+            state = RegionState(query)
+            threshold = None
         else:
-            outcome = compute_and_install(
-                churn.grid, query, counters, order=order
+            if step == "group" and not constrained:
+                outcome, _ = compute_and_install_group(
+                    churn.grid, [state, partner], counters
+                )
+                assert outcome.order is None
+            else:
+                outcome = compute_and_install(churn.grid, state, counters)
+                assert state.order is outcome.order
+            threshold = found_threshold(outcome, query.k)
+            assert state.cells == set(outcome.processed)
+            assert fingerprint(outcome) == fingerprint(
+                compute_top_k(churn.grid, function, query.k, region=region)
             )
-            order = outcome.order
-        installed = True
-        assert listing(churn.grid, 0) == set(outcome.processed)
-        assert fingerprint(outcome) == fingerprint(
-            compute_top_k(
-                churn.grid,
-                query.function,
-                query.k,
-                region=getattr(query, "constraint", None),
+        assert state.cells == brute_region(
+            churn.grid, function, threshold, region
+        )
+        if step != "pause":
+            # The per-cell lists' accounting: entries gained and lost.
+            assert counters.influence_list_updates == len(
+                before ^ state.cells
+            ) + len(partner_before ^ partner.cells)
+
+
+def pin_regions(algorithm):
+    """Every region of ``algorithm`` against brute enumeration: a
+    threshold query's is ``{c : maxscore > t}``, an SMA query's is
+    ``{c : maxscore >= s}`` for its frozen gate ``s``, and a TMA
+    query's is a threshold set covering every cell that reaches its
+    current kth score."""
+    grid = algorithm.grid
+    # The shared-region table holds exactly the live regions.
+    assert len(algorithm.regions) == len(
+        {state.cells for state in algorithm._states.values()}
+    )
+    for state in algorithm._threshold_states.values():
+        query = state.query
+        assert state.cells == brute_region(
+            grid, query.function, query.threshold, strict=True
+        )
+    for state in algorithm._states.values():
+        function, region = state.query.function, state.region
+        if isinstance(algorithm, SkybandMonitoringAlgorithm):
+            assert state.cells == brute_region(
+                grid, function, state.gate[0], region
             )
+            continue
+        least = min(
+            (
+                grid.maxscore(coords, function)
+                if region is None
+                else grid.maxscore_in_region(coords, function, region)
+                for coords in state.cells
+            ),
+            default=None,
+        )
+        assert state.cells == brute_region(grid, function, least, region)
+        assert (
+            brute_region(grid, function, state.gate_key()[0], region)
+            <= state.cells
         )
 
 
@@ -299,19 +354,27 @@ def test_cells_listing_a_query_are_the_last_processed_set(
 # ----------------------------------------------------------------------
 
 
+def cell_lists(*tables):
+    """The paper's per-cell influence lists, ``coords -> qids``, as
+    the record-major loops read them, rebuilt from the regions."""
+    lists = {}
+    for table in tables:
+        for qid, state in table.items():
+            for coords in state.cells:
+                lists.setdefault(coords, set()).add(qid)
+    return lists
+
+
 class RecordMajorThresholds(MonitorAlgorithm):
     """The threshold path's former arrival loop (grid algorithms)."""
 
     def _maintain_thresholds(self, arrivals, expirations):
         states = self._threshold_states
+        lists = cell_lists(states)
         for record in arrivals:
-            cell = self.grid.peek_cell(self.grid.coords_of(record.attrs))
-            if cell is None:
-                continue
-            for qid in list(cell.influence):
-                state = states.get(qid)
-                if state is None:
-                    continue
+            coords = self.grid.coords_of(record.attrs)
+            for qid in list(lists.get(coords, ())):
+                state = states[qid]
                 self.counters.influence_checks += 1
                 score = state.query.function.score(record.attrs)
                 if score > state.query.threshold:
@@ -326,12 +389,11 @@ class RecordMajorTma(RecordMajorThresholds, TopKMonitoringAlgorithm):
     def _apply_cycle(self, arrivals, expirations):
         states = self._states
         gate_rose = []
+        lists = cell_lists(states)
         for record, cell in zip(arrivals, self.grid.insert_many(arrivals)):
             admitted = []
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
+            for qid in lists.get(cell.coords, ()):
+                state = states[qid]
                 self.counters.influence_checks += 1
                 if state.region is not None and not state.region.contains(
                     record.attrs
@@ -352,25 +414,19 @@ class RecordMajorTma(RecordMajorThresholds, TopKMonitoringAlgorithm):
                 ):
                     gate_rose.append(state)
         for state in gate_rose:
-            eager_trim_influence(
-                self.grid, state.query, state.gate_key()[0], self.counters
-            )
+            state.trim_region(self.grid, state.gate_key()[0], self.counters)
         affected = []
+        lists = cell_lists(states)
         for record, cell in zip(
             expirations, self.grid.delete_many(expirations)
         ):
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
+            for qid in lists.get(cell.coords, ()):
+                state = states[qid]
                 self.counters.influence_checks += 1
                 if record.rid in state.member_ids and state not in affected:
                     affected.append(state)
-        if self.groups is not None and len(affected) > 1:
-            self._recompute_grouped(affected)
-        else:
-            for state in affected:
-                self._recompute(state)
+        for state in affected:
+            self._recompute(state)
 
 
 class RecordMajorSma(RecordMajorThresholds, SkybandMonitoringAlgorithm):
@@ -378,11 +434,10 @@ class RecordMajorSma(RecordMajorThresholds, SkybandMonitoringAlgorithm):
 
     def _apply_cycle(self, arrivals, expirations):
         states = self._states
+        lists = cell_lists(states)
         for record, cell in zip(arrivals, self.grid.insert_many(arrivals)):
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
+            for qid in lists.get(cell.coords, ()):
+                state = states[qid]
                 self.counters.influence_checks += 1
                 if state.region is not None and not state.region.contains(
                     record.attrs
@@ -396,10 +451,8 @@ class RecordMajorSma(RecordMajorThresholds, SkybandMonitoringAlgorithm):
         for record, cell in zip(
             expirations, self.grid.delete_many(expirations)
         ):
-            for qid in cell.influence:
-                state = states.get(qid)
-                if state is None:
-                    continue
+            for qid in lists.get(cell.coords, ()):
+                state = states[qid]
                 self.counters.influence_checks += 1
                 if record.rid in state.skyband:
                     self._touch(qid)
@@ -494,8 +547,8 @@ def test_query_major_gate_matches_record_major_loops(
     if family == "sma":
         options = {"grouped": grouped}
         pair = (SkybandMonitoringAlgorithm, RecordMajorSma)
-    else:
-        options = {"grouped": grouped, "eager_cleanup": family == "tma-eager"}
+    else:  # TMA has no grouped mode
+        options = {"eager_cleanup": family == "tma-eager"}
         pair = (TopKMonitoringAlgorithm, RecordMajorTma)
     subject, oracle = (cls(dims, cells, **options) for cls in pair)
     queries = draw_queries(rng, dims)
@@ -505,6 +558,17 @@ def test_query_major_gate_matches_record_major_loops(
         if cycle == 2:  # queries join a grid that already holds points
             subject.register_many([clone(query) for query in queries])
             oracle.register_many([clone(query) for query in queries])
+        if cycle == 4:  # pause and resume one query
+            query = rng.choice(queries)
+            for algorithm in (subject, oracle):
+                algorithm.unregister(query.qid)
+                algorithm.register(clone(query))
+        if cycle == 5:  # change one top-k query's k in flight
+            query = rng.choice(queries)
+            if not isinstance(query, ThresholdQuery):
+                k = rng.choice([1, 2, 4, 6])
+                for algorithm in (subject, oracle):
+                    algorithm.update_query(query.qid, k=k)
         arrivals = [
             factory.make(tuple(rng.choice(LATTICE) for _ in range(dims)))
             for _ in range(rng.randint(0, 10))
@@ -521,6 +585,7 @@ def test_query_major_gate_matches_record_major_loops(
         assert results_of(subject, queries) == results_of(oracle, queries)
         assert influence_map(subject) == influence_map(oracle)
         assert subject.counters.snapshot() == oracle.counters.snapshot()
+        pin_regions(subject)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ Includes the paper's worked examples (Figures 5 and 7) plus minimality
 and correctness properties on randomized data.
 """
 
+import math
 import random
 
 import pytest
@@ -102,7 +103,7 @@ class TestEdgeCases:
         assert outcome.entries == []
         # With nothing found the whole grid is processed.
         assert len(outcome.processed) == 16
-        assert outcome.remaining == []
+        assert not outcome.order.reaches(16)
 
     def test_fewer_records_than_k(self):
         grid, records = populated_grid([(0.5, 0.5), (0.2, 0.2)], cells=4)
@@ -143,6 +144,18 @@ class TestConstrainedTraversal:
         # Upper corner 0.5 lies exactly on a cell boundary: start cell
         # must be pulled back inside the region.
         assert start_coords(grid, f, region) == (4, 6)
+
+    def test_record_one_ulp_below_the_region_bound_is_found(self):
+        # 10/12 - 1 ulp lies inside [0.5, 10/12), yet times 6 it rounds
+        # to 5.0: the record sits in cell 5, which the sweep must reach.
+        upper = 10 / 12
+        inside = math.nextafter(upper, 0.0)
+        grid, records = populated_grid([(0.6, 0.0), (inside, 0.0)], cells=6)
+        assert grid.coords_of(records[1].attrs) == (5, 0)
+        region = Rectangle((0.5, 0.0), (upper, 0.5))
+        f = LinearFunction([1.0, 1.0])
+        outcome = compute_top_k(grid, f, 1, region=region)
+        assert [e.rid for e in outcome.entries] == [1]
 
     def test_region_filtering(self):
         rows = [(0.9, 0.9), (0.45, 0.65), (0.3, 0.3)]

@@ -135,9 +135,7 @@ class TestThresholdMonitoring:
             ThresholdQuery(LinearFunction([1.0, 1.0]), threshold=1.5)
         )
         monitor.remove_query(qid)
-        assert all(
-            qid not in cell.influence for cell in monitor.grid.cells()
-        )
+        assert monitor.monitor.algorithm.influence_list_entries() == 0
         with pytest.raises(QueryError):
             monitor.result(qid)
 

@@ -270,7 +270,7 @@ class TestSharedRegistrationPath:
         monitor = StreamMonitor(
             2,
             CountBasedWindow(30),
-            algorithm="tma",
+            algorithm="sma",
             cells_per_axis=4,
             grouped=True,
         )

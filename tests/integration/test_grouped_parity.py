@@ -1,12 +1,12 @@
 """Grouped recomputation ≡ per-query recomputation, end to end.
 
 The tentpole contract of the grouped-traversal subsystem: running
-TMA/SMA with ``grouped=True`` must produce bitwise-identical results —
+SMA with ``grouped=True`` must produce bitwise-identical results —
 same ``(score, rid)`` per cycle per query — and identical influence
-lists to the per-query path, under query churn and on both batch
-backends. The stream replay below also keeps the brute-force oracle in
-the loop, so a grouped bug cannot hide behind a matching plain-path
-bug.
+regions to the per-query path, under query churn and on both batch
+backends. TMA rides along ungrouped. The stream replay keeps the
+brute-force oracle in the loop, so a grouped bug cannot hide behind a
+matching plain-path bug.
 """
 
 import os
@@ -21,7 +21,7 @@ from repro.core.queries import TopKQuery
 from repro.core.scoring import LinearFunction, QuadraticFunction
 from repro.core.tuples import RecordFactory
 
-PAIRS = (("tma", "tma-grouped"), ("sma", "sma-grouped"))
+PLAIN = ("tma", "sma")
 
 
 def make_similar_function(rng, base, jitter):
@@ -31,10 +31,10 @@ def make_similar_function(rng, base, jitter):
 
 
 def influence_map(algorithm):
+    """qid -> influence region, for every registered query."""
     return {
-        cell.coords: frozenset(cell.influence)
-        for cell in algorithm.grid.cells()
-        if cell.influence
+        query.qid: algorithm.influence_region(query.qid)
+        for query in algorithm.queries()
     }
 
 
@@ -54,28 +54,34 @@ def run_parity_stream(
         base = [rng.uniform(0.3, 0.9) for _ in range(dims)]
         make_function = lambda rng: make_similar_function(rng, base, 0.08)  # noqa: E731
     algorithms = {"brute": make_algorithm("brute", dims)}
-    for name in ("tma", "tma-grouped", "sma", "sma-grouped"):
+    for name in PLAIN + ("sma-grouped",):
         algorithms[name] = make_algorithm(name, dims, cells_per_axis=5)
 
     next_qid = 0
     queries = {}
 
-    def add_query():
+    def new_query():
         nonlocal next_qid
         query = TopKQuery(make_function(rng), k=rng.choice([1, 3, 5]))
         query.qid = next_qid
         next_qid += 1
+        queries[query.qid] = query
+        return query
+
+    def add_query():
+        query = new_query()
         for algorithm in algorithms.values():
             algorithm.register(query)
-        queries[query.qid] = query
 
     def remove_query(qid):
         for algorithm in algorithms.values():
             algorithm.unregister(qid)
         del queries[qid]
 
-    for _ in range(num_queries):
-        add_query()
+    # The initial queries arrive as one burst: the grouped registration.
+    burst = [new_query() for _ in range(num_queries)]
+    for algorithm in algorithms.values():
+        algorithm.register_many(burst)
 
     window_records = []
     for cycle in range(cycles):
@@ -101,18 +107,16 @@ def run_parity_stream(
                 ]
                 for qid in queries
             }
-        for plain, grouped in PAIRS:
-            assert outcomes[grouped] == outcomes[plain], (
-                f"{grouped} diverged from {plain} at cycle {cycle} "
-                f"(seed {seed})"
-            )
+        assert outcomes["sma-grouped"] == outcomes["sma"], (
+            f"sma-grouped diverged from sma at cycle {cycle} (seed {seed})"
+        )
+        for plain in PLAIN:
             assert outcomes[plain] == outcomes["brute"], (
                 f"{plain} diverged from brute at cycle {cycle} (seed {seed})"
             )
-    for plain, grouped in PAIRS:
-        assert influence_map(algorithms[grouped]) == influence_map(
-            algorithms[plain]
-        ), f"{grouped} influence lists diverged from {plain}"
+    assert influence_map(algorithms["sma-grouped"]) == influence_map(
+        algorithms["sma"]
+    ), "sma-grouped influence regions diverged from sma"
     return algorithms
 
 
@@ -120,7 +124,7 @@ def run_parity_stream(
 def test_similar_query_families(seed):
     algorithms = run_parity_stream(seed)
     # The similar workload must actually exercise the grouped sweep.
-    assert algorithms["tma-grouped"].counters.grouped_queries_served > 0
+    assert algorithms["sma-grouped"].counters.grouped_queries_served > 0
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -171,15 +175,17 @@ def test_python_backend_parity_subprocess():
         "from repro.core.tuples import RecordFactory\n"
         "rng = random.Random(5)\n"
         "factory = RecordFactory()\n"
-        "names = ('brute', 'tma', 'tma-grouped', 'sma', 'sma-grouped')\n"
+        "names = ('brute', 'tma', 'sma', 'sma-grouped')\n"
         "algos = {n: make_algorithm(n, 2, cells_per_axis=4) for n in names}\n"
+        "queries = []\n"
         "for qid in range(10):\n"
         "    w = [max(0.05, 0.6 + rng.uniform(-0.1, 0.1)),\n"
         "         max(0.05, 0.4 + rng.uniform(-0.1, 0.1))]\n"
         "    q = TopKQuery(LinearFunction(w), k=rng.choice([1, 3, 5]))\n"
         "    q.qid = qid\n"
-        "    for a in algos.values():\n"
-        "        a.register(q)\n"
+        "    queries.append(q)\n"
+        "for a in algos.values():\n"
+        "    a.register_many(queries)\n"
         "window = []\n"
         "for cycle in range(14):\n"
         "    arrivals = [factory.make((rng.random(), rng.random()))\n"
@@ -194,9 +200,10 @@ def test_python_backend_parity_subprocess():
         "        outs[n] = {qid: [(e.score, e.rid)\n"
         "                   for e in a.current_result(qid)]\n"
         "                   for qid in range(10)}\n"
-        "    assert outs['tma-grouped'] == outs['tma'] == outs['brute'], cycle\n"
+        "    assert outs['tma'] == outs['brute'], cycle\n"
         "    assert outs['sma-grouped'] == outs['sma'], cycle\n"
-        "assert algos['tma-grouped'].counters.grouped_queries_served > 0\n"
+        "    assert outs['sma'] == outs['brute'], cycle\n"
+        "assert algos['sma-grouped'].counters.grouped_queries_served > 0\n"
         "print('ok')\n"
     )
     env = dict(os.environ, REPRO_BATCH_BACKEND="python")

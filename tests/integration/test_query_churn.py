@@ -86,8 +86,7 @@ def test_unregister_leaves_no_influence_residue(algorithm):
         qids.append(qid)
     for qid in qids:
         algo.unregister(qid)
-    for cell in algo.grid.cells():
-        assert not cell.influence
+    assert algo.influence_list_entries() == 0
 
 
 def test_engine_level_churn():

@@ -214,9 +214,9 @@ def test_other_algorithms(algorithm):
     run_remote_parity_stream(173, 2, algorithm=algorithm, cycles=8)
 
 
-@pytest.mark.parametrize("algorithm", ["tma", "sma"])
-def test_grouped_remote_sharding(algorithm):
-    run_remote_parity_stream(179, 2, algorithm=algorithm, grouped=True)
+@pytest.mark.parametrize("seed", [179, 197])
+def test_grouped_remote_sharding(seed):
+    run_remote_parity_stream(seed, 2, algorithm="sma", grouped=True)
 
 
 def test_query_churn_mid_stream():

@@ -119,12 +119,11 @@ def test_long_run_with_query_churn_leaves_clean_grid(algorithm):
             expired.append(window.pop(0))
         algo.process_cycle(arrivals, expired)
 
-    # Influence lists only reference live queries.
-    live = set(active)
-    for cell in algo.grid.cells():
-        assert cell.influence <= live, (
-            f"dead query residue in {cell}: {cell.influence - live}"
-        )
+    # Only live queries hold influence regions.
+    assert {query.qid for query in algo.queries()} == set(active)
+    assert algo.influence_list_entries() == sum(
+        len(algo.influence_region(qid)) for qid in active
+    )
     for qid, query in active.items():
         got = [e.rid for e in algo.current_result(qid)]
         expected = [e.rid for e in brute_top_k(window, query)]

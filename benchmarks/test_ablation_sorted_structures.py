@@ -46,7 +46,7 @@ def run(list_impl: str, n: int):
     final = {
         qid: [entry.rid for entry in monitor.result(qid)] for qid in qids
     }
-    return monitor.total_cpu_seconds, final
+    return monitor.total_cpu_seconds, final, monitor.counters.as_dict()
 
 
 def test_array_vs_skiplist(benchmark):
@@ -54,8 +54,12 @@ def test_array_vs_skiplist(benchmark):
         out = {}
         for n in (4_000, 16_000):
             for impl in ("array", "skiplist"):
-                seconds, final = run(impl, n)
-                out[(impl, n)] = {"seconds": seconds, "final": final}
+                seconds, final, counters = run(impl, n)
+                out[(impl, n)] = {
+                    "seconds": seconds,
+                    "final": final,
+                    "counters": counters,
+                }
         return out
 
     out = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -75,8 +79,12 @@ def test_array_vs_skiplist(benchmark):
         assert (
             out[("array", n)]["final"] == out[("skiplist", n)]["final"]
         )
-    # Both must finish the workload in sane time; which one wins is a
-    # platform property (C memmove vs interpreted pointer chase) and
-    # is reported, not asserted.
-    for data in out.values():
-        assert data["seconds"] < 60.0
+    # And identical work: the container changes what one list update
+    # costs, never how many TSL makes (sorted-list updates, TA sorted
+    # and random accesses, view upkeep). Which container wins on time
+    # is a platform property (C memmove vs interpreted pointer chase)
+    # and is reported, not asserted.
+    for n in (4_000, 16_000):
+        counters = out[("array", n)]["counters"]
+        assert counters == out[("skiplist", n)]["counters"]
+        assert counters["sorted_list_updates"] > 0

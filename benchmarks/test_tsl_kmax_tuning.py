@@ -61,6 +61,10 @@ def run_tsl(kmax=None, adaptive=False):
         "refills": monitor.counters.view_refills,
         "view_inserts": monitor.counters.view_insertions,
         "final_kmax": f"{min(kmaxes)}..{max(kmaxes)}",
+        # The work kmax trades: TA refill accesses against view upkeep.
+        "work": monitor.counters.sorted_accesses
+        + monitor.counters.random_accesses
+        + monitor.counters.view_insertions,
     }
 
 
@@ -78,13 +82,21 @@ def test_tsl_kmax_tradeoff(benchmark):
     print(f"\n== TSL kmax tuning (k={K}) ==")
     print(
         format_table(
-            ["kmax", "CPU [s]", "TA refills", "view inserts", "kmax range"],
+            [
+                "kmax",
+                "CPU [s]",
+                "TA refills",
+                "view inserts",
+                "TA accesses + inserts",
+                "kmax range",
+            ],
             [
                 [
                     row["kmax"],
                     f"{row['seconds']:.4f}",
                     row["refills"],
                     row["view_inserts"],
+                    row["work"],
                     row["final_kmax"],
                 ]
                 for row in rows
@@ -100,15 +112,14 @@ def test_tsl_kmax_tradeoff(benchmark):
     assert refills[0] > refills[-1]
     assert inserts[-1] > inserts[0]
     # The paper's tuned kmax for k=10 was 2k: at least verify kmax=k
-    # (the degenerate choice) is never the fastest configuration.
-    seconds = [row["seconds"] for row in static]
-    assert seconds.index(min(seconds)) != 0
+    # (the degenerate choice) is never the cheapest configuration.
+    work = [row["work"] for row in static]
+    assert work.index(min(work)) != 0
     # Yi et al.'s adaptive policy: it discovers slack (kmax grows off
     # the degenerate start for queries that refilled) and stays within
     # bounds, but — as the paper reports — it does not beat a
-    # fine-tuned static kmax. Allow generous noise: the claim is "no
-    # free lunch", not a precise ratio.
+    # fine-tuned static kmax: it pays refills while learning.
     low, high = adaptive["final_kmax"].split("..")
     assert K <= int(low) and int(high) <= 8 * K
     assert int(high) > K  # at least one query adapted upward
-    assert adaptive["seconds"] > 0.7 * min(seconds)
+    assert adaptive["work"] > min(work)

@@ -18,7 +18,9 @@ Each subscriber replays its deltas into a local state dict and, at the
 end, verifies the replayed state equals the pull ``result()`` —
 **bitwise**, floats having crossed JSON both ways. That is the same
 parity contract the in-process subscription layer pins, now holding
-across a socket.
+across a socket. Most events cross as deltas without the query's
+``top``; the client rebuilds it, so each subscriber also checks that
+the ``top`` of its last change equals ``result()`` bitwise.
 
 Run:  python examples/service_client.py
 """
@@ -37,9 +39,10 @@ from repro.core.results import entries_best_first
 
 def replay(stream, baseline, done):
     """Consume a RemoteChangeStream until the run is over (done set
-    and the stream has gone quiet); return (state, causes)."""
+    and the stream has gone quiet); return (state, causes, last top)."""
     state = {entry.rid: entry for entry in baseline}
     causes = []
+    top = list(baseline)
     while True:
         change = stream.get(timeout=0.5)
         if change is None:
@@ -47,11 +50,16 @@ def replay(stream, baseline, done):
                 break
             continue
         causes.append(change.cause)
+        top = change.top
         for entry in change.removed:
             state.pop(entry.rid, None)
         for entry in change.added:
             state[entry.rid] = entry
-    return state, causes
+    return state, causes, top
+
+
+def hexed(entries):
+    return [(entry.score.hex(), entry.record) for entry in entries]
 
 
 def main() -> None:
@@ -86,8 +94,8 @@ def main() -> None:
     done = threading.Event()
 
     def consume(name, handle, stream):
-        state, causes = replay(stream, handle.result(), done)
-        results[name] = (handle, state, causes)
+        state, causes, top = replay(stream, handle.result(), done)
+        results[name] = (handle, state, causes, top)
 
     threads = [
         threading.Thread(target=consume,
@@ -117,7 +125,7 @@ def main() -> None:
     leaders_stream.close()
     alarm_stream.close()
 
-    for name, (handle, state, causes) in sorted(results.items()):
+    for name, (handle, state, causes, top) in sorted(results.items()):
         replayed = entries_best_first(state.values())
         pulled = handle.result()
         match = "bitwise-identical" if replayed == pulled else "MISMATCH"
@@ -126,6 +134,9 @@ def main() -> None:
               f"{match} to pull result "
               f"(top rids {[entry.rid for entry in pulled]})")
         assert replayed == pulled
+        # The rebuilt top of the last change: same scores to the bit,
+        # same records.
+        assert hexed(top) == hexed(pulled)
 
     print(f"server stats: {stats['hub']['delivered']} deltas delivered "
           f"async, {stats['hub']['dropped']} dropped, "

@@ -39,7 +39,7 @@ import sys
 import traceback
 from typing import Optional
 
-from repro.service.protocol import ProtocolError
+from repro.core.errors import ProtocolError
 from repro.transport.base import ChannelClosed, parse_address
 from repro.transport.codec import SHARD_PROTOCOL_VERSION
 from repro.transport.tcp import TcpServerChannel

@@ -547,7 +547,9 @@ class StreamMonitor:
         if handle is not None:
             handle._state = ACTIVE
         if not self._hub.empty:
-            change = diff_results(qid, frozen, entries, cause="resume")
+            change = diff_results(
+                qid, frozen, entries, cause="resume", rescored=True
+            )
             if change.changed:
                 self._hub.dispatch({qid: change})
         return entries
@@ -605,7 +607,13 @@ class StreamMonitor:
         entries = self.algorithm.update_query(qid, k=k, function=function)
         self.mutation_seconds.append(time.perf_counter() - started)
         if announce:
-            change = diff_results(qid, before, entries, cause="update")
+            change = diff_results(
+                qid,
+                before,
+                entries,
+                cause="update",
+                rescored=function is not None,
+            )
             if change.changed:
                 self._hub.dispatch({qid: change})
         return entries
@@ -795,6 +803,12 @@ class StreamMonitor:
         Cell maxscores bound only in-workspace rows: a row outside it
         would sit in a clamped edge cell that no influence region
         accounts for, and go missing from results it belongs to."""
+        if not set(map(type, arrivals)) <= {StreamRecord}:
+            bad = next(r for r in arrivals if type(r) is not StreamRecord)
+            raise StreamError(
+                f"batch refused: {bad!r} is a {type(bad).__name__}, not a "
+                "StreamRecord (make_records() turns rows into records)"
+            )
         rows = [record.attrs for record in arrivals]
         if not set(map(len, rows)) <= {self.dims}:
             bad = next(r for r in arrivals if len(r.attrs) != self.dims)

@@ -37,3 +37,8 @@ class QueryError(ReproError):
 
 class StreamError(ReproError):
     """Invalid stream driver configuration or malformed update."""
+
+
+class ProtocolError(ReproError):
+    """Malformed or unsupported wire content, or a change report the
+    receiver's cached result cannot apply."""

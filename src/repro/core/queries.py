@@ -143,6 +143,19 @@ class ThresholdQuery:
     label: str = ""
     qid: int = -1
 
+    def __post_init__(self) -> None:
+        threshold = self.threshold
+        try:
+            finite = not isinstance(threshold, bool) and math.isfinite(
+                threshold
+            )
+        except (TypeError, OverflowError):  # text, or an int past floats
+            finite = False
+        if not finite:
+            raise QueryError(
+                f"threshold must be a finite number, got {threshold!r}"
+            )
+
     @property
     def dims(self) -> int:
         return self.function.dims

@@ -9,8 +9,9 @@ result, best-first in the canonical rank order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.errors import ProtocolError
 from repro.core.tuples import StreamRecord
 
 
@@ -77,8 +78,30 @@ def diff_results(
     new: Sequence[ResultEntry],
     cause: str = "cycle",
     bound: Optional[float] = None,
+    rescored: bool = False,
 ) -> ResultChange:
-    """Compute the change report between two result snapshots."""
+    """Compute the change report between two result snapshots.
+
+    A record's score is fixed while its query's function is, so
+    entries match by rid. Pass ``rescored=True`` when the function may
+    have changed in between (an update, a resume, a merge spanning
+    them): entries then match by ``(score, rid)``, and one whose score
+    moved leaves with its old score and enters with its new one — so
+    replaying ``removed`` then ``added`` still lands on ``new``.
+    """
+    if rescored:
+        old_keys = {(entry[0], entry[1].rid) for entry in old}
+        new_keys = {(entry[0], entry[1].rid) for entry in new}
+        added = [e for e in new if (e[0], e[1].rid) not in old_keys]
+        removed = [e for e in old if (e[0], e[1].rid) not in new_keys]
+        return ResultChange(
+            qid,
+            entries_best_first(added),
+            entries_best_first(removed),
+            list(new),
+            cause,
+            bound,
+        )
     # ``entry[1].rid``, not the ``rid`` property: 4·k reads per touched
     # query, hundreds of touched queries in a refill burst.
     old_ids = {entry[1].rid for entry in old}
@@ -93,6 +116,60 @@ def diff_results(
         cause=cause,
         bound=bound,
     )
+
+
+def insert_best_first(top: List[ResultEntry], entry: ResultEntry) -> None:
+    """Bisect ``entry`` into ``top``, best-first by ``(score, rid)``."""
+    score, rid = entry[0], entry[1].rid
+    low, high = 0, len(top)
+    while low < high:
+        middle = (low + high) // 2
+        probe = top[middle]
+        if probe[0] > score or (probe[0] == score and probe[1].rid > rid):
+            low = middle + 1
+        else:
+            high = middle
+    top.insert(low, entry)
+
+
+def rebuild_change(
+    qid: int,
+    held: Sequence[ResultEntry],
+    added: List[ResultEntry],
+    removed_rids: Iterable[int],
+    cause: str = "cycle",
+    bound: Optional[float] = None,
+) -> ResultChange:
+    """A change sent as a delta → the full :class:`ResultChange`.
+
+    ``held`` is the receiver's best-first result before the change;
+    ``added`` carries the entries that entered, ``removed_rids`` the
+    ids of those that left. The removed entries come out of ``held``
+    and ``top`` is ``held`` minus them with the added ones bisected in
+    — a linear merge, no re-sort. Both wires that ship deltas rebuild
+    here: the shard coordinator
+    (:func:`repro.parallel.sharded.resolve_changes`) and the service
+    client (:func:`repro.service.protocol.change_from_wire`).
+
+    Reads only. A delta ``held`` cannot apply — an added record it
+    already holds or that repeats, a removed id it does not hold — is
+    a :class:`~repro.core.errors.ProtocolError`, never a wrong ``top``.
+    """
+    fresh = [entry[1].rid for entry in added]
+    kept = {entry[1].rid: entry for entry in held}
+    if not kept.keys().isdisjoint(fresh) or len(set(fresh)) < len(fresh):
+        raise ProtocolError(f"change of query {qid} repeats a record id")
+    try:
+        removed = [kept.pop(rid) for rid in removed_rids]
+    except KeyError as exc:
+        raise ProtocolError(
+            f"change of query {qid} removes record id {exc.args[0]}, "
+            "which its result does not hold"
+        ) from None
+    top = list(kept.values())
+    for entry in added:
+        insert_best_first(top, entry)
+    return ResultChange(qid, added, removed, top, cause, bound)
 
 
 def merge_changes(
@@ -131,6 +208,8 @@ def merge_changes(
         # The merged delta lands the consumer on ``newer.top``, so the
         # newest certificate is the one that describes it.
         bound=newer.bound,
+        # The span may hold an update or a resume.
+        rescored=True,
     )
 
 

@@ -157,12 +157,16 @@ def linear_scores(matrix, weights):
 
 
 def _finite(values: Sequence[float], what: str) -> Tuple[float, ...]:
-    """``values`` as a tuple; :class:`QueryError` if any is NaN or
-    infinite (a NaN weight would make every cell bound NaN, so every
-    region empty and every result silently ``[]``)."""
+    """``values`` as a tuple; :class:`QueryError` if any is NaN,
+    infinite or not a number (a NaN weight would make every cell bound
+    NaN, so every region empty and every result silently ``[]``)."""
     values = tuple(values)
-    if not all(map(math.isfinite, values)):
-        raise QueryError(f"{what} must be finite, got {values!r}")
+    try:
+        finite = all(map(math.isfinite, values))
+    except (TypeError, OverflowError):  # text, or an int past float range
+        finite = False
+    if not finite:
+        raise QueryError(f"{what} must be finite numbers, got {values!r}")
     return values
 
 

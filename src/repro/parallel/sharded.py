@@ -82,13 +82,12 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.algorithms.base import MonitorAlgorithm
-from repro.core.errors import DimensionalityError, StreamError
+from repro.core.errors import DimensionalityError, ProtocolError, StreamError
 from repro.core.queries import TopKQuery
-from repro.core.results import ResultChange, ResultEntry
+from repro.core.results import ResultChange, ResultEntry, rebuild_change
 from repro.core.tuples import StreamRecord
 from repro.parallel.sharding import ShardPlanner
 from repro.parallel.worker import worker_main
-from repro.service.protocol import ProtocolError
 from repro.transport.base import (
     ChannelClosed,
     ChannelError,
@@ -132,20 +131,6 @@ def _rpc_timeout() -> float:
 Window = Dict[int, StreamRecord]
 
 
-def _insert_best_first(top: List[ResultEntry], entry: ResultEntry) -> None:
-    """Bisect ``entry`` into ``top``, best-first by ``(score, rid)``."""
-    score, rid = entry[0], entry[1].rid
-    low, high = 0, len(top)
-    while low < high:
-        middle = (low + high) // 2
-        probe = top[middle]
-        if probe[0] > score or (probe[0] == score and probe[1].rid > rid):
-            low = middle + 1
-        else:
-            high = middle
-    top.insert(low, entry)
-
-
 def _records(rids: Sequence[int], window: Window) -> List[StreamRecord]:
     try:
         return list(map(window.__getitem__, rids))
@@ -171,7 +156,10 @@ def resolve_changes(
 ) -> Dict[int, ResultChange]:
     """One shard's cycle reply columns → its ``{qid: ResultChange}``,
     against ``results``, each query's best-first result before the
-    cycle. Reads only; a malformed reply is a ``ProtocolError``."""
+    cycle: added rids resolve through ``window``, and each change is
+    rebuilt by :func:`~repro.core.results.rebuild_change`, the rebuild
+    the service client runs on delta events. Reads only; a malformed
+    reply is a ``ProtocolError``."""
     qids, added_counts, removed_counts, scores, added_rids, removed_rids = (
         columns
     )
@@ -186,27 +174,12 @@ def resolve_changes(
                 "registered or already changed this cycle"
             )
         added_end = added_at + n_added
-        fresh = added_rids[added_at:added_end]
-        kept = {entry[1].rid: entry for entry in cached}
-        if not kept.keys().isdisjoint(fresh) or len(set(fresh)) < n_added:
-            raise ProtocolError(f"change of query {qid} repeats a record id")
-        try:
-            removed = [
-                kept.pop(rid)
-                for rid in removed_rids[removed_at : removed_at + n_removed]
-            ]
-        except KeyError as exc:
-            raise ProtocolError(
-                f"change of query {qid} removes record id {exc.args[0]}, "
-                "which its result does not hold"
-            ) from None
-        # The kept entries are best-first already: bisecting the few
-        # added ones into them is a linear merge, no re-sort.
-        top = list(kept.values())
-        added = entries[added_at:added_end]
-        for entry in added:
-            _insert_best_first(top, entry)
-        changes[qid] = ResultChange(qid, added, removed, top)
+        changes[qid] = rebuild_change(
+            qid,
+            cached,
+            entries[added_at:added_end],
+            removed_rids[removed_at : removed_at + n_removed],
+        )
         added_at = added_end
         removed_at += n_removed
     return changes

@@ -17,6 +17,17 @@ side errors re-raise locally as the same exception classes
 monitor, ...), so code migrating from the in-process API keeps its
 error handling unchanged.
 
+Most change events arrive as deltas without ``top`` (protocol
+revision 2, :mod:`repro.service.protocol`): each stream keeps the last
+``top`` of every query it has seen and rebuilds the full change. An
+event the stream cannot apply — malformed, or a delta against a
+result it does not hold — ends that stream with
+:class:`~repro.service.protocol.ProtocolError` (raised by ``get`` /
+iteration once the changes before it are consumed); a line that does
+not decode at all could have been any stream's, so it ends every
+stream that way. A server speaking another revision is refused in the
+constructor.
+
 ::
 
     client = MonitorClient(host, port)
@@ -62,16 +73,33 @@ class RemoteChangeStream:
         self._client = client
         self._queue: "queue.Queue" = queue.Queue()
         self._closed = False
+        #: qid -> the ``top`` this stream's last event of it left; the
+        #: state each delta event is rebuilt against.
+        self._held: Dict[int, List[ResultEntry]] = {}
 
     # -- producer side (client reader thread) ---------------------------
 
-    def _push(self, change: ResultChange, ts: Optional[float]) -> None:
-        self._queue.put((change, ts, time.time()))
+    def _receive(self, message: Dict) -> None:
+        """Rebuild one change event and queue it, or end the stream
+        with the :class:`~repro.service.protocol.ProtocolError`."""
+        try:
+            change = protocol.change_from_wire(message, self._held)
+        except protocol.ProtocolError as exc:
+            self._fail(exc)
+            return
+        self._queue.put((change, message.get("ts"), time.time()))
 
-    def _mark_closed(self) -> None:
+    def _mark_closed(self, error: object = _CLOSED) -> None:
         if not self._closed:
             self._closed = True
-            self._queue.put(_CLOSED)
+            self._queue.put(error)
+
+    def _fail(self, exc: Exception) -> None:
+        """End the stream with ``exc``: its state is no longer the
+        server's, so no later delta may be applied to it."""
+        if not self._closed:
+            self._client._forget_stream(self.sub)
+            self._mark_closed(exc)
 
     # -- consumer side --------------------------------------------------
 
@@ -89,15 +117,19 @@ class RemoteChangeStream:
         self, timeout: Optional[float] = None
     ) -> Optional[Tuple[ResultChange, Optional[float], float]]:
         """Next ``(change, server_enqueue_ts, received_at)`` or None
-        on close/timeout."""
+        on close/timeout. Raises the
+        :class:`~repro.service.protocol.ProtocolError` that ended the
+        stream, if one did, once every change before it is taken."""
         try:
             item = self._queue.get(timeout=timeout)
         except queue.Empty:
             return None
+        if type(item) is tuple:
+            return item
+        self._queue.put(item)  # keep later waiters unblocked
         if item is _CLOSED:
-            self._queue.put(_CLOSED)  # keep later waiters unblocked
             return None
-        return item
+        raise item
 
     def get(self, timeout: Optional[float] = None) -> Optional[ResultChange]:
         """Next delta, or None on close/timeout."""
@@ -218,15 +250,30 @@ class MonitorClient:
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._pending: Dict[int, "queue.Queue"] = {}
+        #: request id -> (reply slot, stream a subscribe opens or None)
+        self._pending: Dict[
+            int, Tuple["queue.Queue", Optional[RemoteChangeStream]]
+        ] = {}
         self._streams: Dict[int, RemoteChangeStream] = {}
         self._closed = False
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-client-reader", daemon=True
         )
         self._reader.start()
-        #: the server's hello payload (protocol/algorithm/dims/...).
-        self.server_info = self.request("hello")
+        try:
+            #: the server's hello payload (protocol/algorithm/dims/...).
+            self.server_info = self.request(
+                "hello", protocol=protocol.PROTOCOL_VERSION
+            )
+            revision = self.server_info.get("protocol")
+            if revision != protocol.PROTOCOL_VERSION:
+                raise protocol.ProtocolError(
+                    f"server speaks protocol revision {revision!r}; "
+                    f"this client speaks {protocol.PROTOCOL_VERSION}"
+                )
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -240,12 +287,22 @@ class MonitorClient:
                     break
                 try:
                     message = protocol.decode_line(line)
-                except protocol.ProtocolError:
+                except protocol.ProtocolError as exc:
+                    # The line may have been any stream's event.
+                    with self._state_lock:
+                        streams = list(self._streams.values())
+                    for stream in streams:
+                        stream._fail(exc)
                     continue
                 if "id" in message:
                     with self._state_lock:
-                        slot = self._pending.pop(message["id"], None)
-                    if slot is not None:
+                        waiting = self._pending.pop(message["id"], None)
+                        if waiting is not None:
+                            slot, opening = waiting
+                            if opening is not None and message.get("ok"):
+                                opening.sub = message.get("sub")
+                                self._streams[opening.sub] = opening
+                    if waiting is not None:
                         slot.put(message)
                     continue
                 event = message.get("event")
@@ -253,13 +310,7 @@ class MonitorClient:
                     with self._state_lock:
                         stream = self._streams.get(message.get("sub"))
                     if stream is not None:
-                        try:
-                            change = protocol.change_from_wire(message)
-                        except protocol.ProtocolError:
-                            # One malformed event must not tear down
-                            # every stream and pending request.
-                            continue
-                        stream._push(change, message.get("ts"))
+                        stream._receive(message)
                 elif event == "closed":
                     with self._state_lock:
                         stream = self._streams.pop(
@@ -279,7 +330,7 @@ class MonitorClient:
             self._pending.clear()
             streams = list(self._streams.values())
             self._streams.clear()
-        for slot in pending:
+        for slot, _ in pending:
             slot.put(None)
         for stream in streams:
             stream._mark_closed()
@@ -288,12 +339,24 @@ class MonitorClient:
         """One request/response round trip. Raises the server's error
         locally (``QueryError`` / ``StreamError`` / ``ProtocolError``
         / :class:`~repro.service.protocol.ServiceError`)."""
+        return self._round_trip(op, payload)
+
+    def _round_trip(
+        self,
+        op: str,
+        payload: Dict,
+        opening: Optional[RemoteChangeStream] = None,
+    ) -> Dict:
+        """:meth:`request`; a successful reply registers ``opening``
+        under the reply's ``sub`` on the reader thread, before it reads
+        the line after the reply — which may be that stream's first
+        event."""
         if self._closed:
             raise StreamError("client connection is closed")
         request_id = next(self._ids)
         slot: "queue.Queue" = queue.Queue(maxsize=1)
         with self._state_lock:
-            self._pending[request_id] = slot
+            self._pending[request_id] = (slot, opening)
         message = {"id": request_id, "op": op}
         message.update(
             {key: value for key, value in payload.items() if value is not None}
@@ -394,18 +457,30 @@ class MonitorClient:
         ``qid`` is None). ``policy`` / ``maxlen`` pick the server-side
         delivery queue behaviour (``block`` / ``drop_oldest`` /
         ``coalesce``; see ``docs/SERVICE.md``)."""
-        reply = self.request(
+        qid = None if qid is None else int(qid)
+        stream = RemoteChangeStream(self, None, qid=qid)
+        self._round_trip(
             "subscribe",
-            qid=None if qid is None else int(qid),
-            policy=policy,
-            maxlen=maxlen,
+            {"qid": qid, "policy": policy, "maxlen": maxlen},
+            opening=stream,
         )
-        stream = RemoteChangeStream(
-            self, reply["sub"], qid=None if qid is None else int(qid)
-        )
-        with self._state_lock:
-            self._streams[stream.sub] = stream
         return stream
+
+    def _forget_stream(self, sub_id: int) -> None:
+        """Reader thread: drop a failed stream and unsubscribe it
+        without waiting for the reply, which only this thread reads."""
+        with self._state_lock:
+            self._streams.pop(sub_id, None)
+        line = protocol.encode_line(
+            {"id": next(self._ids), "op": "unsubscribe", "sub": sub_id}
+        )
+        try:
+            with self._send_lock:
+                # Same single-purpose lock as in request(); the reply
+                # is never awaited, so nothing waits under it.
+                self._sock.sendall(line)  # repro: ignore[LOCK202]
+        except OSError:
+            pass
 
     def _unsubscribe(self, sub_id: int) -> None:
         with self._state_lock:

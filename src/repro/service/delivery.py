@@ -23,7 +23,9 @@ Each :class:`Delivery` picks its overflow policy for a full queue:
     The oldest queued delta is discarded and counted
     (:attr:`Delivery.dropped`). The maintenance thread never waits.
     Replay parity is void once ``dropped > 0`` — consumers re-sync by
-    pulling the query's result.
+    pulling the query's result (a served subscription re-sends each
+    query's full ``top`` after a drop, see
+    :attr:`Delivery.dropped_at_take`).
 
 ``"coalesce"`` (the default)
     The backlog is collapsed **per query** into one equivalent
@@ -87,6 +89,7 @@ class Delivery:
         "_busy",
         "_delivered",
         "_dropped",
+        "_dropped_at_take",
         "_coalesced",
         "_errors",
         "_high_watermark",
@@ -124,6 +127,7 @@ class Delivery:
         self._busy = False
         self._delivered = 0
         self._dropped = 0
+        self._dropped_at_take = 0
         self._coalesced = 0
         self._errors = 0
         self._high_watermark = 0
@@ -201,6 +205,7 @@ class Delivery:
                 if not self._queue:
                     break  # closed and drained
                 change, enqueued_at = self._queue.popleft()
+                self._dropped_at_take = self._dropped
                 self._busy = True
                 self._cond.notify_all()
             try:
@@ -234,6 +239,17 @@ class Delivery:
     def dropped(self) -> int:
         """Deltas discarded by the ``drop_oldest`` policy."""
         return self._dropped
+
+    @property
+    def dropped_at_take(self) -> int:
+        """:attr:`dropped` as it stood when the consumer took the delta
+        its callback is handling. A drop discards the *oldest* queued
+        delta, so every drop counted here removed one older than that
+        delta: a callback that sees this grow knows a delta went
+        missing between its previous call and this one (the serving
+        runtime re-primes the subscription's queries then). Read it
+        from the callback only."""
+        return self._dropped_at_take
 
     @property
     def coalesced(self) -> int:

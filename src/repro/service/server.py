@@ -442,6 +442,14 @@ class MonitorServer:
     # -- ops ------------------------------------------------------------
 
     async def _op_hello(self, conn, message) -> Dict:
+        revision = message.get("protocol")
+        if revision != protocol.PROTOCOL_VERSION:
+            # A v1 client sends no revision; it would misread v2's
+            # delta events, so it is refused before it subscribes.
+            raise protocol.ProtocolError(
+                f"client speaks protocol revision {revision!r}; this "
+                f"server speaks {protocol.PROTOCOL_VERSION}"
+            )
         algorithm = getattr(
             self.monitor.algorithm,
             "name",
@@ -662,17 +670,39 @@ class MonitorServer:
         # reaches it through a late-bound box (filled right after
         # hub.deliver returns in _op_subscribe).
         box: list = [None]
+        # Queries whose ``top`` the client holds from this
+        # subscription's events: their cycle and cancel changes cross
+        # as deltas. A drop loses a change of some query, so it
+        # re-primes all of them. Only this delivery's consumer thread
+        # runs the sender, so neither needs a lock.
+        primed: set = set()
+        drops_seen = 0
 
-        def sender(change, enqueued_at: float) -> None:
+        def encode_and_send(change, enqueued_at: float) -> None:
+            nonlocal drops_seen
+            delivery = box[0]  # None only for a change racing the box
+            taken = 0 if delivery is None else delivery.dropped_at_take
+            if taken != drops_seen:
+                drops_seen = taken
+                primed.clear()
+            full = (
+                change.qid not in primed
+                or change.cause not in protocol.DELTA_CAUSES
+            )
+            # Unprimed until this change is on its way: one that fails
+            # to go out leaves the client's copy behind.
+            primed.discard(change.qid)
             line = protocol.encode_line(
                 {
                     "event": "change",
                     "sub": sub_id,
                     "ts": enqueued_at,
-                    **protocol.change_to_wire(change),
+                    **protocol.change_to_wire(change, full=full),
                 }
             )
-            delivered = self._offer(conn, line, delivery=box[0])
+            delivered = self._offer(conn, line, delivery=delivery)
+            if delivered and change.cause != "cancel":
+                primed.add(change.qid)
             if change.cause == "cancel" and delivered and qid is not None:
                 # The subscription's one query is gone; retire it and
                 # tell the client its stream is over. A monitor-wide
@@ -688,7 +718,7 @@ class MonitorServer:
                 if delivery is not None:
                     delivery.close()
 
-        return sender, box
+        return encode_and_send, box
 
     def _offer(self, conn: _Connection, line: bytes, delivery=None) -> bool:
         """Hand one framed line to the event loop for ``conn``.

@@ -48,7 +48,6 @@ bytes move.
 
 from __future__ import annotations
 
-import json
 import struct
 import sys
 from array import array
@@ -60,6 +59,7 @@ from repro.core.scoring import LinearFunction
 from repro.core.tuples import StreamRecord
 from repro.service.protocol import (
     ProtocolError,
+    decode_object,
     encode_body,
     query_from_wire,
     query_to_wire,
@@ -112,37 +112,6 @@ def _require_finite(block: array, what: str) -> None:
     # block trip it, so only then pay for the exact scan.
     if not isfinite(sum(block)) and not all(map(isfinite, block)):
         raise ProtocolError(f"non-finite float in {what}")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)  # "1e999" is valid JSON and parses to inf
-    if not isfinite(value):
-        raise ProtocolError(f"non-finite float {text!r} in frame header")
-    return value
-
-
-def _refuse_constant(name: str) -> float:
-    raise ProtocolError(f"non-finite float {name!r} in frame header")
-
-
-_HEADER_DECODER = json.JSONDecoder(
-    parse_float=_finite_float, parse_constant=_refuse_constant
-)
-
-
-def _decode_header(raw: bytes) -> Dict[str, Any]:
-    """Header bytes → dict; no float in it (``bound``, weights, the
-    metrics delta) can come back non-finite."""
-    try:
-        header = _HEADER_DECODER.decode(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 / JSON,
-        # an integer past the str→int digit limit, nesting too deep
-        raise ProtocolError(f"undecodable frame header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ProtocolError(
-            f"frame header is not an object: {type(header).__name__}"
-        )
-    return header
 
 
 def frame_message(message: Message) -> bytes:
@@ -199,7 +168,11 @@ def decode_body(body) -> Message:
             f"frame header of {header_len} bytes overruns a "
             f"{len(view)}-byte body"
         )
-    header = _decode_header(bytes(view[offset : offset + header_len]))
+    # The service's guarded decoder: no float in a header (``bound``,
+    # weights, the metrics delta) can come back non-finite.
+    header = decode_object(
+        bytes(view[offset : offset + header_len]), "frame header"
+    )
     offset += header_len
     declared = header.pop("blocks", [])
     if not isinstance(declared, list):

@@ -46,7 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core import batch
 from repro.core.tuples import StreamRecord
-from repro.service.protocol import ProtocolError
+from repro.core.errors import ProtocolError
 
 Batches = Tuple[List[StreamRecord], List[StreamRecord]]
 

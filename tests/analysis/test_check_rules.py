@@ -107,3 +107,39 @@ def test_select_and_ignore_narrow_rules(tmp_path):
     assert {f.rule for f in only.findings} == {"DET102"}
     without = run_check([str(src)], ignore=["DET102"])
     assert {f.rule for f in without.findings} == {"DET104"}
+
+
+def test_det104_scopes_every_service_wire_function():
+    """Every function of the service protocol, and the server function
+    that encodes change events, is one DET104 checks: a precision
+    format or ``round()`` in any of them breaks the bitwise rebuild of
+    full and delta events alike."""
+    import ast
+
+    import repro.service.protocol as protocol
+    from repro.analysis.check.rules.determinism import _WIRE_FUNC_RE
+
+    def out_of_scope(path, wanted):
+        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+        return sorted(
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and wanted(node)
+            and not _WIRE_FUNC_RE.search(node.name)
+        )
+
+    server = Path(protocol.__file__).with_name("server.py")
+
+    def encodes_events(node):
+        return any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) == "change_to_wire"
+            for call in ast.walk(node)
+        ) and not any(  # the innermost such function
+            isinstance(inner, ast.FunctionDef) and inner is not node
+            for inner in ast.walk(node)
+        )
+
+    assert out_of_scope(protocol.__file__, lambda node: True) == []
+    assert out_of_scope(server, encodes_events) == []

@@ -400,13 +400,17 @@ class TestWire:
         change = ResultChange(qid=4, added=[entry], top=[entry], bound=0.0)
         spec = change_to_wire(change)
         assert spec["bound"] == 0.0
-        back = change_from_wire(spec)
+        back = change_from_wire(spec, {})
         assert (back.cause, back.bound) == ("cycle", 0.0)
+        # The delta form carries the bound too.
+        delta = change_to_wire(change, full=False)
+        assert delta["bound"] == 0.0
+        assert change_from_wire(delta, {4: []}).bound == 0.0
 
     def test_service_change_without_contract_omits_bound(self):
         spec = change_to_wire(ResultChange(qid=4, cause="cycle"))
         assert "bound" not in spec
-        assert change_from_wire(spec).bound is None
+        assert change_from_wire(spec, {}).bound is None
 
     def test_uncontracted_query_keeps_v1_shape(self):
         spec = query_to_wire(TopKQuery(LinearFunction([1.0, 1.0]), k=2))

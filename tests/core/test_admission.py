@@ -93,6 +93,24 @@ def test_refused_batch_changes_nothing(algorithm, bad):
         check_against_oracle(monitor, queries, handles)
 
 
+@pytest.mark.parametrize(
+    "arrival", [(0.1, 0.2), [0.1, 0.2], 0.5, None], ids=repr
+)
+def test_rows_in_place_of_records_are_refused(arrival):
+    """``process`` takes records; a raw row is a ``StreamError`` from
+    admission, not an ``AttributeError`` from deep in the cycle."""
+    rng = random.Random(6)
+    monitor, queries, handles = make_monitor("tma")
+    monitor.process(monitor.make_records(rows(rng, 10), time_=0.0))
+    before = state_of(monitor, handles)
+    batch = monitor.make_records(rows(rng, 3), time_=1.0) + [arrival]
+    with pytest.raises(StreamError, match="not a StreamRecord"):
+        monitor.process(batch)
+    with pytest.raises(StreamError, match="not a StreamRecord"):
+        monitor.process([arrival])
+    assert state_of(monitor, handles) == before
+
+
 @pytest.mark.parametrize("algorithm", ["tma", "sma", "tsl", "brute"])
 def test_row_outside_the_workspace_is_refused(algorithm):
     """(-3, 7) scores 4.0 under x + y, above any in-workspace row. Cell

@@ -8,6 +8,7 @@ from repro.core.engine import StreamMonitor
 from repro.core.errors import QueryError
 from repro.core.handles import QueryHandle
 from repro.core.queries import ThresholdQuery, TopKQuery
+from repro.core.results import entries_best_first
 from repro.core.scoring import LinearFunction, ProductFunction
 from repro.core.window import CountBasedWindow
 
@@ -254,6 +255,37 @@ class TestUpdate:
         expected = brute_top_k(window, handle.query)
         assert [e.key for e in handle.result()] == [
             e.key for e in expected
+        ]
+
+    @pytest.mark.parametrize("paused", [False, True])
+    def test_a_rescoring_update_reaches_subscribers(self, paused):
+        """Weights that keep the same records but move their scores
+        still announce a change, and replaying it lands on the new
+        scores (the records leave with the old, enter with the new)."""
+        monitor = make_monitor()
+        records = monitor.make_records([(0.9, 0.8), (0.7, 0.6), (0.1, 0.1)])
+        monitor.process(records)
+        handle = monitor.add_query(TopKQuery(LinearFunction([1.0, 1.0]), k=2))
+        state = {entry.rid: entry for entry in handle.result()}
+        seen = []
+
+        def apply(change):
+            seen.append(change.cause)
+            for entry in change.removed:
+                del state[entry.rid]
+            for entry in change.added:
+                state[entry.rid] = entry
+
+        monitor.subscribe(handle.qid, apply)
+        if paused:
+            handle.pause()
+        handle.update(weights=[2.0, 1.0])
+        if paused:
+            handle.resume()
+        assert seen == ["resume" if paused else "update"]
+        assert sorted(state) == [records[0].rid, records[1].rid]
+        assert [e.key for e in entries_best_first(list(state.values()))] == [
+            e.key for e in handle.result()
         ]
 
     def test_update_validation(self):

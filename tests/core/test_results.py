@@ -6,6 +6,7 @@ from repro.core.results import (
     ResultEntry,
     diff_results,
     entries_best_first,
+    merge_changes,
 )
 from repro.core.tuples import StreamRecord
 
@@ -56,6 +57,46 @@ class TestDiff:
         change = diff_results(0, [], [entry(0.5, 1)])
         assert [item.rid for item in change.added] == [1]
         assert change.removed == []
+
+
+def replay(state, change):
+    state = {item.rid: item for item in state}
+    for item in change.removed:
+        state.pop(item.rid)
+    for item in change.added:
+        state[item.rid] = item
+    return entries_best_first(list(state.values()))
+
+
+class TestRescoredDiff:
+    """A new preference function moves the scores of records that stay
+    in the result: matched by rid, the change would carry nothing."""
+
+    old = [entry(0.9, 1), entry(0.8, 2)]
+    new = [ResultEntry(1.5, old[1].record), ResultEntry(0.4, old[0].record)]
+
+    def test_rid_matching_misses_a_rescoring(self):
+        assert not diff_results(0, self.old, self.new).changed
+
+    def test_a_moved_score_leaves_and_enters(self):
+        change = diff_results(0, self.old, self.new, rescored=True)
+        assert change.added == self.new
+        assert change.removed == self.old
+        assert replay(self.old, change) == self.new
+
+    def test_unmoved_entries_stay_out_of_the_change(self):
+        new = [entry(0.95, 3), self.old[0]]
+        change = diff_results(0, self.old, new, rescored=True)
+        assert [item.rid for item in change.added] == [3]
+        assert [item.rid for item in change.removed] == [2]
+
+    def test_a_merge_over_a_rescoring_replays_exactly(self):
+        update = diff_results(0, self.old, self.new, "update", rescored=True)
+        later = [entry(2.0, 4), self.new[0]]
+        cycle = diff_results(0, self.new, later)
+        merged = merge_changes(update, cycle)
+        assert merged.cause == "resync"
+        assert replay(self.old, merged) == later
 
 
 class TestCycleReport:

@@ -66,7 +66,7 @@ class TestEntriesAndChanges:
         )
         wire = protocol.change_to_wire(change)
         rebuilt = protocol.change_from_wire(
-            protocol.decode_line(protocol.encode_line(wire))
+            protocol.decode_line(protocol.encode_line(wire)), {}
         )
         assert rebuilt == change
 

@@ -63,6 +63,7 @@ from repro.core import (
     QuadraticFunction,
     QueryError,
     QueryHandle,
+    RecordBatch,
     Rectangle,
     RecordFactory,
     ReproError,
@@ -97,6 +98,7 @@ __all__ = [
     "QuadraticFunction",
     "QueryError",
     "QueryHandle",
+    "RecordBatch",
     "Rectangle",
     "RecordFactory",
     "RemoteChangeStream",

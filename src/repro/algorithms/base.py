@@ -63,6 +63,7 @@ from repro.core.results import ResultChange, ResultEntry, diff_results
 from repro.core.scoring import LinearFunction, linear_scores
 from repro.core.stats import OpCounters
 from repro.core.tuples import StreamRecord
+from repro.core.window import RecordStore, Slots
 from repro.obs.trace import NULL_TRACER
 
 _CELLS = attrgetter("cells")
@@ -117,19 +118,22 @@ def influence_hits(
 
 
 def gated_arrivals(
-    arrivals: Sequence[StreamRecord],
+    store: RecordStore,
+    arrivals: Sequence[int],
     cells: Sequence,
     states: Dict,
     counters: OpCounters,
     gate_score: Callable,
-) -> Iterator[Tuple[object, StreamRecord, float]]:
+) -> Iterator[Tuple[object, int, float]]:
     """The arrivals that can enter a query's result, query by query.
 
     Only the (arrival, query) pairs :func:`influence_hits` names are
     scored, each against ``gate_score(state)`` read once, before any
-    triple of that query is yielded; yields ``(state, record, score)``
+    triple of that query is yielded; yields ``(state, slot, score)``
     for the pairs scoring at least that, query by query in the order
-    of the hits and in arrival order within a query. A gate only rises
+    of the hits and in arrival order within a query. ``arrivals`` are
+    slots of ``store``; a yielded triple names the slot, so a record is
+    built only for what the caller admits. A gate only rises
     while arrivals are applied, so the caller's exact check on each
     yielded triple decides what the record-by-record scan decided.
 
@@ -143,7 +147,7 @@ def gated_arrivals(
     hits = influence_hits(cells, states, counters)
     if not hits:
         return
-    matrix = batch.as_matrix([record.attrs for record in arrivals])
+    matrix = store.gather(arrivals)
     passed: Dict[int, List[Tuple[int, float]]] = {}
     if batch.is_matrix(matrix):
         passed = {
@@ -228,6 +232,17 @@ class MonitorAlgorithm(abc.ABC):
         self.metrics = None
         self._snapshots: Dict[int, List[ResultEntry]] = {}
         self._threshold_states: Dict[int, _ThresholdState] = {}
+        #: the valid records, indexed by slot (the engine shares its
+        #: own through :meth:`bind_store`).
+        self.store = RecordStore(dims)
+
+    def bind_store(self, store: RecordStore) -> None:
+        """Read the valid records from ``store`` — the monitor's one
+        copy — instead of a private store. Called by the engine before
+        any record arrives."""
+        if len(self.store):
+            raise ValueError("cannot rebind an algorithm that holds records")
+        self.store = store
 
     def bind_observability(self, registry, tracer) -> None:
         """Attach a metrics registry and cycle tracer.
@@ -328,16 +343,24 @@ class MonitorAlgorithm(abc.ABC):
 
     def process_cycle(
         self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
+        arrivals: Sequence,
+        expirations: Sequence,
     ) -> Dict[int, ResultChange]:
         """Apply one processing cycle and report per-query changes.
+
+        The engine hands both batches over as :class:`Slots` of
+        :attr:`store`, which already holds the arrivals and still holds
+        the expirations (it releases them after the cycle). Record
+        sequences are accepted too: the arrivals enter the store here,
+        and the expired records leave it when the cycle ends.
 
         Arrivals are processed before expirations — the paper's TMA
         ordering (Section 4.3: handling ``P_ins`` first avoids useless
         recomputations when arrivals replace expiring results), applied
         uniformly so all algorithms see identical cycles.
         """
+        if type(arrivals) is not Slots:
+            return self._process_records(arrivals, expirations)
         self.counters.arrivals += len(arrivals)
         self.counters.expirations += len(expirations)
         self._snapshots.clear()
@@ -352,13 +375,27 @@ class MonitorAlgorithm(abc.ABC):
         self._snapshots.clear()
         return changes
 
-    @abc.abstractmethod
-    def _apply_cycle(
+    def _process_records(
         self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
-    ) -> None:
-        """Algorithm-specific cycle maintenance."""
+        arrivals: Sequence[StreamRecord],
+        expirations: Sequence[StreamRecord],
+    ) -> Dict[int, ResultChange]:
+        """:meth:`process_cycle` over record sequences."""
+        store = self.store
+        arrived = store.add_records(arrivals)
+        try:
+            expired = store.slots_of_records(expirations)
+        except BaseException:
+            store.release(arrived)
+            raise
+        try:
+            return self.process_cycle(arrived, expired)
+        finally:
+            store.release(expired)
+
+    @abc.abstractmethod
+    def _apply_cycle(self, arrivals: Slots, expirations: Slots) -> None:
+        """Algorithm-specific cycle maintenance over slot batches."""
 
     # ------------------------------------------------------------------
     # Threshold queries (Section 7) — shared by every algorithm
@@ -380,7 +417,9 @@ class MonitorAlgorithm(abc.ABC):
         state = _ThresholdState(query)
         grid = getattr(self, "grid", None)
         if grid is None:
-            candidates = self._valid_records()
+            records = list(self._valid_records())
+            rows = [record.attrs for record in records]
+            build = records.__getitem__
         else:
             from repro.grid.traversal import collect_cells_above_threshold
 
@@ -391,13 +430,15 @@ class MonitorAlgorithm(abc.ABC):
             )
             self.counters.influence_list_updates += len(state.cells)
             cells = filter(None, map(grid.peek_cell, state.cells))
-            candidates = [
-                record for cell in cells for record in cell.iter_points()
-            ]
-        for record in candidates:
-            score = query.score(record.attrs)
+            store = self.store
+            slots = [slot for cell in cells for slot in cell.slots]
+            rows = map(store.row, slots)
+            build = lambda position: store.record(slots[position])  # noqa: E731
+        for position, attrs in enumerate(rows):
+            score = query.score(attrs)
             self.counters.points_scored += 1
             if score > query.threshold:
+                record = build(position)
                 state.members[record.rid] = ResultEntry(score, record)
         self._threshold_states[query.qid] = state
         return state.result_entries()
@@ -407,11 +448,7 @@ class MonitorAlgorithm(abc.ABC):
         if self._threshold_states.pop(qid, None) is None:
             raise self._unknown_query(qid)
 
-    def _maintain_thresholds(
-        self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
-    ) -> None:
+    def _maintain_thresholds(self, arrivals: Slots, expirations: Slots) -> None:
         """Apply one cycle to every threshold query's member set.
 
         Grid-based algorithms narrow arrivals through the influence
@@ -422,41 +459,40 @@ class MonitorAlgorithm(abc.ABC):
         batch-score every arrival per query with the vector kernel;
         both paths are exact because a record scoring above the
         threshold necessarily lies inside the (static) influence
-        region.
+        region. Records are built for new members only.
         """
         states = self._threshold_states
+        store = self.store
         grid = getattr(self, "grid", None)
         if arrivals and grid is not None:
-            cells = [
-                grid.peek_cell(coords)
-                for coords in grid.coords_of_many(
-                    [record.attrs for record in arrivals]
-                )
-            ]
-            for state, record, score in gated_arrivals(
+            for state, slot, score in gated_arrivals(
+                store,
                 arrivals,
-                cells,
+                grid.cells_of_slots(arrivals),
                 states,
                 self.counters,
                 lambda state: state.query.threshold,
             ):
                 if score > state.query.threshold:
                     self._touch(state.query.qid)
+                    record = store.record(slot)
                     state.members[record.rid] = ResultEntry(score, record)
         elif arrivals:
-            scorer = ArrivalScorer(arrivals)
+            scorer = ArrivalScorer(store.gather(arrivals))
             for state in states.values():
                 query = state.query
                 scores = scorer.scores(query.function)
                 self.counters.influence_checks += len(arrivals)
                 threshold = query.threshold
                 members = state.members
-                for record, score in zip(arrivals, scores):
+                for slot, score in zip(arrivals, scores):
                     if score > threshold:
                         self._touch(query.qid)
+                        record = store.record(slot)
                         members[record.rid] = ResultEntry(score, record)
         if expirations:
-            expired = {record.rid for record in expirations}
+            rids = store.rids
+            expired = {rids[slot] for slot in expirations}
             for state in states.values():
                 hit = state.members.keys() & expired
                 if not hit:

@@ -17,6 +17,7 @@ from repro.algorithms.topk_computation import query_region
 from repro.core.queries import TopKQuery
 from repro.core.results import ResultEntry
 from repro.core.tuples import StreamRecord
+from repro.core.window import Slots
 
 
 class BruteForceAlgorithm(MonitorAlgorithm):
@@ -58,15 +59,13 @@ class BruteForceAlgorithm(MonitorAlgorithm):
     def _valid_records(self) -> Iterable[StreamRecord]:
         return self._valid.values()
 
-    def _apply_cycle(
-        self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
-    ) -> None:
-        for record in arrivals:
+    def _apply_cycle(self, arrivals: Slots, expirations: Slots) -> None:
+        store = self.store
+        for record in store.records(arrivals):
             self._valid[record.rid] = record
-        for record in expirations:
-            self._valid.pop(record.rid, None)
+        rids = store.rids
+        for slot in expirations:
+            self._valid.pop(rids[slot], None)
         for qid, query in self._queries.items():
             self._touch(qid)
             self._results[qid] = self._evaluate(query)

@@ -39,7 +39,8 @@ from repro.algorithms.topk_computation import (
 )
 from repro.core.queries import QueryGroupRegistry, TopKQuery, check_k
 from repro.core.results import ResultEntry
-from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
+from repro.core.tuples import MIN_RANK_KEY, RankKey
+from repro.core.window import Slots
 from repro.grid.traversal import TraversalOutcome
 from repro.skyband.skyband import ScoreTimeSkyband
 
@@ -175,13 +176,11 @@ class SkybandMonitoringAlgorithm(GridMonitorAlgorithm):
     # Cycle maintenance (Figure 11)
     # ------------------------------------------------------------------
 
-    def _apply_cycle(
-        self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
-    ) -> None:
+    def _apply_cycle(self, arrivals: Slots, expirations: Slots) -> None:
         states = self._states
         counters = self.counters
+        store = self.store
+        rids = store.rids
         # The grid takes the whole batch first — only a refill reads
         # its points — so one span holds all the skyband upkeep.
         arrived = self.grid.insert_many(arrivals)
@@ -189,19 +188,20 @@ class SkybandMonitoringAlgorithm(GridMonitorAlgorithm):
         with self.tracer.span("skyband"):
             # Per query one scored block of the arrivals inside its
             # influence cells, as in TMA (see there); the gate is
-            # frozen, so the block test is the test.
-            for state, record, score in gated_arrivals(
-                arrivals, arrived, states, counters, lambda s: s.gate[0]
+            # frozen, so the block test is the test. A record is built
+            # only when it enters a skyband.
+            for state, slot, score in gated_arrivals(
+                store, arrivals, arrived, states, counters, lambda s: s.gate[0]
             ):
                 if state.region is not None and not state.region.contains(
-                    record.attrs
+                    store.row(slot)
                 ):
                     continue
-                if (score, record.rid) > state.gate:
+                if (score, rids[slot]) > state.gate:
                     self._touch(state.query.qid)
-                    state.skyband.insert(score, record, counters)
+                    state.skyband.insert(score, store.record(slot), counters)
 
-            expired = {record.rid for record in expirations}
+            expired = {rids[slot] for slot in expirations}
             refills: List[_SmaQueryState] = []
             for qid in influence_hits(departed, states, counters):
                 state = states[qid]

@@ -42,6 +42,7 @@ from repro.core.errors import DimensionalityError
 from repro.core.queries import TopKQuery, check_k
 from repro.core.results import ResultEntry
 from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
+from repro.core.window import Slots
 from repro.grid.traversal import TraversalOutcome
 
 
@@ -169,27 +170,26 @@ class TopKMonitoringAlgorithm(GridMonitorAlgorithm):
     # Cycle maintenance (Figure 9)
     # ------------------------------------------------------------------
 
-    def _apply_cycle(
-        self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
-    ) -> None:
+    def _apply_cycle(self, arrivals: Slots, expirations: Slots) -> None:
         states = self._states
         counters = self.counters
+        store = self.store
+        rids = store.rids
         gate_rose: List[_TmaQueryState] = []
 
         # One batched grid pass maps all arrivals to their cells; each
         # query then meets the arrivals inside its influence cells as
         # one scored block, and only those reaching its gate come back.
+        # A record is built only when it enters a top list.
         cells = self.grid.insert_many(arrivals)
-        for state, record, score in gated_arrivals(
-            arrivals, cells, states, counters, lambda s: s.gate_key()[0]
+        for state, slot, score in gated_arrivals(
+            store, arrivals, cells, states, counters, lambda s: s.gate_key()[0]
         ):
             if state.region is not None and not state.region.contains(
-                record.attrs
+                store.row(slot)
             ):
                 continue
-            key: RankKey = (score, record.rid)
+            key: RankKey = (score, rids[slot])
             if key > state.gate_key():
                 self._touch(state.query.qid)
                 counters.top_list_updates += 1
@@ -199,13 +199,13 @@ class TopKMonitoringAlgorithm(GridMonitorAlgorithm):
                     and (not gate_rose or gate_rose[-1] is not state)
                 ):
                     gate_rose.append(state)
-                state.admit(key, record)
+                state.admit(key, store.record(slot))
 
         for state in gate_rose:
             state.trim_region(self.grid, state.gate_key()[0], counters)
 
         cells = self.grid.delete_many(expirations)
-        expired = {record.rid for record in expirations}
+        expired = {rids[slot] for slot in expirations}
         affected = [
             states[qid]
             for qid in influence_hits(cells, states, counters)

@@ -254,10 +254,14 @@ class GridMonitorAlgorithm(MonitorAlgorithm):
 
     def __init__(self, dims: int, cells_per_axis: int) -> None:
         super().__init__(dims)
-        self.grid = Grid(dims, cells_per_axis)
+        self.grid = Grid(dims, cells_per_axis, self.store)
         #: the distinct regions of the top-k queries' states.
         self.regions = RegionTable()
         self._states: Dict = {}
+
+    def bind_store(self, store) -> None:
+        super().bind_store(store)
+        self.grid.store = store
 
     def unregister(self, qid: int) -> None:
         if qid in self._threshold_states:

@@ -41,6 +41,7 @@ from repro.core.errors import QueryError
 from repro.core.queries import TopKQuery, check_k
 from repro.core.results import ResultEntry
 from repro.core.tuples import MIN_RANK_KEY, RankKey, StreamRecord
+from repro.core.window import Slots
 from repro.core import batch
 from repro.structures.sorted_list import AttributeSortedList, SortedKeyList
 
@@ -342,11 +343,11 @@ class ThresholdSortedListAlgorithm(MonitorAlgorithm):
     # Cycle maintenance
     # ------------------------------------------------------------------
 
-    def _apply_cycle(
-        self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
-    ) -> None:
+    def _apply_cycle(self, arrived: Slots, expired: Slots) -> None:
+        # The sorted lists hold records, so TSL builds every one.
+        store = self.store
+        arrivals = store.records(arrived)
+        expirations = store.records(expired)
         refill: List[_TslQueryState] = []
 
         # Bulk-load path: a batch comparable to the current list size
@@ -370,7 +371,7 @@ class ThresholdSortedListAlgorithm(MonitorAlgorithm):
         # against the *initial* worst key is safe — survivors are
         # re-checked exactly against the live key, ties included.
         if arrivals and self._states:
-            scorer = ArrivalScorer(arrivals)
+            scorer = ArrivalScorer(store.gather(arrived))
             batch_size = len(arrivals)
             for state in self._states.values():
                 self.counters.influence_checks += batch_size

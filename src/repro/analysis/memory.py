@@ -20,6 +20,12 @@ them with the paper's inventory:
 The breakdown mirrors S_TMA / S_SMA of Section 6, so measured curves
 are directly comparable with the analytical model and with the
 relative shapes in the paper's space figures.
+
+It prices the paper's layout, not this implementation's: the valid
+records live once in a slot-indexed
+:class:`~repro.core.window.RecordStore` (columns, a rid index, a cell
+id per slot) and cells hold slots, but the inventory above — one
+record, one point-list pointer per record — is what Section 6 counts.
 """
 
 from __future__ import annotations

@@ -34,7 +34,12 @@ from repro.core.scoring import (
 )
 from repro.core.stats import OpCounters, RunStats
 from repro.core.tuples import RecordFactory, StreamRecord, rank_key
-from repro.core.window import CountBasedWindow, SlidingWindow, TimeBasedWindow
+from repro.core.window import (
+    CountBasedWindow,
+    RecordBatch,
+    SlidingWindow,
+    TimeBasedWindow,
+)
 
 __all__ = [
     "Accuracy",
@@ -53,6 +58,7 @@ __all__ = [
     "QueryError",
     "QueryHandle",
     "QueryTable",
+    "RecordBatch",
     "Rectangle",
     "RecordFactory",
     "ReproError",

@@ -100,15 +100,6 @@ def take_at_least(vector, threshold: float):
     return indices, values
 
 
-def concat(blocks: Sequence):
-    """One block holding the rows of ``blocks`` (non-empty), in order."""
-    if len(blocks) == 1:
-        return blocks[0]
-    if is_matrix(blocks[0]):
-        return np.concatenate(blocks)
-    return [row for block in blocks for row in block]
-
-
 def take_rows(block, indices: Sequence[int]):
     """The rows of ``block`` at ``indices``, as a block."""
     if is_matrix(block):
@@ -125,39 +116,33 @@ def kth_largest(vector, k: int) -> float:
 
 
 class ArrivalScorer:
-    """Lazy per-function batch scores over one cycle's arrival batch.
+    """Lazy per-function batch scores over one cycle's arrival block.
 
     For the paths that need every (arrival, query) score — TSL and
-    threshold queries without a grid: the arrival
-    matrix is packed at most once, and per preference function the
-    full score vector is computed on first request and cached (keyed
-    by function identity, which is stable for the cycle because query
-    objects outlive it). TMA/SMA score only the pairs their influence
-    lists name (:func:`repro.algorithms.base.gated_arrivals`).
+    threshold queries without a grid: per preference function the full
+    score vector of ``matrix`` (the arrivals' attribute block) is
+    computed on first request and cached (keyed by function identity,
+    which is stable for the cycle because query objects outlive it).
+    TMA/SMA score only the pairs their influence lists name
+    (:func:`repro.algorithms.base.gated_arrivals`).
     """
 
-    __slots__ = ("_records", "_matrix", "_vectors", "_lists")
+    __slots__ = ("_matrix", "_vectors", "_lists")
 
-    def __init__(self, records: Sequence) -> None:
-        self._records = records
-        self._matrix = None
+    def __init__(self, matrix) -> None:
+        self._matrix = matrix
         self._vectors: dict = {}
         self._lists: dict = {}
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def _ensure_matrix(self):
-        if self._matrix is None:
-            self._matrix = as_matrix([r.attrs for r in self._records])
-        return self._matrix
+        return len(self._matrix)
 
     def vector(self, function):
         """Backend-native score vector of the whole batch (cached)."""
         key = id(function)
         vector = self._vectors.get(key)
         if vector is None:
-            vector = function.score_batch(self._ensure_matrix())
+            vector = function.score_batch(self._matrix)
             self._vectors[key] = vector
         return vector
 

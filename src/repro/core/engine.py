@@ -48,8 +48,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from itertools import chain
-from math import isfinite
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -75,20 +73,28 @@ from repro.core.results import (
     ResultEntry,
     diff_results,
 )
-from repro.core.scoring import LinearFunction
+from repro.core.scoring import CallableFunction, LinearFunction, check_monotone
 from repro.core.subscriptions import (
     ChangeStream,
     Subscription,
     SubscriptionHub,
 )
 from repro.core.tuples import RecordFactory, StreamRecord
-from repro.core.window import SlidingWindow
+from repro.core.window import RecordBatch, RecordStore, SlidingWindow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms import MonitorAlgorithm
 
 #: recognised stream models (see class docstring).
 STREAM_MODELS = ("window", "update")
+
+
+def _probe_monotone(function) -> None:
+    """Refuse a user callable whose declared directions fail the
+    :func:`~repro.core.scoring.check_monotone` probe. The library's own
+    families are monotone by construction."""
+    if isinstance(function, CallableFunction):
+        check_monotone(function)
 
 
 class StreamMonitor:
@@ -188,6 +194,10 @@ class StreamMonitor:
                 "leaves via explicit deletions, not expiry"
             )
         self.window = window
+        #: the one copy of every valid record (see repro.core.window).
+        self.store = RecordStore(dims)
+        if window is not None:
+            window.bind(self.store)
         shard_hosts: Optional[List[str]] = None
         if isinstance(shards, str):
             shard_hosts = [shards]
@@ -246,6 +256,7 @@ class StreamMonitor:
             if trace
             else NULL_TRACER
         )
+        self.algorithm.bind_store(self.store)
         bind_obs = getattr(self.algorithm, "bind_observability", None)
         if bind_obs is not None:
             bind_obs(self.metrics_registry, self.tracer)
@@ -280,7 +291,6 @@ class StreamMonitor:
         self._contracted: Set[int] = set()
         self._paused: Dict[int, List[ResultEntry]] = {}
         self._hub = SubscriptionHub()
-        self._live: Dict[int, StreamRecord] = {}
         self._closed = False
 
     def _refuse_unordered_expiry(self) -> None:
@@ -356,6 +366,7 @@ class StreamMonitor:
         carry ``None``). Threshold queries refuse a contract.
         """
         self._ensure_open("add_query")
+        _probe_monotone(query.function)
         self._apply_accuracy(query, accuracy)
         qid = self.query_table.register(query)
         started = time.perf_counter()
@@ -385,6 +396,7 @@ class StreamMonitor:
         """
         self._ensure_open("add_queries")
         for query in queries:
+            _probe_monotone(query.function)
             self._apply_accuracy(query, accuracy)
         qids = [self.query_table.register(query) for query in queries]
         started = time.perf_counter()
@@ -586,6 +598,8 @@ class StreamMonitor:
                     "pass either weights= or function=, not both"
                 )
             function = LinearFunction(list(weights))
+        if function is not None:
+            _probe_monotone(function)
         if function is not None and function.dims != self.dims:
             raise QueryError(
                 f"updated function has {function.dims} dims, "
@@ -691,10 +705,12 @@ class StreamMonitor:
 
     def make_records(
         self, rows: Sequence[Sequence[float]], time_: Optional[float] = None
-    ) -> List[StreamRecord]:
-        """Mint records (ids assigned in order) for ad-hoc streams."""
+    ) -> RecordBatch:
+        """Mint a batch of records (ids assigned in order) for ad-hoc
+        streams: a columnar :class:`~repro.core.window.RecordBatch`,
+        which builds a record only when one is read."""
         stamp = self._clock if time_ is None else time_
-        return [self._factory.make(row, stamp) for row in rows]
+        return RecordBatch.of_rows(self._factory.take(len(rows)), rows, stamp)
 
     def process(
         self,
@@ -704,6 +720,9 @@ class StreamMonitor:
     ) -> CycleReport:
         """Run one processing cycle and return the change report.
 
+        ``arrivals`` is a :class:`~repro.core.window.RecordBatch` (what
+        :meth:`make_records` returns) or any sequence of
+        :class:`~repro.core.tuples.StreamRecord`, packed into one here.
         ``now`` defaults to the latest arrival time (or the previous
         clock when the batch is empty); it drives time-based eviction
         and must never move backwards.
@@ -729,15 +748,17 @@ class StreamMonitor:
             now, live, expirations, dead = self._ingest(
                 arrivals, now, deletions
             )
-
-        started = time.perf_counter()
-        changes: Dict[int, ResultChange] = self.algorithm.process_cycle(
-            live, expirations
-        )
-        elapsed = time.perf_counter() - started
-        report = self._conclude(
-            now, len(live), len(expirations), dead, changes, elapsed
-        )
+        try:
+            started = time.perf_counter()
+            changes: Dict[int, ResultChange] = self.algorithm.process_cycle(
+                live, expirations
+            )
+            elapsed = time.perf_counter() - started
+            report = self._conclude(
+                now, len(live), len(expirations), dead, changes, elapsed
+            )
+        finally:
+            self.store.release(expirations)
         tracer.end_cycle(
             arrivals=len(live),
             expirations=len(expirations),
@@ -752,26 +773,22 @@ class StreamMonitor:
         deletions: Optional[Sequence[StreamRecord]],
     ):
         """Admit one batch, advance the clock and apply the batch to
-        the window (or the update-model live set). Returns ``(now,
-        live, expirations, dead_on_arrival)`` — everything
-        :meth:`process` needs before handing the cycle to the
-        algorithm."""
-        self._admit(arrivals)
+        the window (or the update-model store). Returns ``(now,
+        arrived, expired, dead_on_arrival)``: the cycle's slot batches,
+        the expired ones still in the store until the cycle ends."""
+        arrivals = self._admit(arrivals)
         if now is None:
-            now = max(
-                [self._clock] + [record.time for record in arrivals]
-            )
+            now = max(self._clock, max(arrivals.times, default=self._clock))
         if now < self._clock:
             raise StreamError(
                 f"clock moved backwards: {now} < {self._clock}"
             )
-        self._clock = now
-
         if self.stream_model == "update":
-            live, expirations = self._apply_update_batch(
-                arrivals, deletions
-            )
-            return now, live, expirations, 0
+            self._check_update_batch(arrivals, deletions)
+            self._clock = now
+            live = self.store.add_batch(arrivals)
+            expired = self.store.slots_of_records(deletions or ())
+            return now, live, expired, 0
 
         if deletions is not None:
             raise StreamError(
@@ -779,64 +796,26 @@ class StreamMonitor:
                 "StreamMonitor(..., stream_model='update'); the "
                 "window model expires records by age"
             )
-        live = []
-        dead = 0
-        for record in arrivals:
-            if self.window.admits(record, now):
-                self.window.insert(record)
-                live.append(record)
-            else:
-                # Dropped, but it still arrived: keep the
-                # stream-order validation (and clock) a normal
-                # insert would apply.
-                self.window.observe(record)
-                dead += 1
-        expirations = self.window.evict(now)
-        return now, live, expirations, dead
+        live, dead = self.window.insert_batch(arrivals, now)
+        self._clock = now
+        return now, live, self.window.evict(now), dead
 
-    def _admit(self, arrivals: Sequence[StreamRecord]) -> None:
-        """Refuse a batch holding a row of the wrong arity or with a
-        value that is not a number in the unit workspace ``[0, 1]``,
-        before the clock, the window or any shard changes — so a
-        refused batch leaves the monitor exactly as it was.
+    def _admit(self, arrivals: Sequence[StreamRecord]) -> RecordBatch:
+        """The batch as a :class:`~repro.core.window.RecordBatch`, or a
+        refusal when it holds a row of the wrong arity or a value that
+        is not a number in the unit workspace ``[0, 1]`` — before the
+        clock, the window or any shard changes, so a refused batch
+        leaves the monitor exactly as it was.
 
         Cell maxscores bound only in-workspace rows: a row outside it
         would sit in a clamped edge cell that no influence region
         accounts for, and go missing from results it belongs to."""
-        if not set(map(type, arrivals)) <= {StreamRecord}:
-            bad = next(r for r in arrivals if type(r) is not StreamRecord)
-            raise StreamError(
-                f"batch refused: {bad!r} is a {type(bad).__name__}, not a "
-                "StreamRecord (make_records() turns rows into records)"
-            )
-        rows = [record.attrs for record in arrivals]
-        if not set(map(len, rows)) <= {self.dims}:
-            bad = next(r for r in arrivals if len(r.attrs) != self.dims)
-            raise StreamError(
-                f"batch refused: record {bad.rid} has {len(bad.attrs)} "
-                f"attributes, expected {self.dims}"
-            )
-        values = list(chain.from_iterable(rows))
-        try:
-            # A finite sum proves every value finite (and numeric);
-            # only a failed check pays for the per-record scan.
-            if not values or (
-                isfinite(sum(values)) and min(values) >= 0 and max(values) <= 1
-            ):
-                return
-        except (TypeError, OverflowError):
-            pass
-        for record in arrivals:
-            try:  # NaN and infinities fail the comparison too
-                inside = all(0 <= value <= 1 for value in record.attrs)
-            except TypeError:  # text
-                inside = False
-            if not inside:
-                raise StreamError(
-                    f"batch refused: record {record.rid} has a value "
-                    f"outside the unit workspace [0, 1] or a non-numeric "
-                    f"one: {record.attrs!r}"
-                )
+        if type(arrivals) is not RecordBatch:
+            arrivals = RecordBatch.of_records(arrivals)
+        refusal = arrivals.refusal(self.dims)
+        if refusal is not None:
+            raise StreamError(f"batch refused: {refusal}")
+        return arrivals
 
     def process_many(
         self,
@@ -855,6 +834,10 @@ class StreamMonitor:
         come back in cycle order, results and deltas are bitwise
         identical to sequential processing, and every cycle is fully
         merged (and its deltas dispatched) before this method returns.
+
+        A cycle's expired slots stay in the store until that cycle is
+        finished, so cycle *t+1*'s arrivals never reuse a slot cycle
+        *t*'s replies may still name.
 
         Per-cycle ``cycle_seconds`` under pipelining measure the
         coordinator's *blocking* time for that cycle (encode + send +
@@ -876,16 +859,16 @@ class StreamMonitor:
         if not pipelined:
             return [
                 self.process(
-                    batch, now=None if nows is None else nows[index]
+                    batch_, now=None if nows is None else nows[index]
                 )
-                for index, batch in enumerate(batches)
+                for index, batch_ in enumerate(batches)
             ]
 
         reports: List[CycleReport] = []
-        pending = None  # (now, arrivals, expirations, dead, seconds)
+        pending = None  # (now, arrivals, expired slots, dead, seconds)
         tracer = self.tracer
         try:
-            for index, batch in enumerate(batches):
+            for index, batch_ in enumerate(batches):
                 # One trace per loop iteration: the previous cycle's
                 # reply wait (shard_rpc) deliberately lands in *this*
                 # iteration's trace — that is the coordinator's real
@@ -893,26 +876,34 @@ class StreamMonitor:
                 tracer.begin_cycle(pipelined=True)
                 with tracer.span("ingest"):
                     now, live, expirations, dead = self._ingest(
-                        batch, None if nows is None else nows[index], None
+                        batch_, None if nows is None else nows[index], None
                     )
-                started = time.perf_counter()
-                prepared = self.algorithm.prepare_cycle(
-                    live, expirations
-                )
-                prep_seconds = time.perf_counter() - started
+                try:
+                    started = time.perf_counter()
+                    prepared = self.algorithm.prepare_cycle(
+                        live, expirations
+                    )
+                    prep_seconds = time.perf_counter() - started
+                except BaseException:
+                    self.store.release(expirations)
+                    raise
                 # The encode above ran while the shards were still
                 # chewing the previous cycle; only now block for their
                 # replies.
                 if pending is not None:
-                    reports.append(self._finish_pipelined(pending))
-                    pending = None
+                    current, pending = pending, None
+                    reports.append(self._finish_pipelined(current))
                 started = time.perf_counter()
-                self.algorithm.begin_cycle(prepared)
+                try:
+                    self.algorithm.begin_cycle(prepared)
+                except BaseException:
+                    self.store.release(expirations)
+                    raise
                 send_seconds = time.perf_counter() - started
                 pending = (
                     now,
                     len(live),
-                    len(expirations),
+                    expirations,
                     dead,
                     prep_seconds + send_seconds,
                 )
@@ -921,8 +912,8 @@ class StreamMonitor:
                 )
             if pending is not None:
                 tracer.begin_cycle(pipelined=True, tail=True)
-                reports.append(self._finish_pipelined(pending))
-                pending = None
+                current, pending = pending, None
+                reports.append(self._finish_pipelined(current))
                 tracer.end_cycle()
             return reports
         except BaseException:
@@ -938,15 +929,18 @@ class StreamMonitor:
 
     def _finish_pipelined(self, pending) -> CycleReport:
         """Collect one in-flight pipelined cycle: merge the shard
-        replies, account its coordinator-side seconds, and dispatch
-        its deltas."""
+        replies, account its coordinator-side seconds, dispatch its
+        deltas, and release its expired slots."""
         now, arrivals, expirations, dead, seconds = pending
-        started = time.perf_counter()
-        changes = self.algorithm.finish_cycle()
-        elapsed = seconds + (time.perf_counter() - started)
-        return self._conclude(
-            now, arrivals, expirations, dead, changes, elapsed
-        )
+        try:
+            started = time.perf_counter()
+            changes = self.algorithm.finish_cycle()
+            elapsed = seconds + (time.perf_counter() - started)
+            return self._conclude(
+                now, arrivals, len(expirations), dead, changes, elapsed
+            )
+        finally:
+            self.store.release(expirations)
 
     def _conclude(
         self,
@@ -979,33 +973,28 @@ class StreamMonitor:
                 self._hub.dispatch(report.changes)
         return report
 
-    def _apply_update_batch(
+    def _check_update_batch(
         self,
-        insertions: Sequence[StreamRecord],
+        insertions: RecordBatch,
         deletions: Optional[Sequence[StreamRecord]],
-    ):
-        """Validate and apply one explicit-deletion batch to the live
-        set (whole batch validated *before* anything mutates)."""
-        deletions = [] if deletions is None else list(deletions)
+    ) -> None:
+        """Validate one explicit-deletion batch against the store
+        (the whole batch, *before* anything mutates)."""
+        live = self.store.index
         inserted: Set[int] = set()
-        for record in insertions:
-            if record.rid in self._live or record.rid in inserted:
-                raise StreamError(f"record {record.rid} inserted twice")
-            inserted.add(record.rid)
+        for rid in insertions.rids:
+            if rid in live or rid in inserted:
+                raise StreamError(f"record {rid} inserted twice")
+            inserted.add(rid)
         deleted: Set[int] = set()
-        for record in deletions:
-            known = record.rid in self._live or record.rid in inserted
+        for record in deletions or ():
+            known = record.rid in live or record.rid in inserted
             if not known or record.rid in deleted:
                 raise StreamError(
                     f"deletion of unknown/already-deleted record "
                     f"{record.rid}"
                 )
             deleted.add(record.rid)
-        for record in insertions:
-            self._live[record.rid] = record
-        for record in deletions:
-            self._live.pop(record.rid, None)
-        return list(insertions), deletions
 
     def advance(self, now: float) -> CycleReport:
         """Process a cycle with no arrivals (time-based expiry only)."""
@@ -1061,7 +1050,7 @@ class StreamMonitor:
         """Number of records currently valid (window contents, or the
         live set under the update model)."""
         if self.stream_model == "update":
-            return len(self._live)
+            return len(self.store)
         return len(self.window)
 
     @property

@@ -152,13 +152,20 @@ def rebuild_change(
     client (:func:`repro.service.protocol.change_from_wire`).
 
     Reads only. A delta ``held`` cannot apply — an added record it
-    already holds or that repeats, a removed id it does not hold — is
-    a :class:`~repro.core.errors.ProtocolError`, never a wrong ``top``.
+    already holds or that repeats, added entries out of best-first
+    order, a removed id it does not hold — is a
+    :class:`~repro.core.errors.ProtocolError`, never a wrong ``top``.
     """
     fresh = [entry[1].rid for entry in added]
     kept = {entry[1].rid: entry for entry in held}
     if not kept.keys().isdisjoint(fresh) or len(set(fresh)) < len(fresh):
         raise ProtocolError(f"change of query {qid} repeats a record id")
+    ranks = [(entry[0], rid) for entry, rid in zip(added, fresh)]
+    if any(better <= worse for better, worse in zip(ranks, ranks[1:])):
+        raise ProtocolError(
+            f"change of query {qid} lists added entries out of "
+            "best-first order"
+        )
     try:
         removed = [kept.pop(rid) for rid in removed_rids]
     except KeyError as exc:

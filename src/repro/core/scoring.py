@@ -87,9 +87,12 @@ class PreferenceFunction(abc.ABC):
         algorithm from the brute-force oracle). Subclasses overriding
         the NumPy path must keep per-row evaluation order identical to
         their scalar ``score``; this default simply delegates row by
-        row and is always exact.
+        row and is always exact. It hands :meth:`score` Python floats
+        and returns built-in floats, whatever a user callable returns.
         """
-        return [self.score(row) for row in matrix]
+        if batch.is_matrix(matrix):
+            matrix = matrix.tolist()
+        return [float(self.score(row)) for row in matrix]
 
     def best_corner(
         self, lower: Sequence[float], upper: Sequence[float]
@@ -161,6 +164,8 @@ def _finite(values: Sequence[float], what: str) -> Tuple[float, ...]:
     infinite or not a number (a NaN weight would make every cell bound
     NaN, so every region empty and every result silently ``[]``)."""
     values = tuple(values)
+    if any(type(value) is bool for value in values):
+        raise QueryError(f"{what} must be numbers, not booleans: {values!r}")
     try:
         finite = all(map(math.isfinite, values))
     except (TypeError, OverflowError):  # text, or an int past float range

@@ -77,6 +77,12 @@ class RecordFactory:
     def next_id(self) -> int:
         return self._next
 
+    def take(self, count: int) -> int:
+        """Reserve ``count`` consecutive ids; return the first."""
+        start = self._next
+        self._next += count
+        return start
+
     def make(self, attrs: Sequence[float], time: float = 0.0) -> StreamRecord:
         record = StreamRecord(self._next, tuple(attrs), time)
         self._next += 1

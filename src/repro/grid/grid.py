@@ -11,6 +11,11 @@ Cells are materialised lazily: a 144-per-axis 2-D grid or a 5-per-axis
 the preference-optimal corner. Geometry (bounds, neighbours) works for
 non-materialised cells; only a point forces materialisation.
 
+Points are slots of a :class:`~repro.core.window.RecordStore` — the
+monitor's one copy of the valid records, or a private store for a
+stand-alone grid. The store keeps each slot's flat cell id, so a
+delete finds the cell without mapping the record again.
+
 The workspace is the paper's unit cube: domain adapters (e.g. the
 NetFlow example) normalise attributes before insertion, and
 :class:`~repro.core.engine.StreamMonitor` refuses rows outside
@@ -29,6 +34,7 @@ from repro.core.errors import DimensionalityError
 from repro.core.regions import Rectangle
 from repro.core.scoring import PreferenceFunction
 from repro.core.tuples import StreamRecord
+from repro.core.window import RecordStore
 from repro.grid.cell import Cell
 
 Coords = Tuple[int, ...]
@@ -44,9 +50,15 @@ class Grid:
         "_cells",
         "_flat_cells",
         "_strides",
+        "store",
     )
 
-    def __init__(self, dims: int, cells_per_axis: int) -> None:
+    def __init__(
+        self,
+        dims: int,
+        cells_per_axis: int,
+        store: Optional[RecordStore] = None,
+    ) -> None:
         if dims < 1:
             raise DimensionalityError(f"dims must be >= 1, got {dims}")
         if cells_per_axis < 1:
@@ -65,6 +77,9 @@ class Grid:
         self._strides = tuple(
             cells_per_axis ** (dims - 1 - dim) for dim in range(dims)
         )
+        #: the records the cells' slots index (a private store unless
+        #: the owner shares one).
+        self.store = RecordStore(dims) if store is None else store
 
     # ------------------------------------------------------------------
     # Geometry
@@ -240,57 +255,80 @@ class Grid:
     # Point maintenance
     # ------------------------------------------------------------------
 
+    def insert_many(self, slots: Sequence[int]) -> List[Cell]:
+        """Add a batch of stored records; return each one's covering cell.
+
+        ``slots`` index :attr:`store`. One vectorized pass maps the
+        batch's rows to flat cell ids, which the store keeps per slot
+        (so :meth:`delete_many` never maps a record again), and callers
+        get the cells back for their influence-region tests.
+        """
+        if not slots:
+            return []
+        flats = self._flat_ids(self.store.gather(slots))
+        self.store.put_cells(slots, flats)
+        cells = self._cells_of_flats(flats)
+        for slot, cell in zip(slots, cells):
+            cell.slots[slot] = None
+        return cells
+
+    def delete_many(self, slots: Sequence[int]) -> List[Cell]:
+        """Remove a batch of stored records; return each one's covering
+        cell (read from the cell id the store kept at insert)."""
+        cells = list(map(self._flat_cells.__getitem__, self.store.cells_of(slots)))
+        for slot, cell in zip(slots, cells):
+            del cell.slots[slot]
+        return cells
+
+    def cells_of_slots(self, slots: Sequence[int]) -> List[Cell]:
+        """Covering cells of records already inserted."""
+        return list(map(self._flat_cells.__getitem__, self.store.cells_of(slots)))
+
     def insert(self, record: StreamRecord) -> Cell:
-        """Add ``record`` to its covering cell's point list."""
-        cell = self.get_cell(self.coords_of(record.attrs))
-        cell.add_point(record)
-        return cell
+        """Store ``record`` and add it to its covering cell."""
+        return self.insert_many(self.store.add_records([record]))[0]
 
     def delete(self, record: StreamRecord) -> Cell:
-        """Remove ``record`` from its covering cell's point list."""
-        cell = self.get_cell(self.coords_of(record.attrs))
-        cell.remove_point(record)
+        """Remove ``record`` from its cell and from the store."""
+        slots = self.store.slots_of_records([record])
+        cell = self.delete_many(slots)[0]
+        self.store.release(slots)
         return cell
 
-    def insert_many(self, records: Sequence[StreamRecord]) -> List[Cell]:
-        """Add a batch of records; return each record's covering cell.
+    def _flat_ids(self, rows) -> List[int]:
+        """Row-major flat cell ids of a block of rows."""
+        if batch.is_matrix(rows):
+            # Integer matmul: cell indices x strides is exact int
+            # arithmetic, so accumulation order cannot change the result
+            # (the dual-backend hazard only exists for floats).
+            return (self._index_matrix(rows) @ batch.np.asarray(self._strides)).tolist()  # repro: ignore[DET103]
+        g = self.cells_per_axis
+        flats = []
+        for coords in self.coords_of_many(rows):
+            flat = 0
+            for index in coords:
+                flat = flat * g + index
+            flats.append(flat)
+        return flats
 
-        The batched entry point of the cycle hot path: one vectorized
-        pass replaces per-record validation, tuple building and tuple
-        hashing (cells resolve through the flat-int index), and callers
-        get the cells back so they can run their influence-region tests
-        without a second lookup.
-        """
-        cells = self._cells_of_many(records)
-        for record, cell in zip(records, cells):
-            cell.add_point(record)
-        return cells
-
-    def delete_many(self, records: Sequence[StreamRecord]) -> List[Cell]:
-        """Remove a batch of records; return each record's covering cell."""
-        cells = self._cells_of_many(records)
-        for record, cell in zip(records, cells):
-            cell.remove_point(record)
-        return cells
-
-    def _cells_of_many(self, records: Sequence[StreamRecord]) -> List[Cell]:
-        """Covering cells of a record batch, materialising as needed."""
-        rows = [record.attrs for record in records]
-        if batch.np is None or len(rows) < 8:
-            return [self.get_cell(coords) for coords in self.coords_of_many(rows)]
-        indices = self._index_matrix(rows)
-        # Integer matmul: cell indices x strides is exact int
-        # arithmetic, so accumulation order cannot change the result
-        # (the dual-backend hazard only exists for floats).
-        flats = (indices @ batch.np.asarray(self._strides)).tolist()  # repro: ignore[DET103]
+    def _cells_of_flats(self, flats: Sequence[int]) -> List[Cell]:
+        """The cells at flat ids, materialising as needed."""
         known = self._flat_cells
         cells: List[Cell] = []
-        for position, flat in enumerate(flats):
+        for flat in flats:
             cell = known.get(flat)
             if cell is None:  # rare after warm-up: materialise via coords
-                cell = self.get_cell(tuple(indices[position].tolist()))
+                coords = []
+                for stride in self._strides:
+                    coords.append(flat // stride)
+                    flat %= stride
+                cell = self.get_cell(tuple(coords))
             cells.append(cell)
         return cells
+
+    def records_in(self, cell: Cell) -> List[StreamRecord]:
+        """The records of ``cell``, oldest first (built on read)."""
+        return self.store.records(cell.slots)
 
     def locate(self, record: StreamRecord) -> Cell:
         """Covering cell of ``record`` (materialising it if needed)."""

@@ -77,7 +77,7 @@ def compute_top_k_naive(
         cell = grid.peek_cell(coords)
         if cell is None:
             continue
-        for record in cell.iter_points():
+        for record in grid.records_in(cell):
             score = function.score(record.attrs)
             if counters is not None:
                 counters.points_scored += 1

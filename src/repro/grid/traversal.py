@@ -42,10 +42,12 @@ computation (Section 7, Figure 12): the traversal is restricted to
 cells intersecting the constraint rectangle, keys become the maxscore
 of the *clipped* cell, and points outside the region are skipped.
 
-Performance: the unconstrained scan scores the cells it is certain to
-need in one ``score_batch`` kernel call and any further cell's
-columnar block in one call each (see :mod:`repro.core.batch`), heap
-keys for linear functions come from precomputed per-dimension corner
+Performance: the unconstrained scan gathers the rows of the cells it
+is certain to need from the grid's record store in one call
+(:meth:`~repro.core.window.RecordStore.gather`) and scores them in one
+``score_batch`` kernel call, any further cell likewise; candidates
+carry store slots, and records are built for the final top-k only;
+heap keys for linear functions come from precomputed per-dimension corner
 tables (:func:`_linear_maxscore_fn`), and counters go through a null
 object when the caller passes none — the inner loop carries no
 ``if counters`` branches. All three are exact: batched scores and
@@ -61,6 +63,7 @@ from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core import batch
+from repro.core.errors import NonMonotoneFunctionError
 from repro.core.regions import Rectangle
 from repro.core.results import ResultEntry
 from repro.core.scoring import (
@@ -280,8 +283,19 @@ class SweepOrder:
         return self.pushed[position - 1] if position else 0
 
 
+def _entries(store, candidates) -> List[ResultEntry]:
+    """``(score, rid, slot)`` candidates → best-first result entries."""
+    record = store.record
+    return [
+        ResultEntry(score, record(slot))
+        for score, _, slot in sorted(
+            candidates, key=lambda item: item[:2], reverse=True
+        )
+    ]
+
+
 def _admit(
-    candidates: List[Tuple[float, int, object]], k: int, entry
+    candidates: List[Tuple[float, int, int]], k: int, entry
 ) -> None:
     """Offer ``entry`` to a min-heap of the k best canonical keys."""
     if len(candidates) < k:
@@ -341,8 +355,11 @@ def compute_top_k(
     plain_scan = region is None and point_filter is None
 
     # Candidate top-k as a min-heap of canonical keys, so the current
-    # kth key is O(1) to read and O(log k) to improve.
-    candidates: List[Tuple[float, int, object]] = []
+    # kth key is O(1) to read and O(log k) to improve. Candidates are
+    # ``(score, rid, slot)``; records are built for the winners only.
+    store = grid.store
+    rids = store.rids
+    candidates: List[Tuple[float, int, int]] = []
     position = 0
     while order.reaches(position):
         # Tie-aware termination: strictly worse cells cannot contribute
@@ -351,49 +368,47 @@ def compute_top_k(
             break
         start = position
         if plain_scan:
-            records: List = []
-            blocks = []
+            slots: List[int] = []
             while True:
                 cell = grid.peek_cell(order.coords[position])
                 position += 1
-                if cell is not None and cell.points:
-                    cell_records, matrix = cell.columns()
-                    records += cell_records
-                    blocks.append(matrix)
+                if cell is not None:
+                    slots += cell.slots
                 if not order.reaches(position) or not (
-                    len(candidates) + len(records) < k
+                    len(candidates) + len(slots) < k
                     or (at_most is not None and keys[position] >= at_most)
                 ):
                     break
-            counters.points_scored += len(records)
-            if records:
-                scores = function.score_batch(batch.concat(blocks))
+            counters.points_scored += len(slots)
+            if slots:
+                scores = function.score_batch(store.gather(slots))
                 # Ties with the gate survive the prefilter: equal
                 # scores can still win on rid.
                 if len(candidates) >= k:
                     gate = candidates[0][0]
-                elif len(records) > k:
+                elif len(slots) > k:
                     gate = batch.kth_largest(scores, k)
                 else:
                     gate = float("-inf")
                 for index, value in zip(*batch.take_at_least(scores, gate)):
-                    record = records[index]
-                    _admit(candidates, k, (value, record.rid, record))
+                    slot = slots[index]
+                    _admit(candidates, k, (value, rids[slot], slot))
         else:
             # Constrained / filtered scan: per-record checks decide
             # what gets scored, so counters keep their meaning.
             cell = grid.peek_cell(order.coords[position])
             position += 1
-            for record in cell.iter_points() if cell is not None else ():
-                if region is not None and not region.contains(record.attrs):
+            for slot in cell.slots if cell is not None else ():
+                attrs = store.row(slot)
+                if region is not None and not region.contains(attrs):
                     continue
-                if point_filter is not None and not point_filter(record):
+                if point_filter is not None and not point_filter(
+                    store.record(slot)
+                ):
                     continue
                 counters.points_scored += 1
                 _admit(
-                    candidates,
-                    k,
-                    (function.score(record.attrs), record.rid, record),
+                    candidates, k, (float(function.score(attrs)), rids[slot], slot)
                 )
         counters.cells_processed += position - start
 
@@ -403,12 +418,17 @@ def compute_top_k(
         # their counts, but are not part of the influence region.
         while keys[position - 1] < candidates[0][0]:
             position -= 1
-    entries = [
-        ResultEntry(score, record)
-        for score, _, record in sorted(
-            candidates, key=lambda item: item[:2], reverse=True
-        )
-    ]
+            if not position:
+                # Every processed cell's bound is below a score found
+                # in one of them: the function broke its declared
+                # monotonicity (a probe samples, it cannot prove it).
+                raise NonMonotoneFunctionError(
+                    f"{function!r} scored a record {candidates[0][0]!r}, "
+                    "above the maxscore of every cell the traversal "
+                    "processed; it is not monotone in its declared "
+                    "directions"
+                )
+    entries = _entries(store, candidates)
     return TraversalOutcome(
         entries=entries, processed=order.coords[:position], order=order
     )
@@ -696,13 +716,13 @@ def compute_top_k_group(
     # Per-query candidate top-k in ascending canonical order — element
     # 0 is the kth result once full — and the current kth scores (-inf
     # while underfull) a block of scores is compared against.
-    candidates: List[List[Tuple[float, int, object]]] = [
+    candidates: List[List[Tuple[float, int, int]]] = [
         [] for _ in range(size)
     ]
     gates: List[float] = [float("-inf")] * size
     cut = np.array(gates) if np is not None else gates  # its vector mirror
 
-    def admit(q: int, hits: List[Tuple[float, int, object]]) -> None:
+    def admit(q: int, hits: List[Tuple[float, int, int]]) -> None:
         cand = candidates[q]
         cand += hits
         cand.sort()
@@ -710,6 +730,8 @@ def compute_top_k_group(
         if len(cand) == ks[q]:
             gates[q] = cut[q] = cand[0][0]
 
+    store = grid.store
+    rids = store.rids
     seen = 0  # rows swept so far: a member is underfull while seen < k
     position = 0
     # Tie-aware per-query termination: q is done when even the group's
@@ -717,14 +739,14 @@ def compute_top_k_group(
     while order.reaches(position) and keys[position] >= min(gates):
         start = position
         underfull = [pair for pair in by_k if seen < pair[0]]
-        wave = []  # (coords, records, matrix) of its non-empty cells
+        wave = []  # (coords, slots) of its non-empty cells
         while True:
             coords = order.coords[position]
             position += 1
             cell = grid.peek_cell(coords)
-            if cell is not None and cell.points:
-                wave.append((coords, *cell.columns()))
-                seen += len(cell.points)
+            if cell is not None and cell.slots:
+                wave.append((coords, list(cell.slots)))
+                seen += len(cell.slots)
             if not order.reaches(position) or not (
                 seen < most
                 or (at_most is not None and keys[position] >= at_most)
@@ -736,30 +758,29 @@ def compute_top_k_group(
             # check — a member whose staircase misses the cell pays
             # nothing, so the fallback never scores more (record,
             # member) pairs than per-query traversals would.
-            for coords, records, matrix in wave:
+            for coords, slots in wave:
                 maxscores = scorer.maxscores_of(coords)
+                matrix = store.gather(slots)
                 for q, function in enumerate(functions):
                     gate = gates[q]
                     if maxscores[q] < gate:
                         continue  # cell cannot contribute to q
                     scores = [function.score(row) for row in matrix]
-                    counters.points_scored += len(records)
+                    counters.points_scored += len(slots)
                     admit(
                         q,
                         [
-                            (score, record.rid, record)
-                            for score, record in zip(scores, records)
+                            (score, rids[slot], slot)
+                            for score, slot in zip(scores, slots)
                             if score >= gate
                         ],
                     )
         elif wave:
-            records = [record for _, some, _ in wave for record in some]
-            block = scorer.score_block(
-                batch.concat([matrix for _, _, matrix in wave])
-            )
+            slots = [slot for _, some in wave for slot in some]
+            block = scorer.score_block(store.gather(slots))
             # The stacked kernel examines every (record, member) pair:
             # count that, as the solo path counts points examined.
-            counters.points_scored += len(records) * size
+            counters.points_scored += len(slots) * size
             # A hit reaches its column's gate (ties included: equal
             # scores can still win on rid) or, while the member has
             # none, the column's kth largest score of the wave. A
@@ -767,7 +788,7 @@ def compute_top_k_group(
             # below its frozen gate.
             bar = cut
             for k, members in underfull:
-                below = len(records) - k
+                below = len(slots) - k
                 if below > 0:
                     bar = cut.copy() if bar is cut else bar
                     bar[members] = np.partition(
@@ -777,7 +798,7 @@ def compute_top_k_group(
             if not len(rows):
                 continue
             hits = [
-                (value, records[row].rid, records[row])
+                (value, rids[slots[row]], slots[row])
                 for value, row in zip(
                     block[rows, columns].tolist(), rows.tolist()
                 )
@@ -805,10 +826,7 @@ def compute_top_k_group(
         ]
     return [
         TraversalOutcome(
-            entries=[
-                ResultEntry(score, record)
-                for score, _, record in reversed(cand)
-            ],
+            entries=_entries(store, cand),
             processed=list(compress(processed, keep)),
         )
         for cand, keep in zip(candidates, reached)

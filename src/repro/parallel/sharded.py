@@ -20,13 +20,14 @@ additive per-query cost model (Section 6):
   every shard and adopted from shard 0 alone — merged counters match
   a single-process run's.
 
-**Records cross once.** Shards are sent expired *ids* and reply with
-``(score, rid)`` columns only. The coordinator keeps one rid → record
-map of the window — arrivals enter it in :meth:`prepare_cycle`, a
-cycle's expirations leave it once :meth:`finish_cycle` merged that
-cycle (under pipelining, cycle *t+1* is prepared before *t* is
-finished) — and :func:`resolve_changes` rebuilds each change from it
-and the cached results.
+**Records cross once.** A cycle frame is cut from the coordinator's
+:class:`~repro.core.window.RecordStore` — the monitor's one copy of the
+window — as arrival columns plus expired *ids*, and shards reply with
+``(score, rid)`` columns only. :func:`resolve_changes` rebuilds each
+change from the store's rid index and the cached results. The engine
+releases a cycle's expired slots only after :meth:`finish_cycle`
+merged that cycle (under pipelining, cycle *t+1* is prepared before
+*t* is finished), so every rid a reply names is still stored.
 
 **Transports.** ``shards=N`` spawns N worker processes on pipe
 channels (:class:`~repro.transport.pipe.PipeChannel`, the
@@ -86,6 +87,7 @@ from repro.core.errors import DimensionalityError, ProtocolError, StreamError
 from repro.core.queries import TopKQuery
 from repro.core.results import ResultChange, ResultEntry, rebuild_change
 from repro.core.tuples import StreamRecord
+from repro.core.window import RecordStore, Slots
 from repro.parallel.sharding import ShardPlanner
 from repro.parallel.worker import worker_main
 from repro.transport.base import (
@@ -128,12 +130,9 @@ def _rpc_timeout() -> float:
     return float(os.environ.get("REPRO_SHARD_TIMEOUT", "120"))
 
 
-Window = Dict[int, StreamRecord]
-
-
-def _records(rids: Sequence[int], window: Window) -> List[StreamRecord]:
+def _records(rids: Sequence[int], store: RecordStore) -> List[StreamRecord]:
     try:
-        return list(map(window.__getitem__, rids))
+        return list(map(store.record_of, rids))
     except KeyError as exc:
         raise ProtocolError(
             f"a shard reply names record id {exc.args[0]}, which is not "
@@ -142,28 +141,28 @@ def _records(rids: Sequence[int], window: Window) -> List[StreamRecord]:
 
 
 def resolve_entries(
-    scores: Sequence[float], rids: Sequence[int], window: Window
+    scores: Sequence[float], rids: Sequence[int], store: RecordStore
 ) -> List[ResultEntry]:
     """One result's ``(score, rid)`` columns → its entries, each
-    holding the window's record for its rid."""
+    holding the store's record for its rid."""
     if len(set(rids)) != len(rids):
         raise ProtocolError("a shard result repeats a record id")
-    return list(map(ResultEntry, scores, _records(rids, window)))
+    return list(map(ResultEntry, scores, _records(rids, store)))
 
 
 def resolve_changes(
-    columns, window: Window, results: Dict[int, List[ResultEntry]]
+    columns, store: RecordStore, results: Dict[int, List[ResultEntry]]
 ) -> Dict[int, ResultChange]:
     """One shard's cycle reply columns → its ``{qid: ResultChange}``,
     against ``results``, each query's best-first result before the
-    cycle: added rids resolve through ``window``, and each change is
+    cycle: added rids resolve through ``store``, and each change is
     rebuilt by :func:`~repro.core.results.rebuild_change`, the rebuild
     the service client runs on delta events. Reads only; a malformed
     reply is a ``ProtocolError``."""
     qids, added_counts, removed_counts, scores, added_rids, removed_rids = (
         columns
     )
-    entries = list(map(ResultEntry, scores, _records(added_rids, window)))
+    entries = list(map(ResultEntry, scores, _records(added_rids, store)))
     changes: Dict[int, ResultChange] = {}
     added_at = removed_at = 0
     for qid, n_added, n_removed in zip(qids, added_counts, removed_counts):
@@ -265,8 +264,6 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         self.planner = ShardPlanner(count)
         self._queries: Dict[int, TopKQuery] = {}
         self._results: Dict[int, List[ResultEntry]] = {}
-        #: rid -> record of every record the shards hold.
-        self._window: Window = {}
         self._last_counters: List[Dict[str, int]] = [
             {} for _ in range(count)
         ]
@@ -498,7 +495,7 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
             for qid, count in zip(qids, counts):
                 end = start + count
                 results[qid] = resolve_entries(
-                    scores[start:end], rids[start:end], self._window
+                    scores[start:end], rids[start:end], self.store
                 )
                 start = end
         for query in queries:
@@ -540,7 +537,7 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
             shard, "update", (qid, k, function)
         )
         self._merge_counters(shard, counters)
-        entries = resolve_entries(scores, rids, self._window)
+        entries = resolve_entries(scores, rids, self.store)
         if k is not None:
             query.k = k
         if function is not None:
@@ -567,8 +564,8 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
 
     def process_cycle(
         self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
+        arrivals: Sequence,
+        expirations: Sequence,
     ) -> Dict[int, ResultChange]:
         """Broadcast one cycle to every shard and merge the reports.
 
@@ -583,8 +580,11 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         :meth:`finish_cycle` expose the same work as three phases so
         :meth:`~repro.core.engine.StreamMonitor.process_many` can
         overlap the next cycle's snapshot encode with these shards
-        still computing the current one.
+        still computing the current one. Record sequences take the
+        base class's store round trip.
         """
+        if type(arrivals) is not Slots:
+            return self._process_records(arrivals, expirations)
         self.begin_cycle(self.prepare_cycle(arrivals, expirations))
         return self.finish_cycle()
 
@@ -598,24 +598,26 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
 
     def prepare_cycle(
         self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
+        arrivals: Sequence[int],
+        expirations: Sequence[int],
     ) -> PreparedCycle:
         """Encode one cycle's broadcast without sending it.
 
-        Pure coordinator-side CPU (per-transport snapshot encode:
-        NumPy pack + shared-memory fill for pipes, binary columnar
-        deltas for TCP) — the portion of a cycle that pipelining hides
-        under the shards' in-flight work. The returned token is
-        consumed by exactly one :meth:`begin_cycle`. The arrivals
-        enter the coordinator's window map here.
+        ``arrivals`` and ``expirations`` are slots of :attr:`store`.
+        Pure coordinator-side CPU (the arrival columns cut from the
+        store, then the per-transport encode: shared-memory fill for
+        pipes, binary columnar deltas for TCP) — the portion of a cycle
+        that pipelining hides under the shards' in-flight work. The
+        returned token is consumed by exactly one :meth:`begin_cycle`.
         """
         self._ensure_open()
-        expired = [record.rid for record in expirations]
+        store = self.store
+        rids = store.rids
+        expired = [rids[slot] for slot in expirations]
         with self.tracer.span("encode"):
-            prepared = encode_prepared_cycle(self._channels, arrivals, expired)
-        self._window.update((record.rid, record) for record in arrivals)
-        return prepared
+            return encode_prepared_cycle(
+                self._channels, store.columns(arrivals), expired
+            )
 
     def begin_cycle(self, prepared: PreparedCycle) -> None:
         """Send a prepared snapshot to every shard and return without
@@ -675,15 +677,13 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
                     # are last-writer-wins in shard order.
                     self.metrics.merge(metrics_delta)
                 changes.update(
-                    resolve_changes(columns, self._window, self._results)
+                    resolve_changes(columns, self.store, self._results)
                 )
         except ProtocolError:
             self._terminate()
             raise
         for qid, change in changes.items():
             self._results[qid] = list(change.top)
-        for rid in prepared.expired:
-            del self._window[rid]
         return changes
 
     def _require_no_pending(self, operation: str) -> None:
@@ -694,9 +694,7 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
             )
 
     def _apply_cycle(
-        self,
-        arrivals: List[StreamRecord],
-        expirations: List[StreamRecord],
+        self, arrivals: Slots, expirations: Slots
     ) -> None:  # pragma: no cover - process_cycle is overridden
         raise NotImplementedError("sharded cycles run in workers")
 

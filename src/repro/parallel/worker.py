@@ -1,9 +1,10 @@
 """Shard worker: one algorithm instance behind one server channel.
 
-A worker owns a full replica of the *stream* state (its own grid /
-sorted lists, fed the same arrivals and expirations as every other
-shard, plus the rid → record map that resolves expired ids) and a
-disjoint subset of the *query* state. It answers a tiny
+A worker owns a full replica of the *stream* state — its algorithm's
+:class:`~repro.core.window.RecordStore` (filled straight from each
+cycle frame's columns, its rid index resolving expired ids) and the
+grid / sorted lists over it, fed the same arrivals and expirations as
+every other shard — and a disjoint subset of the *query* state. It answers a tiny
 request/response protocol over a shard channel; every data-bearing
 reply carries a fresh :class:`~repro.core.stats.OpCounters` snapshot
 so the coordinator can merge machine-independent work counts
@@ -21,11 +22,13 @@ Protocol (``(command, payload)`` in, ``(status, payload)`` out)::
     ping          None          -> ok "pong"
     stop          None          -> ok None, then the loop exits
 
-A ``cycle`` snapshot is arrival records plus expired ids
-(:mod:`repro.transport.snapshot`). No reply carries a record: entries
-travel as ``(score, rid)`` columns, best-first, for the coordinator to
-resolve against its own window and rebuild each change's ``top``
-(:func:`repro.parallel.sharded.resolve_changes`).
+A ``cycle`` snapshot is arrival columns plus expired ids
+(:mod:`repro.transport.snapshot`); :func:`dispatch_command` fills the
+algorithm's store from it, runs the cycle over the slots, and releases
+the expired slots once the reply is built. No reply carries a record:
+entries travel as ``(score, rid)`` columns, best-first, for the
+coordinator to resolve against its own store and rebuild each change's
+``top`` (:func:`repro.parallel.sharded.resolve_changes`).
 
 ``ping`` is a pure round trip: because a worker serves requests
 strictly in channel order, a ``pong`` proves every previously sent
@@ -46,7 +49,6 @@ import traceback
 from typing import Dict, Sequence
 
 from repro.core.results import ResultChange, ResultEntry
-from repro.core.tuples import StreamRecord
 from repro.transport.base import ChannelClosed
 from repro.transport.pipe import PipeServerChannel
 from repro.transport.snapshot import decode_cycle
@@ -124,7 +126,6 @@ def serve_shard(channel, algo) -> None:
     process, :class:`~repro.transport.tcp.TcpServerChannel` in a
     remote host session) — the loop itself never sees the transport.
     """
-    replica: Dict[int, StreamRecord] = {}
     while True:
         try:
             command, payload = channel.receive()
@@ -135,7 +136,7 @@ def serve_shard(channel, algo) -> None:
                 channel.reply_ok(None)
                 break
             channel.reply_ok(
-                dispatch_command(algo, command, payload, replica)
+                dispatch_command(algo, command, payload)
             )
         except ChannelClosed:  # pragma: no cover - reply raced a close
             break
@@ -166,26 +167,26 @@ def change_columns(changes: Dict[int, ResultChange]):
     )
 
 
-def dispatch_command(
-    algo, command: str, payload, replica: Dict[int, StreamRecord]
-):
-    """Execute one shard command against the local algorithm;
-    ``replica`` is the worker's rid → record map of its window."""
+def dispatch_command(algo, command: str, payload):
+    """Execute one shard command against the local algorithm."""
     if command == "cycle":
-        arrivals, expirations = decode_cycle(payload, replica)
-        tracer = getattr(algo, "tracer", None)
-        if tracer is not None:
-            tracer.begin_cycle(
-                arrivals=len(arrivals), expirations=len(expirations)
+        arrivals, expirations = decode_cycle(payload, algo.store)
+        try:
+            tracer = getattr(algo, "tracer", None)
+            if tracer is not None:
+                tracer.begin_cycle(
+                    arrivals=len(arrivals), expirations=len(expirations)
+                )
+            changes = algo.process_cycle(arrivals, expirations)
+            if tracer is not None:
+                tracer.end_cycle(changes=len(changes))
+            return (
+                change_columns(changes),
+                algo.counters.as_dict(),
+                cycle_metrics_delta(algo),
             )
-        changes = algo.process_cycle(arrivals, expirations)
-        if tracer is not None:
-            tracer.end_cycle(changes=len(changes))
-        return (
-            change_columns(changes),
-            algo.counters.as_dict(),
-            cycle_metrics_delta(algo),
-        )
+        finally:
+            algo.store.release(expirations)
     if command == "register_many":
         results = algo.register_many(payload)
         scores, rids = entry_columns(

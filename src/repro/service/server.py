@@ -46,7 +46,7 @@ import time
 from functools import partial
 from typing import Dict, Optional, Tuple
 
-from repro.core.errors import ReproError
+from repro.core.errors import QueryError, ReproError
 from repro.service import protocol
 from repro.service.delivery import DeliveryHub
 
@@ -86,6 +86,16 @@ class _Connection:
             return 0
         return transport.get_write_buffer_size()
 
+
+
+def _qid(message: Dict) -> int:
+    """The message's query id; anything but an ``int`` (a bool, a
+    float, a string, none at all) is a :class:`QueryError`, as the
+    facade would refuse it — never coerced onto another query."""
+    qid = message.get("qid")
+    if type(qid) is not int:
+        raise QueryError(f"query id must be an integer, got {qid!r}")
+    return qid
 
 class MonitorServer:
     """Serve one :class:`~repro.core.engine.StreamMonitor` over TCP.
@@ -493,37 +503,37 @@ class MonitorServer:
 
     async def _op_result(self, conn, message) -> Dict:
         entries = await self._engine(
-            self.monitor.result, int(message["qid"])
+            self.monitor.result, _qid(message)
         )
         return {"result": protocol.entries_to_wire(entries)}
 
     async def _op_update(self, conn, message) -> Dict:
         entries = await self._engine(
             self.monitor.update_query,
-            int(message["qid"]),
+            _qid(message),
             k=message.get("k"),
             weights=message.get("weights"),
         )
         return {"result": protocol.entries_to_wire(entries)}
 
     async def _op_pause(self, conn, message) -> Dict:
-        await self._engine(self.monitor.pause_query, int(message["qid"]))
+        await self._engine(self.monitor.pause_query, _qid(message))
         return {}
 
     async def _op_resume(self, conn, message) -> Dict:
         entries = await self._engine(
-            self.monitor.resume_query, int(message["qid"])
+            self.monitor.resume_query, _qid(message)
         )
         return {"result": protocol.entries_to_wire(entries)}
 
     async def _op_cancel(self, conn, message) -> Dict:
-        await self._engine(self.monitor.remove_query, int(message["qid"]))
+        await self._engine(self.monitor.remove_query, _qid(message))
         return {}
 
     async def _op_subscribe(self, conn, message) -> Dict:
         qid = message.get("qid")
         if qid is not None:
-            qid = int(qid)
+            qid = _qid(message)
             # Existence check (raises the same QueryError a local
             # subscribe would).
             await self._engine(self.monitor.handle, qid)

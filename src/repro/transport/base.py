@@ -45,7 +45,6 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ReproError
-from repro.core.tuples import StreamRecord
 
 
 class ChannelError(ReproError):
@@ -99,12 +98,10 @@ class ShardChannel(abc.ABC):
     @classmethod
     @abc.abstractmethod
     def encode_cycle(
-        cls,
-        arrivals: Sequence[StreamRecord],
-        expired_rids: Sequence[int],
+        cls, columns, expired_rids: Sequence[int]
     ) -> Tuple[Any, Any, int]:
-        """Encode one cycle (its arrival records, the ids of the
-        records it expires) for this transport.
+        """Encode one cycle (its arrivals' ``(rids, times, rows)``
+        columns, the ids of the records it expires) for this transport.
 
         Returns ``(payload, handle, shared_bytes)``: a payload every
         channel of this kind can :meth:`send_cycle`, a release handle
@@ -207,10 +204,11 @@ class PreparedCycle:
 
 def prepare_cycle(
     channels: Sequence[ShardChannel],
-    arrivals: Sequence[StreamRecord],
+    columns,
     expired_rids: List[int],
 ) -> PreparedCycle:
-    """Encode one cycle for every transport kind present in the pool."""
+    """Encode one cycle (arrival columns, expired ids) for every
+    transport kind present in the pool."""
     encoders = {}
     for channel in channels:
         encoders.setdefault(channel.kind, type(channel))
@@ -219,7 +217,7 @@ def prepare_cycle(
     shared_bytes = 0
     for kind in sorted(encoders):
         payload, handle, nbytes = encoders[kind].encode_cycle(
-            arrivals, expired_rids
+            columns, expired_rids
         )
         payloads[kind] = payload
         handles.append(handle)

@@ -36,7 +36,7 @@ a *message* is the decoded pair ``(header, blocks)``.
 records it expires — never the full window. Every entry-bearing reply
 (``cycle``, ``register_many``, ``update``) carries ``(score, rid)``
 columns only (:data:`_REPLY_BLOCKS`), which the coordinator resolves
-against its own window map (:mod:`repro.parallel.sharded`).
+against its own record store (:mod:`repro.parallel.sharded`).
 
 Only wire-serialisable queries cross this codec: plain linear top-k
 and threshold specs, exactly the kinds
@@ -56,7 +56,6 @@ from math import isfinite
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.scoring import LinearFunction
-from repro.core.tuples import StreamRecord
 from repro.service.protocol import (
     ProtocolError,
     decode_object,
@@ -64,7 +63,6 @@ from repro.service.protocol import (
     query_from_wire,
     query_to_wire,
 )
-from repro.transport.snapshot import record_columns
 
 #: shard wire-protocol revision, exchanged in the ``configure``
 #: handshake; a host refuses a coordinator with a different revision.
@@ -245,8 +243,8 @@ def _uniform_width(rows: Sequence[Sequence[float]]) -> int:
     return widths.pop() if widths else 0
 
 
-def _rows_of(attrs: array, count: int, dims: int) -> List[Tuple[float, ...]]:
-    """Cut a flat attribute block back into ``count`` rows."""
+def _check_rows(attrs: array, count: int, dims: int) -> None:
+    """A flat attribute block must hold ``count`` rows of ``dims``."""
     if type(dims) is not int or dims < 0 or (count and not dims):
         raise ProtocolError(f"malformed attribute width {dims!r}")
     if len(attrs) != count * dims:
@@ -254,7 +252,19 @@ def _rows_of(attrs: array, count: int, dims: int) -> List[Tuple[float, ...]]:
             f"attribute block holds {len(attrs)} values, expected "
             f"{count} rows x {dims}"
         )
-    return list(zip(*[iter(attrs)] * dims)) if count else []
+
+
+def _row_block(rows) -> Tuple[int, array]:
+    """``(width, flat float64 block)`` of attribute rows: a list of
+    rows, or a C-contiguous float64 matrix copied as its bytes."""
+    if isinstance(rows, (list, tuple)):
+        return _uniform_width(rows), _float_block(
+            chain.from_iterable(rows), "record attributes"
+        )
+    block = array("d")
+    if len(rows):
+        block.frombytes(memoryview(rows).cast("B"))
+    return rows.shape[1], block
 
 
 # ----------------------------------------------------------------------
@@ -262,15 +272,15 @@ def _rows_of(attrs: array, count: int, dims: int) -> List[Tuple[float, ...]]:
 # ----------------------------------------------------------------------
 
 
-def encode_cycle_request(
-    arrivals: Sequence[StreamRecord], expired_rids: Sequence[int]
-) -> bytes:
-    """One cycle's deltas → a ready-to-send ``cycle`` request frame.
+def encode_cycle_request(columns, expired_rids: Sequence[int]) -> bytes:
+    """One cycle's arrival columns ``(rids, times, rows)`` (cut from
+    the coordinator's record store) and expired ids → a ready-to-send
+    ``cycle`` request frame.
 
     Encoded once per cycle regardless of how many TCP channels will
     broadcast it (the TCP transport's :meth:`encode_cycle`).
     """
-    payload = ("cols", record_columns(arrivals), expired_rids)
+    payload = ("cols", columns, expired_rids)
     return frame_message(encode_request("cycle", payload))
 
 
@@ -286,10 +296,11 @@ def _encode_cycle(payload) -> Message:
             f"ragged record columns: {len(rids)} rids, "
             f"{len(times)} times, {len(rows)} rows"
         )
-    return {"op": "cycle", "dims": _uniform_width(rows)}, [
+    dims, attrs = _row_block(rows)
+    return {"op": "cycle", "dims": dims}, [
         _int_block(rids, "record ids"),
         _float_block(times, "record times"),
-        _float_block(chain.from_iterable(rows), "record attributes"),
+        attrs,
         _int_block(expired, "expired record ids"),
     ]
 
@@ -303,8 +314,10 @@ def _decode_cycle(header: Dict[str, Any], blocks: Sequence[array]):
         raise ProtocolError(
             f"ragged record columns: {len(rids)} rids, {len(times)} times"
         )
-    rows = _rows_of(attrs, len(rids), header["dims"])
-    return "cols", (rids.tolist(), times.tolist(), rows), expired.tolist()
+    _check_rows(attrs, len(rids), header["dims"])
+    # The time and attribute blocks go to the shard's record store as
+    # they are.
+    return "cols", (rids.tolist(), times, attrs), expired.tolist()
 
 
 # ----------------------------------------------------------------------

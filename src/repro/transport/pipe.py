@@ -28,7 +28,6 @@ import pickle
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Sequence, Tuple
 
-from repro.core.tuples import StreamRecord
 from repro.transport.base import (
     ChannelClosed,
     ChannelError,
@@ -94,11 +93,9 @@ class PipeChannel(ShardChannel):
 
     @classmethod
     def encode_cycle(
-        cls,
-        arrivals: Sequence[StreamRecord],
-        expired_rids: Sequence[int],
+        cls, columns, expired_rids: Sequence[int]
     ) -> Tuple[Any, Any, int]:
-        snapshot, handle = snapshot_encode_cycle(arrivals, expired_rids)
+        snapshot, handle = snapshot_encode_cycle(columns, expired_rids)
         shared_bytes = 0
         if snapshot[0] == "shm":
             rows, dims = snapshot[2]

@@ -4,16 +4,17 @@ This is the *pipe transport's* cycle encoding (the TCP transport
 sends the same columns as binary blocks — see
 :mod:`repro.transport.codec`). Each processing cycle the coordinator
 must hand every worker the same ``P_ins`` / ``P_del`` batches. Only
-arrivals travel as records — ids, timestamps, and one attribute block
-packed the same way the batch kernels pack theirs
-(:func:`repro.core.batch.as_matrix`); every worker already holds the
-records it expires, so expirations travel as a list of ids:
+arrivals travel as records, and only as columns cut from the
+coordinator's :class:`~repro.core.window.RecordStore` — ids, times and
+one attribute block in the batch backend's form; every worker already
+holds the records it expires, so expirations travel as a list of ids:
 
-- **NumPy backend**: the arrivals' ``(n, d)`` float64 attribute matrix
-  is placed in a :mod:`multiprocessing.shared_memory` segment, so N
-  workers read the attribute payload without N pickled copies
-  travelling through pipes. Ids and times (small, one int/float per
-  record) and the expired ids ride along in the pickled header.
+- **NumPy backend**: the arrivals' ``(n, d)`` float64 attribute block
+  is placed in a :mod:`multiprocessing.shared_memory` segment once it
+  is large enough (:data:`SHM_MIN_BYTES`), so N workers read the
+  attribute payload without N pickled copies travelling through
+  pipes; a smaller block is pickled with the header. Ids and times
+  (one int/float per record) and the expired ids ride in the header.
 - **Pure-Python backend** (``REPRO_BATCH_BACKEND=python``): the block
   is a plain list of attribute tuples, pickled with the header —
   exactly the fallback contract of :mod:`repro.core.batch`.
@@ -23,16 +24,21 @@ Payloads::
     ("cols", (rids, times, rows), expired_rids)
     ("shm", segment_name, (rows, dims), rids, times, expired_rids)
 
-**Exactness.** Attributes are Python floats, i.e. IEEE-754 doubles;
-the float64 round trip through the matrix is lossless, so a worker
-rebuilds records bit-for-bit identical to the coordinator's — the
-precondition for sharded results matching single-process results under
-the canonical ``(score, rid)`` order.
+**The shard store fill.** :func:`decode_cycle` copies the arrival
+columns straight into the worker's own
+:class:`~repro.core.window.RecordStore` — from the shared segment, the
+pickled block, or a TCP frame's attribute block alike — and resolves
+the expired ids to slots; no record object is built. Arrivals enter
+first (the update model may delete a record in the batch that inserted
+it), and an expired id the store does not hold is refused before
+anything changes. The worker releases the expired slots after the
+cycle's reply is built.
 
-**The replica map.** :func:`decode_cycle` keeps a worker's rid →
-record map: arrivals enter it first (the update model may delete a
-record in the batch that inserted it), then expired ids are resolved
-and dropped — the algorithm expires the very objects it ingested.
+**Exactness.** Attributes are IEEE-754 doubles end to end: the store's
+float64 block, the segment and the wire blocks all carry their eight
+bytes unchanged, so a worker scores bit-for-bit the values the
+coordinator holds — the precondition for sharded results matching
+single-process results under the canonical ``(score, rid)`` order.
 
 Lifecycle: :func:`encode_cycle` returns ``(payload, handle)``; the
 coordinator broadcasts the payload, waits for every worker's reply
@@ -42,13 +48,12 @@ replying), then calls ``handle.close()`` which unlinks the segment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from array import array
+from typing import Sequence
 
 from repro.core import batch
-from repro.core.tuples import StreamRecord
 from repro.core.errors import ProtocolError
-
-Batches = Tuple[List[StreamRecord], List[StreamRecord]]
+from repro.core.window import RecordStore, Slots
 
 #: attribute-block size below which pickled columns beat a shared
 #: segment: shm pays create + N × attach/mmap + unlink syscalls per
@@ -83,89 +88,68 @@ class _SharedBlockHandle:
             self._shm = None
 
 
-def record_columns(records: Sequence[StreamRecord]):
-    """``(rids, times, attribute rows)`` of a batch — the ``"cols"``
-    payload's arrival columns."""
-    rids = [record.rid for record in records]
-    times = [record.time for record in records]
-    rows = [record.attrs for record in records]
-    return rids, times, rows
-
-
-def encode_cycle(
-    arrivals: Sequence[StreamRecord],
-    expired_rids: Sequence[int],
-):
-    """Encode one cycle's arrivals and expired ids; returns
-    ``(payload, handle)``.
+def encode_cycle(columns, expired_rids: Sequence[int]):
+    """Encode one cycle's arrival columns ``(rids, times, rows)`` and
+    expired ids; returns ``(payload, handle)``.
 
     The payload is picklable and may be broadcast to any number of
     workers; call ``handle.close()`` only after every worker replied.
     """
-    rids, times, rows = record_columns(arrivals)
+    rids, times, rows = columns
     expired = list(expired_rids)
-    if (
-        batch.np is not None
-        and rows
-        and len(rows) * len(rows[0]) * 8 >= SHM_MIN_BYTES
-    ):
-        name, shape, shm = _encode_shared(rows)
-        payload = ("shm", name, shape, rids, times, expired)
+    if batch.is_matrix(rows) and rows.nbytes >= SHM_MIN_BYTES:
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(create=True, size=rows.nbytes)
+        view = batch.np.ndarray(rows.shape, dtype=rows.dtype, buffer=shm.buf)
+        view[:] = rows
+        payload = ("shm", shm.name, rows.shape, rids, times, expired)
         return payload, _SharedBlockHandle(shm)
     return ("cols", (rids, times, rows), expired), _NullHandle()
 
 
-def _encode_shared(rows):
-    from multiprocessing import shared_memory
-
-    np = batch.np
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.ndim != 2:  # ragged rows cannot happen from StreamRecords
-        raise ValueError(f"inhomogeneous attribute rows: {matrix.shape}")
-    shm = shared_memory.SharedMemory(create=True, size=max(1, matrix.nbytes))
-    view = np.ndarray(matrix.shape, dtype=np.float64, buffer=shm.buf)
-    view[:] = matrix
-    return shm.name, matrix.shape, shm
-
-
-def decode_cycle(payload, replica: Dict[int, StreamRecord]) -> Batches:
-    """Rebuild ``(arrivals, expirations)`` from an encoded payload
-    against the worker's ``replica`` map, which it updates: arrivals
-    enter it, expirations leave it. An expired id the replica does not
-    hold is a :class:`~repro.service.protocol.ProtocolError` naming it.
-    """
+def decode_cycle(payload, store: RecordStore):
+    """Fill ``store`` from an encoded cycle; return ``(arrived,
+    expired)`` slots. An expired id the store does not hold (and the
+    batch does not bring) is a :class:`~repro.core.errors.ProtocolError`
+    naming it, raised before the store changes."""
     kind = payload[0]
     if kind == "cols":
         _, (rids, times, rows), expired = payload
+        if isinstance(rows, array) and len(rows) != len(rids) * store.dims:
+            raise ProtocolError(
+                f"attribute block holds {len(rows)} values, expected "
+                f"{len(rids)} rows x {store.dims}"
+            )
     elif kind == "shm":
         _, name, shape, rids, times, expired = payload
-        rows = _read_shared(name, shape)
     else:  # pragma: no cover - protocol guard
         raise ValueError(f"unknown snapshot payload kind {kind!r}")
-    arrivals = [
-        StreamRecord(rid, tuple(row), time)
-        for rid, row, time in zip(rids, rows, times)
-    ]
-    replica.update(zip(rids, arrivals))
-    try:
-        expirations = list(map(replica.pop, expired))
-    except KeyError as exc:
+    if len(set(expired)) != len(expired):
+        seen = set()
+        twice = next(rid for rid in expired if rid in seen or seen.add(rid))
         raise ProtocolError(
-            f"expired record id {exc.args[0]} is not in this shard's "
-            "replica"
-        ) from None
-    return arrivals, expirations
-
-
-def _read_shared(name: str, shape) -> List[Sequence[float]]:
-    np = batch.np
-    shm = _attach_untracked(name)
-    try:
-        view = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-        rows = view.tolist()  # lossless float64 -> Python float
-    finally:
-        shm.close()
-    return rows
+            f"expired record id {twice} expires twice in one cycle"
+        )
+    slots = list(map(store.index.get, expired))
+    unknown = None in slots
+    if unknown:
+        arriving = set(rids)
+        for rid, slot in zip(expired, slots):
+            if slot is None and rid not in arriving:
+                raise ProtocolError(
+                    f"expired record id {rid} is not in this shard's store"
+                )
+    if kind == "shm":
+        shm = _attach_untracked(name)
+        try:
+            view = batch.np.ndarray(shape, dtype=batch.np.float64, buffer=shm.buf)
+            arrived = store.add(rids, times, view)
+        finally:
+            shm.close()
+    else:
+        arrived = store.add(rids, times, rows)
+    return arrived, store.slots_of(expired) if unknown else Slots(slots)
 
 
 def _attach_untracked(name: str):

@@ -36,7 +36,6 @@ import socket
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.tuples import StreamRecord
 from repro.transport import codec
 from repro.transport.base import (
     ChannelClosed,
@@ -205,11 +204,9 @@ class TcpChannel(ShardChannel):
 
     @classmethod
     def encode_cycle(
-        cls,
-        arrivals: Sequence[StreamRecord],
-        expired_rids: Sequence[int],
+        cls, columns, expired_rids: Sequence[int]
     ) -> Tuple[Any, Any, int]:
-        frame = codec.encode_cycle_request(arrivals, expired_rids)
+        frame = codec.encode_cycle_request(columns, expired_rids)
         return frame, _NullHandle(), 0
 
     def _send_frame(self, frame: bytes) -> None:

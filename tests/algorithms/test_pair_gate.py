@@ -35,6 +35,7 @@ from repro.core.scoring import (
 )
 from repro.core.stats import OpCounters
 from repro.core.tuples import RecordFactory
+from repro.core.window import RecordStore
 
 from tests.conftest import rerun_under_python_backend
 
@@ -170,10 +171,12 @@ def test_gate_yields_the_named_pairs_that_reach_it(data, dims):
         )
     cells = [data.draw(st.sampled_from(pool)) for _ in arrivals]
     counters = OpCounters()
+    store = RecordStore(dims)
+    slots = store.add_records(arrivals)
     got = [
-        (state.qid, record.rid, score.hex())
-        for state, record, score in gated_arrivals(
-            arrivals, cells, states, counters, lambda state: state.gate
+        (state.qid, store.rids[slot], score.hex())
+        for state, slot, score in gated_arrivals(
+            store, slots, cells, states, counters, lambda state: state.gate
         )
     ]
     # The record-major scan of the paper's per-cell lists, regrouped

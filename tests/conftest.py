@@ -46,6 +46,24 @@ def make_records(
     return [factory.make(row, time) for row in rows]
 
 
+def store_holding(records: Sequence[StreamRecord]):
+    """A :class:`~repro.core.window.RecordStore` holding ``records``."""
+    from repro.core.window import RecordStore
+
+    store = RecordStore(len(records[0].attrs) if records else 2)
+    store.add_records(records)
+    return store
+
+
+def arrival_columns(records: Sequence[StreamRecord]):
+    """The ``(rids, times, rows)`` arrival columns a coordinator cuts
+    from its store for ``records``."""
+    from repro.core.window import RecordStore
+
+    store = RecordStore(len(records[0].attrs) if records else 2)
+    return store.columns(store.add_records(records))
+
+
 def random_rows(
     rng: random.Random, count: int, dims: int
 ) -> List[Tuple[float, ...]]:

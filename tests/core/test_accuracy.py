@@ -38,7 +38,13 @@ from repro.service.protocol import (
 )
 from repro.transport import codec
 
-from tests.conftest import brute_top_k, make_records, random_rows
+from tests.conftest import (
+    brute_top_k,
+    make_records,
+    random_rows,
+    arrival_columns,
+    store_holding,
+)
 
 DIMS = 2
 WINDOW = 60
@@ -439,13 +445,16 @@ class TestWire:
         )
         assert header == {"ok": True, "counters": {}}
         _, (columns, _, _) = codec.decode_reply("cycle", (header, blocks))
-        window = {entry.rid: entry.record}
-        resolved = resolve_changes(columns, window, {1: []})
+        resolved = resolve_changes(
+            columns, store_holding([entry.record]), {1: []}
+        )
         assert resolved[1].bound is None
         assert resolved[1].top == [entry]
 
     def test_shard_cycle_request_carries_records_only(self):
-        frame = codec.encode_cycle_request(make_records([(0.1, 0.9)]), [5])
+        frame = codec.encode_cycle_request(
+            arrival_columns(make_records([(0.1, 0.9)])), [5]
+        )
         header, blocks = codec.decode_body(
             memoryview(frame)[codec.HEADER_BYTES:]
         )

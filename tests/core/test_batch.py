@@ -136,15 +136,19 @@ class TestBackendHelpers:
 
 
 class TestBlockHelpers:
-    def test_concat_scores_like_its_parts(self):
+    def test_store_gather_scores_like_its_rows(self):
+        """A wave of cells is scored after one gather from the record
+        store, in the order the slots were asked for."""
+        from repro.core.window import RecordStore
+
         function = LinearFunction([0.3, -0.7])
-        parts = [[(0.1, 0.9), (0.5, 0.5)], [(1 / 3, 2 / 3)], [(0.9, 0.2)]]
-        whole = batch.concat([as_matrix(part) for part in parts])
-        assert to_list(function.score_batch(whole)) == [
-            function.score(row) for part in parts for row in part
+        rows = [(0.1, 0.9), (0.5, 0.5), (1 / 3, 2 / 3), (0.9, 0.2)]
+        store = RecordStore(2)
+        slots = store.add(range(4), [0.0] * 4, rows)
+        wave = [slots[2], slots[0], slots[3]]
+        assert to_list(function.score_batch(store.gather(wave))) == [
+            function.score(rows[i]) for i in (2, 0, 3)
         ]
-        single = as_matrix(parts[0])
-        assert batch.concat([single]) is single
 
     def test_take_rows_keeps_requested_order(self):
         rows = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]
@@ -170,7 +174,7 @@ class TestArrivalScorer:
         records = [
             factory.make((0.1 * i, 1.0 - 0.05 * i)) for i in range(12)
         ]
-        scorer = ArrivalScorer(records)
+        scorer = ArrivalScorer(as_matrix([r.attrs for r in records]))
         function = LinearFunction([0.7, 0.3])
         expected = [function.score(record.attrs) for record in records]
         assert scorer.scores(function) == expected
@@ -178,7 +182,7 @@ class TestArrivalScorer:
     def test_take_survivors_prefilter(self):
         factory = RecordFactory()
         records = [factory.make((value, value)) for value in (0.1, 0.5, 0.9)]
-        scorer = ArrivalScorer(records)
+        scorer = ArrivalScorer(as_matrix([r.attrs for r in records]))
         function = LinearFunction([1.0, 1.0])
         assert scorer.take_survivors(function, 1.0)[0] == [1, 2]
         # A threshold equal to a score keeps that arrival (rid ties).
@@ -188,7 +192,7 @@ class TestArrivalScorer:
     def test_cache_is_per_function(self):
         factory = RecordFactory()
         records = [factory.make((0.2, 0.8))]
-        scorer = ArrivalScorer(records)
+        scorer = ArrivalScorer(as_matrix([r.attrs for r in records]))
         first = LinearFunction([1.0, 0.0])
         second = LinearFunction([0.0, 1.0])
         assert scorer.scores(first) == [pytest.approx(0.2)]

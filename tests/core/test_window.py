@@ -21,7 +21,7 @@ class TestCountBased:
         window = CountBasedWindow(3)
         for _ in range(3):
             window.insert(factory.make([0.5]))
-        assert window.evict(now=0.0) == []
+        assert window.expire(now=0.0) == []
         assert len(window) == 3
 
     def test_fifo_eviction(self, factory):
@@ -29,10 +29,10 @@ class TestCountBased:
         records = [factory.make([0.1], time=i) for i in range(4)]
         for record in records[:3]:
             window.insert(record)
-        expired = window.evict(now=2.0)
+        expired = window.expire(now=2.0)
         assert [r.rid for r in expired] == [0]
         window.insert(records[3])
-        expired = window.evict(now=3.0)
+        expired = window.expire(now=3.0)
         assert [r.rid for r in expired] == [1]
         assert [r.rid for r in window] == [2, 3]
 
@@ -40,7 +40,7 @@ class TestCountBased:
         window = CountBasedWindow(2)
         for i in range(5):
             window.insert(factory.make([0.1], time=0.0))
-        expired = window.evict(now=0.0)
+        expired = window.expire(now=0.0)
         assert [r.rid for r in expired] == [0, 1, 2]
 
     def test_repr(self):
@@ -56,10 +56,10 @@ class TestTimeBased:
         window = TimeBasedWindow(2.0)
         window.insert(factory.make([0.1], time=0.0))
         window.insert(factory.make([0.1], time=1.0))
-        assert window.evict(now=1.9) == []
-        expired = window.evict(now=2.0)
+        assert window.expire(now=1.9) == []
+        expired = window.expire(now=2.0)
         assert [r.rid for r in expired] == [0]
-        expired = window.evict(now=3.0)
+        expired = window.expire(now=3.0)
         assert [r.rid for r in expired] == [1]
         assert len(window) == 0
 
@@ -67,7 +67,7 @@ class TestTimeBased:
         window = TimeBasedWindow(1.0)
         for i in range(3):
             window.insert(factory.make([0.1], time=0.0))
-        assert len(window.evict(now=5.0)) == 3
+        assert len(window.expire(now=5.0)) == 3
 
     def test_out_of_order_arrival_rejected(self, factory):
         window = TimeBasedWindow(1.0)

@@ -128,7 +128,7 @@ class TestStorage:
         grid = Grid(2, 4)
         record = factory.make((0.3, 0.7))
         cell = grid.insert(record)
-        assert record.rid in cell.points
+        assert grid.store.index[record.rid] in cell.slots
         assert grid.point_count() == 1
         assert grid.locate(record) is cell
         grid.delete(record)
@@ -140,7 +140,7 @@ class TestStorage:
         for record in records:
             grid.insert(record)
         cell = grid.locate(records[0])
-        assert [r.rid for r in cell.iter_points()] == [0, 1, 2]
+        assert [r.rid for r in grid.records_in(cell)] == [0, 1, 2]
 
     def test_cells_iterator(self, factory):
         grid = Grid(2, 4)

@@ -73,7 +73,7 @@ class TestBatchedPointMaintenance:
         one = Grid(2, 5)
         many = Grid(2, 5)
         scalar_cells = [one.insert(record) for record in records]
-        batch_cells = many.insert_many(records)
+        batch_cells = many.insert_many(many.store.add_records(records))
         assert [cell.coords for cell in batch_cells] == [
             cell.coords for cell in scalar_cells
         ]
@@ -83,41 +83,43 @@ class TestBatchedPointMaintenance:
         factory = RecordFactory()
         records = [factory.make((i / 10.0, i / 10.0)) for i in range(10)]
         grid = Grid(2, 5)
-        grid.insert_many(records)
-        cells = grid.delete_many(records)
+        slots = grid.store.add_records(records)
+        inserted = grid.insert_many(slots)
+        cells = grid.delete_many(slots)
         assert grid.point_count() == 0
-        assert len(cells) == 10
+        assert cells == inserted
 
 
-class TestColumnarCell:
-    def test_columns_track_point_list(self):
+class TestSlotCell:
+    """Cells hold store slots; a cell's block is one gather."""
+
+    def test_gather_tracks_point_list(self):
         factory = RecordFactory()
         grid = Grid(2, 2)
         first = factory.make((0.1, 0.1))
         second = factory.make((0.2, 0.2))
         cell = grid.insert(first)
         assert grid.insert(second) is cell
-        records, matrix = cell.columns()
-        assert records == [first, second]
+        assert grid.records_in(cell) == [first, second]
+        matrix = grid.store.gather(list(cell.slots))
         assert batch.to_list(
             LinearFunction([1.0, 1.0]).score_batch(matrix)
         ) == [
             LinearFunction([1.0, 1.0]).score(record.attrs)
-            for record in records
+            for record in (first, second)
         ]
 
-    def test_cache_reused_until_mutation(self):
+    def test_delete_frees_the_slot_for_reuse(self):
         factory = RecordFactory()
         grid = Grid(2, 2)
         record = factory.make((0.1, 0.1))
         cell = grid.insert(record)
-        first_records, first_matrix = cell.columns()
-        again_records, again_matrix = cell.columns()
-        assert again_records is first_records
-        assert again_matrix is first_matrix
-        cell.remove_point(record)
-        records, _ = cell.columns()
-        assert records == []
+        (slot,) = cell.slots
+        grid.delete(record)
+        assert len(cell) == 0 and record.rid not in grid.store.index
+        again = factory.make((0.6, 0.6))
+        assert list(grid.insert(again).slots) == [slot]
+        assert grid.store.record(slot) is again
 
     def test_fifo_iteration_preserved(self):
         factory = RecordFactory()
@@ -126,9 +128,8 @@ class TestColumnarCell:
         for record in records:
             grid.insert(record)
         cell = grid.peek_cell(grid.coords_of((0.1, 0.1)))
-        assert list(cell.iter_points()) == records
-        columnar, _ = cell.columns()
-        assert columnar == records
+        assert grid.records_in(cell) == records
+        assert grid.store.rids[: len(records)] == [r.rid for r in records]
 
 
 class TestLinearMaxscoreTables:

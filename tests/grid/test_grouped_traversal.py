@@ -40,7 +40,7 @@ from tests.grid.test_sweep_order import LATTICE, Churn
 def fill_grid(grid, rows):
     factory = RecordFactory()
     records = [factory.make(row) for row in rows]
-    grid.insert_many(records)
+    grid.insert_many(grid.store.add_records(records))
     return records
 
 

@@ -368,7 +368,8 @@ def cell_lists(*tables):
 class RecordMajorThresholds(MonitorAlgorithm):
     """The threshold path's former arrival loop (grid algorithms)."""
 
-    def _maintain_thresholds(self, arrivals, expirations):
+    def _maintain_thresholds(self, arrived, expired):
+        arrivals = self.store.records(arrived)
         states = self._threshold_states
         lists = cell_lists(states)
         for record in arrivals:
@@ -380,17 +381,19 @@ class RecordMajorThresholds(MonitorAlgorithm):
                 if score > state.query.threshold:
                     self._touch(qid)
                     state.members[record.rid] = ResultEntry(score, record)
-        super()._maintain_thresholds([], expirations)
+        super()._maintain_thresholds([], expired)
 
 
 class RecordMajorTma(RecordMajorThresholds, TopKMonitoringAlgorithm):
     """TMA with its former ``for record: for qid`` cycle."""
 
-    def _apply_cycle(self, arrivals, expirations):
+    def _apply_cycle(self, arrived, expired):
+        arrivals = self.store.records(arrived)
+        expirations = self.store.records(expired)
         states = self._states
         gate_rose = []
         lists = cell_lists(states)
-        for record, cell in zip(arrivals, self.grid.insert_many(arrivals)):
+        for record, cell in zip(arrivals, self.grid.insert_many(arrived)):
             admitted = []
             for qid in lists.get(cell.coords, ()):
                 state = states[qid]
@@ -417,9 +420,7 @@ class RecordMajorTma(RecordMajorThresholds, TopKMonitoringAlgorithm):
             state.trim_region(self.grid, state.gate_key()[0], self.counters)
         affected = []
         lists = cell_lists(states)
-        for record, cell in zip(
-            expirations, self.grid.delete_many(expirations)
-        ):
+        for record, cell in zip(expirations, self.grid.delete_many(expired)):
             for qid in lists.get(cell.coords, ()):
                 state = states[qid]
                 self.counters.influence_checks += 1
@@ -432,10 +433,12 @@ class RecordMajorTma(RecordMajorThresholds, TopKMonitoringAlgorithm):
 class RecordMajorSma(RecordMajorThresholds, SkybandMonitoringAlgorithm):
     """SMA with its former ``for record: for qid`` cycle."""
 
-    def _apply_cycle(self, arrivals, expirations):
+    def _apply_cycle(self, arrived, expired):
+        arrivals = self.store.records(arrived)
+        expirations = self.store.records(expired)
         states = self._states
         lists = cell_lists(states)
-        for record, cell in zip(arrivals, self.grid.insert_many(arrivals)):
+        for record, cell in zip(arrivals, self.grid.insert_many(arrived)):
             for qid in lists.get(cell.coords, ()):
                 state = states[qid]
                 self.counters.influence_checks += 1
@@ -448,9 +451,7 @@ class RecordMajorSma(RecordMajorThresholds, SkybandMonitoringAlgorithm):
                     self._touch(qid)
                     state.skyband.insert(score, record, self.counters)
         refills = []
-        for record, cell in zip(
-            expirations, self.grid.delete_many(expirations)
-        ):
+        for record, cell in zip(expirations, self.grid.delete_many(expired)):
             for qid in lists.get(cell.coords, ()):
                 state = states[qid]
                 self.counters.influence_checks += 1

@@ -146,7 +146,7 @@ class TestMemberCellInvariant:
             for entry in algo.current_result(0):
                 cell = algo.grid.locate(entry.record)
                 assert cell.coords in algo.influence_region(0)
-                assert entry.record.rid in cell.points
+                assert algo.store.index[entry.record.rid] in cell.slots
 
 
 class TestSkybandAgreesWithPrediction:

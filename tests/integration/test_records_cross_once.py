@@ -2,7 +2,7 @@
 
 Shards are sent the *ids* of expiring records and reply with
 ``(score, rid)`` columns; the coordinator resolves added rids through
-its window map and removed rids through its cached results, and
+its record store and removed rids through its cached results, and
 rebuilds each ``top`` itself. Each case below is where one of those
 maps could go wrong, compared bitwise (``score.hex()``, the record,
 ``top``) against an in-process twin over two pipe shards and over two
@@ -34,11 +34,13 @@ from repro.core.queries import ThresholdQuery, TopKQuery
 from repro.core.results import ResultEntry, diff_results, entries_best_first
 from repro.core.scoring import LinearFunction
 from repro.core.tuples import RecordFactory, StreamRecord
-from repro.core.window import CountBasedWindow
+from repro.core.window import CountBasedWindow, Slots
 from repro.parallel.sharded import ShardedMonitorAlgorithm, resolve_changes
 from repro.parallel.worker import change_columns
 from repro.service.protocol import ProtocolError
 from repro.transport import codec
+
+from tests.conftest import store_holding
 
 DIMS = 2
 
@@ -260,7 +262,9 @@ def test_a_change_report_survives_columns_frame_and_resolve(cycle):
         "cycle", codec.decode_body(memoryview(frame)[codec.HEADER_BYTES:])
     )
     assert status == "ok"
-    resolved = resolve_changes(columns, window, previous)
+    resolved = resolve_changes(
+        columns, store_holding(list(window.values())), previous
+    )
     assert list(resolved) == list(changes)
     for qid, want in changes.items():
         got = resolved[qid]
@@ -293,6 +297,8 @@ def cached(window, *rids):
         (([1], [0], [2], [], [], [2, 2]), "removes record id 2, which its"),
         (([1], [1], [0], [0.9], [1], []), "repeats a record id"),
         (([1], [1], [1], [0.9], [2], [2]), "repeats a record id"),
+        (([1], [2], [0], [0.3, 0.4], [3, 4], []), "out of best-first order"),
+        (([1], [2], [0], [0.3, 0.3], [3, 4], []), "out of best-first order"),
         (([9], [0], [0], [], [], []), "query 9, which is not registered"),
         (([1, 1], [0, 0], [0, 0], [], [], []), "already changed"),
     ],
@@ -302,7 +308,7 @@ def test_resolve_refuses_what_the_maps_cannot_hold(columns, message):
     results = {1: cached(window, 2, 1)}
     snapshot = {qid: list(entries) for qid, entries in results.items()}
     with pytest.raises(ProtocolError, match=message):
-        resolve_changes(columns, window, results)
+        resolve_changes(columns, store_holding(list(window.values())), results)
     assert results == snapshot
 
 
@@ -343,10 +349,14 @@ def test_an_unknown_expired_rid_is_an_error_reply_naming_it(shards):
     )
     try:
         ghost = StreamRecord(4242, (0.5, 0.5), 0.0)
+        with pytest.raises(StreamError, match="record 4242 is not in"):
+            algo.process_cycle([], [ghost])  # refused by the coordinator
+        # A record only the coordinator's store holds: the shards never
+        # received it, so each refuses the expired id by name.
         with pytest.raises(StreamError) as failure:
-            algo.process_cycle([], [ghost])
+            algo.process_cycle(Slots(), algo.store.add_records([ghost]))
         text = str(failure.value)
-        assert "expired record id 4242 is not in this shard's replica" in text
+        assert "expired record id 4242 is not in this shard's store" in text
         assert "KeyError" not in text
     finally:
         algo.close()

@@ -1,11 +1,12 @@
-"""Round-trip tests for the columnar cycle snapshot: arrival records
-travel, expirations travel as ids and resolve against the worker's
-replica map."""
+"""Round-trip tests for the columnar cycle snapshot: arrival columns
+travel from the coordinator's record store into the worker's, and
+expirations travel as ids and resolve against the worker's store."""
 
 import pytest
 
 from repro.core import batch
 from repro.core.tuples import StreamRecord
+from repro.core.window import RecordStore
 from repro.service.protocol import ProtocolError
 from repro.transport import snapshot
 
@@ -28,8 +29,32 @@ def assert_bitwise_equal(rebuilt, originals):
             assert a.hex() == b.hex()
 
 
-def decode(payload, replica=None):
-    return snapshot.decode_cycle(payload, {} if replica is None else replica)
+def columns(records):
+    """The arrival columns a coordinator cuts from its store."""
+    store = RecordStore(2)
+    return store.columns(store.add_records(records))
+
+
+def encode(records, expired):
+    return snapshot.encode_cycle(columns(records), expired)
+
+
+def holding(records):
+    """A worker store already holding ``records``."""
+    store = RecordStore(2)
+    store.add_records(records)
+    return store
+
+
+def decode(payload, store=None):
+    """``(arrivals, expirations)`` as records, read from the store."""
+    store = RecordStore(2) if store is None else store
+    arrived, expired = snapshot.decode_cycle(payload, store)
+    return store.records(arrived), store.records(expired)
+
+
+def held(store):
+    return {rid: store.record_of(rid) for rid in store.index}
 
 
 class TestRoundTrip:
@@ -38,21 +63,24 @@ class TestRoundTrip:
             [[0.1, 0.2], [0.7071067811865476, 1e-300], [0.0, 1.0]]
         )
         old = make_records([[0.5, 0.5]], start_rid=100)
-        replica = {record.rid: record for record in old}
-        payload, handle = snapshot.encode_cycle(arrivals, [100])
+        store = holding(old)
+        payload, handle = encode(arrivals, [100])
         try:
-            got_arrivals, got_expirations = decode(payload, replica)
+            got_arrivals, got_expirations = decode(payload, store)
         finally:
             handle.close()
         assert_bitwise_equal(got_arrivals, arrivals)
         assert got_expirations[0] is old[0]
-        assert replica == {record.rid: record for record in arrivals}
+        # Expired slots stay stored until the worker releases them.
+        assert held(store) == {
+            record.rid: record for record in old + arrivals
+        }
 
     def test_roundtrip_pickled_columns(self, monkeypatch):
         """The pure-Python payload path, forced regardless of backend."""
         monkeypatch.setattr(batch, "np", None)
         arrivals = make_records([[0.25, 0.75], [1.0, 0.0]])
-        payload, handle = snapshot.encode_cycle(arrivals, [])
+        payload, handle = encode(arrivals, [])
         assert payload[0] == "cols"
         got_arrivals, got_expirations = decode(payload)
         handle.close()
@@ -60,7 +88,7 @@ class TestRoundTrip:
         assert got_expirations == []
 
     def test_empty_cycle_uses_plain_payload(self):
-        payload, handle = snapshot.encode_cycle([], [])
+        payload, handle = snapshot.encode_cycle(([], [], []), [])
         assert payload == ("cols", ([], [], []), [])
         arrivals, expirations = decode(payload)
         handle.close()
@@ -68,35 +96,36 @@ class TestRoundTrip:
 
     def test_expirations_travel_as_ids(self):
         old = make_records([[0.9, 0.1], [0.3, 0.3]])
-        replica = {record.rid: record for record in old}
-        payload, handle = snapshot.encode_cycle([], [1, 0])
+        store = holding(old)
+        payload, handle = snapshot.encode_cycle(([], [], []), [1, 0])
         try:
             assert payload == ("cols", ([], [], []), [1, 0])
-            got_arrivals, got_expirations = decode(payload, replica)
+            got_arrivals, got_expirations = decode(payload, store)
         finally:
             handle.close()
         assert got_arrivals == []
         assert got_expirations == [old[1], old[0]]
-        assert replica == {}
 
     def test_a_record_may_expire_in_the_cycle_that_inserts_it(self):
         """The update model can delete a record in its inserting batch:
-        arrivals enter the replica before expirations resolve, and the
-        expired object is the ingested one."""
+        arrivals enter the store before expirations resolve, and the
+        expired slot is the ingested one."""
         arrivals = make_records([[0.5, 0.5], [0.25, 0.75]], start_rid=7)
-        replica = {}
-        payload, handle = snapshot.encode_cycle(arrivals, [8])
-        got_arrivals, got_expirations = decode(payload, replica)
+        store = RecordStore(2)
+        payload, handle = encode(arrivals, [8])
+        arrived, expired = snapshot.decode_cycle(payload, store)
         handle.close()
-        assert got_expirations[0] is got_arrivals[1]
-        assert list(replica) == [7]
+        assert expired == arrived[1:]
+        store.release(expired)
+        assert list(store.index) == [7]
 
     @pytest.mark.parametrize("expired", [[5], [0, 0]])
     def test_an_unknown_expired_id_names_the_rid(self, expired):
-        replica = {0: make_records([[0.5, 0.5]])[0]}
-        payload, _ = snapshot.encode_cycle([], expired)
+        store = holding(make_records([[0.5, 0.5]]))
+        payload, _ = snapshot.encode_cycle(([], [], []), expired)
         with pytest.raises(ProtocolError, match=f"record id {expired[-1]} "):
-            decode(payload, replica)
+            decode(payload, store)
+        assert list(store.index) == [0]  # refused before any change
 
     def test_unknown_payload_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +141,7 @@ class TestSharedMemory:
 
     def test_shared_payload_selected(self):
         arrivals = make_records([[0.1, 0.9]])
-        payload, handle = snapshot.encode_cycle(arrivals, [3])
+        payload, handle = encode(arrivals, [3])
         try:
             # the segment holds arrival rows only; ids ride the header
             assert payload[0] == "shm"
@@ -124,7 +153,7 @@ class TestSharedMemory:
         """Below the threshold, pickled columns beat shm setup costs."""
         monkeypatch.setattr(snapshot, "SHM_MIN_BYTES", 16384)
         arrivals = make_records([[0.1, 0.9]])
-        payload, handle = snapshot.encode_cycle(arrivals, [])
+        payload, handle = encode(arrivals, [])
         assert payload[0] == "cols"
         got, _ = decode(payload)
         handle.close()
@@ -133,7 +162,7 @@ class TestSharedMemory:
     def test_large_payload_takes_shared_memory(self, monkeypatch):
         monkeypatch.setattr(snapshot, "SHM_MIN_BYTES", 16384)
         arrivals = make_records([[0.5, 0.5]] * 1024)  # 16 KiB of attrs
-        payload, handle = snapshot.encode_cycle(arrivals, [])
+        payload, handle = encode(arrivals, [])
         try:
             assert payload[0] == "shm"
             got, _ = decode(payload)
@@ -145,7 +174,7 @@ class TestSharedMemory:
         from multiprocessing import shared_memory
 
         arrivals = make_records([[0.1, 0.9], [0.2, 0.8]])
-        payload, handle = snapshot.encode_cycle(arrivals, [])
+        payload, handle = encode(arrivals, [])
         name = payload[1]
         decode(payload)  # reader attach/detach
         handle.close()
@@ -155,7 +184,7 @@ class TestSharedMemory:
     def test_decode_many_times_before_close(self):
         """Broadcast semantics: every worker decodes the same payload."""
         arrivals = make_records([[0.4, 0.6]])
-        payload, handle = snapshot.encode_cycle(arrivals, [])
+        payload, handle = encode(arrivals, [])
         try:
             for _ in range(4):
                 got, _ = decode(payload)

@@ -124,6 +124,7 @@ def test_undecodable_lines_get_a_protocol_error(raw, line):
         ('{"kind":"threshold","weights":[1.0,1.0],"threshold":"x"}',
          "QueryError"),
         ('{"weights":"1.0","k":2}', "ProtocolError"),
+        ('{"weights":[true,1.0],"k":2}', "QueryError"),
         ('[1.0]', "ProtocolError"),
     ],
 )
@@ -135,6 +136,54 @@ def test_query_specs_get_the_in_process_refusal(raw, server, query, kind):
     assert reply["ok"] is False
     assert reply["error"]["type"] == kind
     assert len(server.monitor.query_table) == before
+    assert_still_open(raw)
+
+
+@pytest.fixture
+def two_queries():
+    """A fresh server holding queries 0 and 1 (``true`` and ``1.9``
+    would coerce onto query 1)."""
+    monitor = StreamMonitor(
+        2, CountBasedWindow(40), algorithm="tma", cells_per_axis=4
+    )
+    served = MonitorServer(monitor)
+    served.start()
+    with MonitorClient(*served.address) as client:
+        client.process([[0.25, 0.5], [0.75, 0.125], [0.5, 0.5]])
+        client.add_query(weights=[1.0, 1.0], k=2)
+        client.add_query(weights=[1.0, 0.5], k=1)
+    connection = RawConnection(served.address)
+    yield served, connection
+    connection.close()
+    served.stop()
+    monitor.close()
+
+
+@pytest.mark.parametrize(
+    "op", ["result", "update", "pause", "resume", "cancel", "subscribe"]
+)
+@pytest.mark.parametrize("qid", [b"true", b"1.9", b'"1"', b"null"])
+def test_a_qid_that_is_not_an_int_is_refused(two_queries, op, qid):
+    """The query ops take the qid the client sent; a bool, a float or a
+    string is a ``QueryError``, never coerced onto query 1."""
+    served, raw = two_queries
+    before = [
+        (handle.qid, handle.state, handle.query.k)
+        for handle in served.monitor.handles()
+    ]
+    reply = raw.send(
+        b'{"id":7,"op":"' + op.encode() + b'","qid":' + qid + b',"k":3}'
+    )
+    if op == "subscribe" and qid == b"null":
+        assert reply["ok"] is True  # no qid: the monitor-wide stream
+        return
+    assert reply["ok"] is False
+    assert reply["error"]["type"] == "QueryError"
+    assert "query id must be an integer" in reply["error"]["message"]
+    assert [
+        (handle.qid, handle.state, handle.query.k)
+        for handle in served.monitor.handles()
+    ] == before
     assert_still_open(raw)
 
 

@@ -212,6 +212,10 @@ def delta(**fields):
             delta(added=[[0.9, 3, 0.0, 0.3, 0.5], [0.8, 3, 0.0, 0.3, 0.5]]),
             "repeats a record id",
         ),
+        (
+            delta(added=[[0.3, 3, 0.0, 0.3, 0.5], [0.4, 4, 0.0, 0.4, 0.5]]),
+            "out of best-first order",
+        ),
         (delta(added=[[0.9, 3]]), "malformed wire change"),
         (delta(added=[[0.9, True, 0.0, 0.3]]), "malformed wire entry"),
         (delta(added=[[0.9, 3.0, 0.0, 0.3]]), "malformed wire entry"),

@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 from repro.analysis.memory import SpaceBreakdown
 from repro.core.scoring import LinearFunction, QuadraticFunction
 from repro.core.tuples import StreamRecord
+from repro.core.window import RecordStore
 from repro.service.protocol import ProtocolError
 from repro.transport import codec
 from repro.transport.snapshot import decode_cycle
+
+from tests.conftest import arrival_columns, store_holding
 
 
 def make_records(rows, start_rid=0, start_time=0.0):
@@ -100,18 +103,28 @@ class TestFraming:
             )
 
 
+def decode(payload, held=()):
+    """A cycle payload decoded into a store already holding ``held``:
+    ``(arrivals, expirations)`` as the store's records."""
+    store = store_holding(held) if held else RecordStore(
+        len(payload[1][2]) // max(1, len(payload[1][0])) or 2
+    )
+    arrived, expired = decode_cycle(payload, store)
+    return store.records(arrived), store.records(expired)
+
+
 class TestCycleRequests:
     def test_cycle_deltas_roundtrip_bitwise(self):
         arrivals = make_records(
             [[0.1, 0.2], [0.7071067811865476, 1e-300], [0.0, 1.0]]
         )
         old = make_records([[0.5, 0.5]], start_rid=100)
-        frame = codec.encode_cycle_request(arrivals, [100])
+        frame = codec.encode_cycle_request(arrival_columns(arrivals), [100])
         command, payload = codec.decode_request(
             codec.decode_body(body_of(frame))
         )
         assert command == "cycle"
-        got_arrivals, got_expirations = decode_cycle(payload, {100: old[0]})
+        got_arrivals, got_expirations = decode(payload, old)
         for got, want in zip(got_arrivals, arrivals):
             assert got.rid == want.rid
             assert got.time == want.time
@@ -128,7 +141,7 @@ class TestCycleRequests:
             ([0, 1], [0.0, 1.0], [(0.25, 0.75), (1.0, 0.0)]),
             [9],
         )
-        assert codec.encode_cycle_request(arrivals, [9]) == (
+        assert codec.encode_cycle_request(arrival_columns(arrivals), [9]) == (
             codec.frame_message(codec.encode_request("cycle", payload))
         )
 
@@ -141,7 +154,7 @@ class TestCycleRequests:
         command, decoded = roundtrip_request("cycle", payload)
         assert command == "cycle"
         assert decoded[0] == "cols"
-        arrivals, expirations = decode_cycle(decoded, {})
+        arrivals, expirations = decode(decoded)
         assert [r.rid for r in arrivals] == [0, 1]
         assert expirations == []
 
@@ -157,7 +170,8 @@ class TestCycleRequests:
 
     def test_record_columns_never_travel_as_json(self):
         frame = codec.encode_cycle_request(
-            make_records([[0.123456789, 0.5]], start_rid=424242), [515151]
+            arrival_columns(make_records([[0.123456789, 0.5]], start_rid=424242)),
+            [515151],
         )
         header_len = struct.unpack_from("<I", frame, 4)[0]
         header = frame[8 : 8 + header_len]
@@ -185,22 +199,24 @@ class TestCycleRequests:
     def test_rid_outside_int64_is_a_protocol_error(self):
         record = StreamRecord(2**63, (0.5,), 0.0)
         with pytest.raises(ProtocolError, match="int64"):
-            codec.encode_cycle_request([record], [])
+            codec.encode_cycle_request(arrival_columns([record]), [])
         with pytest.raises(ProtocolError, match="int64"):
-            codec.encode_cycle_request([], [2**63])
+            codec.encode_cycle_request(([], [], []), [2**63])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_attribute_refused_at_encode(self, bad):
         with pytest.raises(ProtocolError, match="non-finite"):
-            codec.encode_cycle_request(make_records([[0.5, bad]]), [])
+            codec.encode_cycle_request(
+                arrival_columns(make_records([[0.5, bad]])), []
+            )
 
     def test_overflowing_sum_of_finite_values_is_accepted(self):
         """The cheap finiteness test (a finite sum) trips on overflow;
         the exact scan behind it must then clear the block."""
         records = make_records([[1.7e308, 1.7e308, -1.7e308]])
-        frame = codec.encode_cycle_request(records, [])
+        frame = codec.encode_cycle_request(arrival_columns(records), [])
         _, payload = codec.decode_request(codec.decode_body(body_of(frame)))
-        assert decode_cycle(payload, {})[0] == records
+        assert decode(payload)[0] == records
 
 
 class TestQueryRequests:
@@ -462,14 +478,13 @@ class TestRoundTripProperty:
     def test_cycle_request_is_bitwise(self, batches):
         _, arrivals, expirations = batches
         frame = codec.encode_cycle_request(
-            arrivals, [record.rid for record in expirations]
+            arrival_columns(arrivals), [record.rid for record in expirations]
         )
         command, payload = codec.decode_request(
             codec.decode_body(memoryview(frame)[codec.HEADER_BYTES:])
         )
         assert command == "cycle"
-        replica = {record.rid: record for record in expirations}
-        got_arrivals, got_expirations = decode_cycle(payload, replica)
+        got_arrivals, got_expirations = decode(payload, expirations)
         assert list(map(hexed, got_arrivals)) == list(map(hexed, arrivals))
         assert [record.rid for record in got_expirations] == [
             record.rid for record in expirations
@@ -575,7 +590,7 @@ class TestHostileFrames:
             codec.decode_body(cycle_body())
         )
         assert command == "cycle"
-        assert decode_cycle(payload, {})[0] == [
+        assert decode(payload)[0] == [
             StreamRecord(7, (0.5, 0.5), 0.5)
         ]
         for command, body in [

@@ -17,8 +17,7 @@ import gc
 
 import pytest
 
-from repro.bench.reporting import format_table
-from repro.bench.workloads import TABLE_1, env_scale, scaled_defaults
+from harness import TABLE_1, env_scale, format_table, scaled_defaults
 
 
 @pytest.fixture(autouse=True)

@@ -14,9 +14,8 @@ available without the authors' hardware:
 """
 
 from repro.analysis.cost_model import CostModel, WorkloadParameters
-from repro.bench.reporting import format_table
-from repro.bench.runner import run_workload
-from repro.bench.workloads import scaled_defaults
+
+from harness import format_table, run_workload, scaled_defaults
 
 KS = [5, 10, 20, 50]
 N, RATE, QUERIES, CYCLES = 8_000, 80, 12, 10

@@ -15,7 +15,6 @@
 import random
 
 from repro.algorithms.tma import TopKMonitoringAlgorithm
-from repro.bench.reporting import format_table
 from repro.core.queries import TopKQuery
 from repro.core.scoring import LinearFunction
 from repro.core.stats import OpCounters
@@ -25,6 +24,8 @@ from repro.grid.naive import compute_top_k_naive
 from repro.grid.traversal import compute_top_k
 from repro.streams.generators import Independent
 from repro.streams.stream import StreamDriver
+
+from harness import format_table
 
 
 def test_heap_traversal_vs_naive_scan(benchmark):

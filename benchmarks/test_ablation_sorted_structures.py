@@ -14,12 +14,12 @@ the container choice does not affect reported space.)
 """
 
 from repro.algorithms.tsl import ThresholdSortedListAlgorithm
-from repro.bench.reporting import format_table
 from repro.core.engine import StreamMonitor
 from repro.core.window import CountBasedWindow
-from repro.bench.workloads import scaled_defaults
 from repro.streams.generators import make_distribution
 from repro.streams.stream import StreamDriver
+
+from harness import format_table, scaled_defaults
 
 
 def run(list_impl: str, n: int):

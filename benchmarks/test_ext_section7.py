@@ -13,17 +13,16 @@ extension retains the framework's scalability properties:
 
 import random
 
-from repro.bench.reporting import format_table
 from repro.core.engine import StreamMonitor
 from repro.core.queries import ThresholdQuery, TopKQuery
 from repro.core.scoring import LinearFunction
 from repro.core.window import CountBasedWindow
 from repro.extensions.constrained import constrained_query
-from repro.extensions.threshold import ThresholdMonitor
-from repro.extensions.update_model import UpdateStreamMonitor
 from repro.streams.generators import Independent, make_distribution
 from repro.streams.stream import StreamDriver
 from repro.streams.update_stream import UpdateStreamDriver
+
+from harness import format_table
 
 
 def test_constrained_queries_stay_inside_their_region(benchmark):
@@ -80,8 +79,8 @@ def test_threshold_monitor_beats_naive(benchmark):
 
     def measure():
         driver = StreamDriver(Independent(2), 100, seed=5)
-        monitor = ThresholdMonitor(
-            2, CountBasedWindow(5_000), cells_per_axis=12
+        monitor = StreamMonitor(
+            2, CountBasedWindow(5_000), algorithm="tma", cells_per_axis=12
         )
         monitor.process(driver.warmup(5_000))
         rng = random.Random(6)
@@ -115,8 +114,11 @@ def test_update_stream_tma_vs_brute(benchmark):
             max_lifetime=40,
             seed=7,
         )
-        monitor = UpdateStreamMonitor(
-            2, algorithm=algorithm, cells_per_axis=8
+        monitor = StreamMonitor(
+            2,
+            algorithm=algorithm,
+            cells_per_axis=8,
+            stream_model="update",
         )
         rng = random.Random(8)
         for _ in range(10):
@@ -129,7 +131,7 @@ def test_update_stream_tma_vs_brute(benchmark):
                 )
             )
         for batch in driver.batches(20):
-            monitor.process(batch.insertions, batch.deletions)
+            monitor.process(batch.insertions, deletions=batch.deletions)
         counters = monitor.counters
         # Per-record work: brute re-scores every live record for every
         # query each cycle; TMA checks influence lists and scores only

@@ -9,12 +9,13 @@ throughput (the simulation's fixed cost).
 
 import random
 
-from repro.bench.reporting import format_table
 from repro.streams.generators import (
     AntiCorrelated,
     Independent,
     correlation_matrix,
 )
+
+from harness import format_table
 
 SAMPLES = 5_000
 

@@ -13,9 +13,7 @@ while points scored (the coarse grid's cost) fall.
 
 import pytest
 
-from repro.bench.reporting import print_series
-from repro.bench.runner import run_workload
-from repro.bench.workloads import scaled_defaults
+from harness import print_series, run_workload, scaled_defaults
 
 GRANULARITIES = [2, 3, 4, 5, 6, 12]
 

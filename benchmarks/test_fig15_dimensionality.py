@@ -26,9 +26,7 @@ compared by ``python3 -m perf.run``.
 
 import pytest
 
-from repro.bench.reporting import print_series
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
+from harness import compare_algorithms, print_series, scaled_defaults
 
 DIMS = [2, 3, 4, 5, 6]
 ALGOS = ("tsl", "tma", "sma")

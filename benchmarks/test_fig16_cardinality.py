@@ -13,9 +13,7 @@ Seconds are printed, and compared by ``python3 -m perf.run``.
 
 import pytest
 
-from repro.bench.reporting import print_series
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
+from harness import compare_algorithms, print_series, scaled_defaults
 
 CARDINALITIES = [4_000, 8_000, 12_000, 16_000, 20_000]
 ALGOS = ("tsl", "tma", "sma")

@@ -16,9 +16,7 @@ the job of ``python3 -m perf.run``.
 
 import pytest
 
-from repro.bench.reporting import print_series
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
+from harness import compare_algorithms, print_series, scaled_defaults
 
 N = 10_000
 RATES = [10, 50, 100, 500, 1_000]  # 0.1% .. 10% of N

@@ -11,9 +11,7 @@ printed, not asserted.
 
 import pytest
 
-from repro.bench.reporting import print_series
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
+from harness import compare_algorithms, print_series, scaled_defaults
 
 QUERY_COUNTS = [5, 10, 20, 40, 80]
 RATE = 80

@@ -15,9 +15,12 @@ in Figures 15 and 16). Seconds are printed, and compared by
 
 import pytest
 
-from repro.bench.reporting import format_table, print_series
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
+from harness import (
+    compare_algorithms,
+    format_table,
+    print_series,
+    scaled_defaults,
+)
 
 KS = [1, 5, 10, 20, 50]
 ALGOS = ("tsl", "tma", "sma")

@@ -8,9 +8,7 @@ slightly above TMA (dominance counters + skyband extras).
 
 import pytest
 
-from repro.bench.reporting import print_series
-from repro.bench.runner import run_workload
-from repro.bench.workloads import scaled_defaults
+from harness import print_series, run_workload, scaled_defaults
 
 KS = [1, 5, 10, 20, 50, 100]
 ALGOS = ("tsl", "tma", "sma")

@@ -16,9 +16,7 @@ in Figures 15 and 16). Seconds are printed, and compared by
 
 import pytest
 
-from repro.bench.reporting import print_series
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
+from harness import compare_algorithms, print_series, scaled_defaults
 
 DIMS = [2, 3, 4, 5]
 ALGOS = ("tsl", "tma", "sma")

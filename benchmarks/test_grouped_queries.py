@@ -12,11 +12,10 @@ widen with Q (more queries per shared sweep).
 """
 
 from repro.algorithms import make_algorithm
-from repro.bench.reporting import print_series
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
 from repro.streams.generators import make_distribution
 from repro.streams.stream import StreamDriver
+
+from harness import compare_algorithms, print_series, scaled_defaults
 
 QUERY_COUNTS = [8, 24, 48]
 ALGOS = ("tma", "sma", "sma-grouped")

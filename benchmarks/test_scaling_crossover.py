@@ -24,9 +24,7 @@ compressed TSL's constant, not its count.) The table still prints the
 measured seconds beside the counts.
 """
 
-from repro.bench.reporting import format_table
-from repro.bench.runner import compare_algorithms
-from repro.bench.workloads import scaled_defaults
+from harness import compare_algorithms, format_table, scaled_defaults
 
 CARDINALITIES = [2_000, 8_000, 24_000, 48_000]
 

@@ -12,9 +12,7 @@ Paper values (IND):  k: 1, 5, 10, 20, 50, 100
 
 import pytest
 
-from repro.bench.reporting import format_table
-from repro.bench.runner import run_workload
-from repro.bench.workloads import scaled_defaults
+from harness import format_table, run_workload, scaled_defaults
 
 KS = [1, 5, 10, 20, 50]
 

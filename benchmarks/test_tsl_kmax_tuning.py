@@ -10,9 +10,7 @@ refill/insert trade-off that creates the interior optimum.
 
 import pytest
 
-from repro.bench.reporting import format_table
-from repro.bench.runner import run_workload
-from repro.bench.workloads import scaled_defaults
+from harness import format_table, run_workload, scaled_defaults
 
 K = 10
 MULTIPLIERS = [1.0, 1.5, 2.0, 3.0, 6.0]

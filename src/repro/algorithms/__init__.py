@@ -15,6 +15,7 @@ from repro.algorithms.brute import BruteForceAlgorithm
 from repro.algorithms.sma import SkybandMonitoringAlgorithm
 from repro.algorithms.tma import TopKMonitoringAlgorithm
 from repro.algorithms.tsl import ThresholdSortedListAlgorithm
+from repro.grid import default_cells_per_axis
 
 ALGORITHMS = {
     "tma": TopKMonitoringAlgorithm,
@@ -23,7 +24,7 @@ ALGORITHMS = {
     "brute": BruteForceAlgorithm,
     # SMA with similarity-grouped refills and registration bursts:
     # identical results, shared grid sweeps per group (sugar for
-    # grouped=True, so bench runs can compare it with plain SMA).
+    # grouped=True).
     "sma-grouped": SkybandMonitoringAlgorithm,
 }
 
@@ -48,10 +49,9 @@ def make_algorithm(
             ``sma-grouped`` (SMA with ``grouped=True``).
         dims: data dimensionality.
         cells_per_axis: grid granularity for the grid-based methods
-            (ignored by ``tsl``/``brute``); defaults to the paper's
-            sweet spot of roughly 12^4 total cells via
-            :func:`repro.bench.workloads.default_cells_per_axis` when
-            omitted.
+            (ignored by ``tsl``/``brute``); when omitted, defaults to
+            :func:`repro.grid.default_cells_per_axis` at N = 20 000,
+            the paper's occupancy of about 48 points per cell.
         **kwargs: algorithm-specific options (e.g. ``kmax_for`` for
             TSL, ``grouped`` for SMA, ``eager_cleanup`` for TMA).
     """
@@ -65,8 +65,6 @@ def make_algorithm(
         kwargs.setdefault("grouped", True)
     if key in GRID_ALGORITHMS:
         if cells_per_axis is None:
-            from repro.bench.workloads import default_cells_per_axis
-
             cells_per_axis = default_cells_per_axis(dims)
         return cls(dims=dims, cells_per_axis=cells_per_axis, **kwargs)
     return cls(dims=dims, **kwargs)

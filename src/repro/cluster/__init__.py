@@ -4,8 +4,7 @@ The distributed tier above the transport layer: a remote shard host
 process (:mod:`repro.cluster.shard`, ``python -m repro.cluster.shard
 --listen HOST:PORT``) plus :func:`local_shard_hosts`, a context
 manager that brings a pool of loopback hosts up in subprocesses — the
-harness the remote-parity tests, the CI multi-node smoke job, and
-``bench --shards tcp:N`` share.
+harness the remote-parity tests and the CI multi-node smoke job share.
 
 Point a monitor at running hosts with::
 
@@ -52,8 +51,8 @@ def local_shard_hosts(
     exit. With ``once`` (the default) each host gets ``--once`` — it
     exits with its first session, so an orphaned host can never
     linger; pass ``once=False`` when several monitors will connect in
-    sequence (the bench's ``--shards tcp:N`` leg runs one session per
-    benchmarked algorithm).
+    sequence (a module-scoped test fixture serves one session per
+    test).
     """
     if count < 1:
         raise ValueError(f"need at least one shard host, got {count}")

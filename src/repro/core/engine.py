@@ -277,12 +277,11 @@ class StreamMonitor:
         self.cycle_seconds: List[float] = []
         #: per-registration wall-clock of the initial top-k computation
         #: (one entry per add_query / add_queries call) — kept apart
-        #: from cycle_seconds so benchmarks can report setup and
+        #: from cycle_seconds so ``stats()`` reports setup and
         #: maintenance without either skewing the other.
         self.setup_seconds: List[float] = []
         #: wall-clock of in-flight query mutations (update / pause /
-        #: resume), one entry per operation — the third timing account
-        #: (bench ``--churn`` reports it separately).
+        #: resume), one entry per operation — the third timing account.
         self.mutation_seconds: List[float] = []
         self._factory = RecordFactory()
         self._clock = 0.0

@@ -114,8 +114,7 @@ class RunStats:
     def summary(self) -> Dict[str, Union[int, float]]:
         """Flat run summary. Counts stay ``int`` (cycles and every
         OpCounters field); only the timing aggregates are floats —
-        downstream JSON (bench ``--json``) renders ``17``, not
-        ``17.0``."""
+        so a JSON dump renders ``17``, not ``17.0``."""
         data: Dict[str, Union[int, float]] = {
             "cycles": self.cycles,
             "total_seconds": self.total_seconds,

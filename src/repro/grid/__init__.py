@@ -9,7 +9,7 @@ query (:mod:`repro.algorithms.topk_computation`).
 """
 
 from repro.grid.cell import Cell
-from repro.grid.grid import Grid
+from repro.grid.grid import Grid, default_cells_per_axis
 from repro.grid.traversal import (
     SweepOrder,
     TraversalOutcome,
@@ -24,4 +24,5 @@ __all__ = [
     "TraversalOutcome",
     "collect_cells_above_threshold",
     "compute_top_k",
+    "default_cells_per_axis",
 ]

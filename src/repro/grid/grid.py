@@ -39,6 +39,21 @@ from repro.grid.cell import Cell
 
 Coords = Tuple[int, ...]
 
+#: the paper's measured-optimum grid occupancy (1M records / 12^4 cells)
+PAPER_POINTS_PER_CELL = 1_000_000 / 12**4
+
+
+def default_cells_per_axis(dims: int, n: int = 20_000) -> int:
+    """Grid granularity matching the paper's occupancy sweet spot.
+
+    The paper fixes ~12^4 total cells for N=1M (≈48 points per cell)
+    across all dimensionalities. We solve for the per-axis count that
+    reproduces that occupancy at the configured N.
+    """
+    target_cells = max(1.0, n / PAPER_POINTS_PER_CELL)
+    per_axis = round(target_cells ** (1.0 / dims))
+    return max(2, int(per_axis))
+
 
 class Grid:
     """Lazy regular grid over ``[0, 1]^dims`` with ``cells_per_axis^dims`` cells."""

@@ -742,8 +742,8 @@ class ShardedMonitorAlgorithm(MonitorAlgorithm):
         attribute blocks that rode shared memory instead of a pipe —
         always 0 for TCP shards). ``recent_cycles`` holds the last
         :data:`_CYCLE_LOG_LIMIT` per-cycle samples, oldest first. The
-        returned structure is JSON-serialisable (bench and the engine
-        facade embed it verbatim).
+        returned structure is JSON-serialisable (the engine facade
+        embeds it verbatim).
         """
         totals = self._wire_totals()
         last = self._cycle_log[-1] if self._cycle_log else None

@@ -26,8 +26,7 @@ Threading model — three planes, each with one job:
   resolves it. A deliberately-stalled subscriber therefore costs
   exactly one parked thread and one full queue; every other client's
   cycle and delivery latency is untouched (pinned by
-  ``tests/integration/test_service_e2e.py`` and measured by the bench
-  ``--serve`` leg).
+  ``tests/integration/test_service_e2e.py``).
 
 Lifecycle: ``start()`` spawns the loop thread and returns the bound
 address; ``stop()`` (or context-manager exit) closes every

@@ -6,8 +6,7 @@ assigned a random lifetime; its deletion is issued that many cycles
 later, so at any moment the live set is a mix of ages — the expiry
 order is unknown in advance, which is precisely why SMA's skyband
 cannot be used and TMA (via
-:class:`repro.extensions.update_model.UpdateStreamMonitor`) handles
-this model.
+``StreamMonitor(dims, stream_model="update")``) handles this model.
 """
 
 from __future__ import annotations

@@ -49,11 +49,9 @@ class TestSubpackageImports:
             "repro.streams",
             "repro.extensions",
             "repro.analysis",
-            "repro.bench",
             "repro.skyband.prediction",
             "repro.grid.naive",
             "repro.structures.skiplist",
-            "repro.bench.cli",
         ],
     )
     def test_imports_cleanly(self, module):

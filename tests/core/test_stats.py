@@ -59,7 +59,7 @@ class TestRunStats:
         assert summary["expirations"] == 4
 
     def test_summary_keeps_counts_integral(self):
-        # Counts must stay int (bench --json renders 17, not 17.0);
+        # Counts must stay int (a JSON dump renders 17, not 17.0);
         # only the timing aggregates are floats.
         stats = RunStats()
         stats.record_cycle(0.25, OpCounters(arrivals=17))

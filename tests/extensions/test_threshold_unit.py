@@ -1,13 +1,13 @@
-"""Focused unit tests for the threshold monitor (Section 7)."""
+"""Focused unit tests for threshold queries on the facade (Section 7)."""
 
 import pytest
 
+from repro.core.engine import StreamMonitor
 from repro.core.errors import QueryError
 from repro.core.queries import ThresholdQuery
 from repro.core.scoring import LinearFunction
 from repro.core.tuples import RecordFactory
 from repro.core.window import CountBasedWindow, TimeBasedWindow
-from repro.extensions.threshold import ThresholdMonitor
 
 
 @pytest.fixture
@@ -16,8 +16,8 @@ def factory():
 
 
 def make_monitor(capacity=10, cells=4):
-    return ThresholdMonitor(
-        2, CountBasedWindow(capacity), cells_per_axis=cells
+    return StreamMonitor(
+        2, CountBasedWindow(capacity), algorithm="tma", cells_per_axis=cells
     )
 
 
@@ -40,7 +40,7 @@ class TestLifecycle:
         monitor = make_monitor()
         query = ThresholdQuery(LinearFunction([1.0, 1.0]), threshold=1.5)
         monitor.add_query(query)
-        assert list(monitor.queries()) == [query]
+        assert list(monitor.query_table) == [query]
 
     def test_multiple_thresholds_independent(self, factory):
         monitor = make_monitor()
@@ -88,7 +88,7 @@ class TestSemantics:
         monitor.process([factory.make((0.9, 0.9))])
         assert monitor.result(qid) == []
         # Its influence region is empty too: nothing can exceed 5.
-        assert monitor.monitor.algorithm.influence_region(qid) == set()
+        assert monitor.algorithm.influence_region(qid) == set()
 
     def test_decreasing_direction_threshold(self, factory):
         monitor = make_monitor()
@@ -101,8 +101,8 @@ class TestSemantics:
         assert [e.rid for e in monitor.result(qid)] == [small.rid]
 
     def test_time_based_window(self, factory):
-        monitor = ThresholdMonitor(
-            2, TimeBasedWindow(2.0), cells_per_axis=4
+        monitor = StreamMonitor(
+            2, TimeBasedWindow(2.0), algorithm="tma", cells_per_axis=4
         )
         qid = monitor.add_query(
             ThresholdQuery(LinearFunction([1.0, 1.0]), threshold=1.0)

@@ -6,7 +6,12 @@ from repro.core.errors import DimensionalityError
 from repro.core.regions import Rectangle
 from repro.core.scoring import LinearFunction
 from repro.core.tuples import RecordFactory
-from repro.grid.grid import Grid
+from repro.algorithms import make_algorithm
+from repro.grid.grid import (
+    PAPER_POINTS_PER_CELL,
+    Grid,
+    default_cells_per_axis,
+)
 
 
 @pytest.fixture
@@ -153,3 +158,35 @@ class TestStorage:
         cell = grid.insert(factory.make((0.1, 0.1)))
         assert "1 pts" in repr(cell)
         assert "(0, 0)" in repr(cell)
+
+
+class TestDefaultGranularity:
+    def test_paper_operating_point(self):
+        # N=1M, d=4 should land on the paper's 12-per-axis optimum.
+        assert default_cells_per_axis(4, 1_000_000) == 12
+
+    def test_scales_with_n(self):
+        assert default_cells_per_axis(4, 20_000) < 12
+        assert default_cells_per_axis(2, 20_000) > default_cells_per_axis(
+            4, 20_000
+        )
+
+    def test_minimum_two(self):
+        assert default_cells_per_axis(6, 100) >= 2
+
+    def test_paper_occupancy(self):
+        # 1M records over the paper's 12^4 cells: about 48 per cell.
+        assert PAPER_POINTS_PER_CELL == 1_000_000 / 12**4
+
+    @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6])
+    def test_occupancy_held_across_dimensionality(self, dims):
+        # Per-axis counts are whole numbers, so the occupancy can only
+        # be held to within the rounding of the d-th root.
+        cells = default_cells_per_axis(dims, 1_000_000) ** dims
+        occupancy = 1_000_000 / cells
+        assert PAPER_POINTS_PER_CELL / 1.5 < occupancy
+        assert occupancy < PAPER_POINTS_PER_CELL * 1.5
+
+    def test_make_algorithm_uses_it(self):
+        algorithm = make_algorithm("tma", 4)
+        assert algorithm.grid.cells_per_axis == default_cells_per_axis(4)

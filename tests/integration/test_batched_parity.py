@@ -5,8 +5,8 @@ arrival scoring and TA refills, TMA/SMA's arrival pre-scoring and grid
 batches, and the traversal's per-cell kernel scans. This suite replays
 randomized streams (plus a tie-saturated lattice stream) through all
 three maintained algorithms and asserts per-cycle result equality with
-the brute-force oracle — the same check ``repro.bench selfcheck``
-performs, pinned here so plain pytest exercises it on every run.
+the brute-force oracle on every tier-1 run; CI replays it on the
+pure-Python backend too.
 """
 
 import random

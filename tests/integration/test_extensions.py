@@ -11,8 +11,6 @@ from repro.core.scoring import LinearFunction
 from repro.core.tuples import RecordFactory
 from repro.core.window import CountBasedWindow
 from repro.extensions.constrained import constrained_query
-from repro.extensions.threshold import ThresholdMonitor
-from repro.extensions.update_model import UpdateStreamMonitor
 from repro.streams.generators import Independent
 from repro.streams.update_stream import UpdateStreamDriver
 
@@ -82,8 +80,8 @@ class TestThresholdMonitoring:
     def test_threshold_vs_oracle(self):
         rng = random.Random(9)
         factory = RecordFactory()
-        monitor = ThresholdMonitor(
-            2, CountBasedWindow(50), cells_per_axis=5
+        monitor = StreamMonitor(
+            2, CountBasedWindow(50), algorithm="tma", cells_per_axis=5
         )
         query = ThresholdQuery(LinearFunction([1.0, 1.0]), threshold=1.4)
         qid = monitor.add_query(query)
@@ -105,7 +103,9 @@ class TestThresholdMonitoring:
 
     def test_initial_result_includes_existing_points(self):
         factory = RecordFactory()
-        monitor = ThresholdMonitor(2, CountBasedWindow(10), cells_per_axis=4)
+        monitor = StreamMonitor(
+            2, CountBasedWindow(10), algorithm="tma", cells_per_axis=4
+        )
         hot = factory.make((0.9, 0.9))
         cold = factory.make((0.1, 0.1))
         monitor.process([hot, cold])
@@ -116,7 +116,9 @@ class TestThresholdMonitoring:
 
     def test_change_reports(self):
         factory = RecordFactory()
-        monitor = ThresholdMonitor(2, CountBasedWindow(2), cells_per_axis=4)
+        monitor = StreamMonitor(
+            2, CountBasedWindow(2), algorithm="tma", cells_per_axis=4
+        )
         qid = monitor.add_query(
             ThresholdQuery(LinearFunction([1.0, 1.0]), threshold=1.0)
         )
@@ -130,12 +132,14 @@ class TestThresholdMonitoring:
         assert [e.rid for e in report.changes[qid].removed] == [hot.rid]
 
     def test_remove_query_scrubs_lists(self):
-        monitor = ThresholdMonitor(2, CountBasedWindow(5), cells_per_axis=4)
+        monitor = StreamMonitor(
+            2, CountBasedWindow(5), algorithm="tma", cells_per_axis=4
+        )
         qid = monitor.add_query(
             ThresholdQuery(LinearFunction([1.0, 1.0]), threshold=1.5)
         )
         monitor.remove_query(qid)
-        assert monitor.monitor.algorithm.influence_list_entries() == 0
+        assert monitor.algorithm.influence_list_entries() == 0
         with pytest.raises(QueryError):
             monitor.result(qid)
 
@@ -143,13 +147,17 @@ class TestThresholdMonitoring:
 class TestUpdateStreamMonitoring:
     def test_sma_rejected(self):
         with pytest.raises(StreamError):
-            UpdateStreamMonitor(2, algorithm="sma", cells_per_axis=4)
+            StreamMonitor(
+                2, algorithm="sma", cells_per_axis=4, stream_model="update"
+            )
 
     def test_update_stream_vs_oracle(self):
         driver = UpdateStreamDriver(
             Independent(2), rate=6, min_lifetime=1, max_lifetime=8, seed=4
         )
-        monitor = UpdateStreamMonitor(2, algorithm="tma", cells_per_axis=4)
+        monitor = StreamMonitor(
+            2, algorithm="tma", cells_per_axis=4, stream_model="update"
+        )
         query = TopKQuery(LinearFunction([0.8, 0.6]), k=3)
         qid = monitor.add_query(query)
         live = {}
@@ -158,7 +166,7 @@ class TestUpdateStreamMonitoring:
                 live[record.rid] = record
             for record in batch.deletions:
                 del live[record.rid]
-            monitor.process(batch.insertions, batch.deletions)
+            monitor.process(batch.insertions, deletions=batch.deletions)
             assert monitor.live_count == len(live)
             got = [e.rid for e in monitor.result(qid)]
             expected = [
@@ -177,16 +185,16 @@ class TestUpdateStreamMonitoring:
         assert deleted != sorted(deleted)
 
     def test_double_insert_rejected(self):
-        monitor = UpdateStreamMonitor(2, algorithm="brute")
+        monitor = StreamMonitor(2, algorithm="brute", stream_model="update")
         factory = RecordFactory()
         record = factory.make((0.5, 0.5))
-        monitor.process([record], [])
+        monitor.process([record])
         with pytest.raises(StreamError):
-            monitor.process([record], [])
+            monitor.process([record])
 
     def test_unknown_delete_rejected(self):
-        monitor = UpdateStreamMonitor(2, algorithm="brute")
+        monitor = StreamMonitor(2, algorithm="brute", stream_model="update")
         factory = RecordFactory()
         record = factory.make((0.5, 0.5))
         with pytest.raises(StreamError):
-            monitor.process([], [record])
+            monitor.process([], deletions=[record])

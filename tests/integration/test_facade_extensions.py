@@ -2,8 +2,7 @@
 
 Threshold queries register through the ordinary ``add_query`` on any
 algorithm (and any shard count); the explicit-deletion stream model is
-``StreamMonitor(..., stream_model="update")``; the legacy extension
-monitors are thin shims over the same facade. Close/idempotency and
+``StreamMonitor(..., stream_model="update")``. Close/idempotency and
 descriptive-error semantics are pinned here too, in-process and
 sharded alike.
 """
@@ -19,8 +18,6 @@ from repro.core.scoring import LinearFunction
 from repro.core.tuples import RecordFactory
 from repro.core.window import CountBasedWindow
 from repro.extensions.constrained import constrained_query
-from repro.extensions.threshold import ThresholdMonitor
-from repro.extensions.update_model import UpdateStreamMonitor
 from repro.streams.generators import Independent
 from repro.streams.update_stream import UpdateStreamDriver
 
@@ -149,11 +146,10 @@ class TestThresholdViaFacade:
         # A failed registration leaves no zombie in the query table.
         assert len(monitor.query_table) == 0
 
-    def test_legacy_threshold_monitor_is_a_shim(self):
-        monitor = ThresholdMonitor(
-            2, CountBasedWindow(10), cells_per_axis=4
+    def test_threshold_handle_reports_and_subscribes(self):
+        monitor = StreamMonitor(
+            2, CountBasedWindow(10), algorithm="tma", cells_per_axis=4
         )
-        assert isinstance(monitor.monitor, StreamMonitor)
         handle = monitor.add_query(
             ThresholdQuery(LinearFunction([1.0, 1.0]), threshold=1.0)
         )
@@ -161,7 +157,6 @@ class TestThresholdViaFacade:
         hot = factory.make((0.9, 0.9))
         report = monitor.process([hot])
         assert [e.rid for e in report.changes[handle].added] == [hot.rid]
-        # The facade's handle surface is available through the shim.
         received = []
         handle.subscribe(received.append)
         monitor.process([factory.make((0.95, 0.97))])
@@ -221,9 +216,10 @@ class TestUpdateModelViaFacade:
         with pytest.raises(StreamError):
             monitor.process([], deletions=[factory.make((0.5, 0.5))])
 
-    def test_legacy_update_monitor_is_a_shim(self):
-        monitor = UpdateStreamMonitor(2, algorithm="tma", cells_per_axis=4)
-        assert isinstance(monitor, StreamMonitor)
+    def test_update_model_insertions_then_deletions(self):
+        monitor = StreamMonitor(
+            2, algorithm="tma", cells_per_axis=4, stream_model="update"
+        )
         assert monitor.stream_model == "update"
         handle = monitor.add_query(
             TopKQuery(LinearFunction([1.0, 1.0]), k=2)
@@ -231,9 +227,9 @@ class TestUpdateModelViaFacade:
         factory = RecordFactory()
         first = factory.make((0.9, 0.9))
         second = factory.make((0.5, 0.5))
-        monitor.process([first, second], [])
+        monitor.process([first, second], deletions=[])
         assert [e.rid for e in handle.result()] == [first.rid, second.rid]
-        monitor.process([], [first])
+        monitor.process([], deletions=[first])
         assert [e.rid for e in handle.result()] == [second.rid]
 
     def test_update_model_handles_and_subscriptions(self):

@@ -347,18 +347,28 @@ class TestCoordinatorFailureModes:
             algo.close()
             algo.close()
 
-    def test_thread_hosted_shard_round_trip(self):
-        """A real serve-loop behind TCP: queries, cycles, stats, bytes."""
+    @pytest.mark.parametrize("transport", ["tcp", "pipe"])
+    def test_shard_round_trip_reports_wire_bytes(self, transport):
+        """A real shard behind each transport: queries, cycles, stats,
+        bytes. TCP serves a thread-hosted loop; pipe spawns a worker."""
         from repro.core.queries import TopKQuery
         from repro.core.scoring import LinearFunction
         from repro.core.tuples import StreamRecord
 
-        with fake_host(real_shard) as address:
+        endpoint = (
+            fake_host(real_shard)
+            if transport == "tcp"
+            else contextlib.nullcontext()
+        )
+        with endpoint as address:
             algo = ShardedMonitorAlgorithm(
-                "tma", 2, shards=[address], cells_per_axis=4
+                "tma",
+                2,
+                shards=[address] if transport == "tcp" else 1,
+                cells_per_axis=4,
             )
             try:
-                assert algo.transport == "tcp"
+                assert algo.transport == transport
                 query = TopKQuery(LinearFunction([0.5, 0.5]), k=2)
                 query.qid = 0
                 algo.register(query)
@@ -369,7 +379,7 @@ class TestCoordinatorFailureModes:
                 report = algo.process_cycle(records, [])
                 assert report[0].top_ids() == [2, 1]
                 stats = algo.transport_stats()
-                assert stats["transport"] == "tcp"
+                assert stats["transport"] == transport
                 assert stats["cycles"] == 1
                 assert stats["last_cycle"]["wire_bytes"] > 0
                 assert stats["last_cycle"]["shared_bytes"] == 0
